@@ -16,6 +16,7 @@ from .graphs import (
     FiniteGraph,
     GraphError,
     MultiGraph,
+    _apex_paths,
     canon_edge,
     eulerian_v_splits,
     is_eulerian,
@@ -352,25 +353,10 @@ def spanning_caterpillar_search(g: FiniteGraph):
 
 def _ham_path_from(g: FiniteGraph, start):
     """A spanning path of g starting at `start`, or None."""
-    n = len(g.vertices)
-
-    def dfs(path, used):
-        if len(path) == n:
-            return list(path)
-        for y in g.neighbors(path[-1]):
-            if y not in used:
-                path.append(y)
-                used.add(y)
-                res = dfs(path, used)
-                if res is not None:
-                    return res
-                path.pop()
-                used.remove(y)
-        return None
-
     if start not in g.vertices:
         return None
-    return dfs([start], {start})
+    paths = _apex_paths(g, start=start, limit=1)
+    return list(paths[0]) if paths else None
 
 
 def _two_ray_cover(square, universe, v, w, allowed_v, allowed_w):

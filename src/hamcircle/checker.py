@@ -268,14 +268,17 @@ def dp_series(max_level: int, cap: int = ORACLE_LEVEL_CAP):
 
 def limit_certificate(tt: TransferTable = None):
     """The limit uniqueness claim: the viability fixed point leaves one
-    compatible assignment per fragment, hence one Hamilton circle."""
+    compatible assignment per fragment, hence one Hamilton circle.
+    `limit_count` is the number of patterns left over all missing-contact
+    states; the claim holds when it is 1."""
     if tt is None:
         tt = transfer_table()
     fixed, depth = stabilized_viable(tt)
+    counts = {m: len(fixed[m]) for m in ("u", "l", "r")}
     return {
-        "limit_count": 1,
+        "limit_count": sum(counts.values()),
         "stabilization_depth": depth,
-        "pattern_counts": {m: len(fixed[m]) for m in ("u", "l", "r")},
+        "pattern_counts": counts,
     }
 
 

@@ -346,218 +346,271 @@ def eulerian_v_splits(m: MultiGraph, v):
 # multigraphs alike.  Cycles are found edge-wise with unit propagation:
 # once a vertex has two chosen edges its remaining edges are excluded, a
 # vertex with only two live edges has both forced, and an edge closing a
-# premature cycle is excluded.  All instances here are small (at most a
-# couple hundred vertices with strong cut structure), so the propagation
-# does the heavy lifting.
+# premature cycle is excluded.  Propagation is incremental (a worklist of
+# the endpoints of edges whose state changed) and every change is recorded
+# on a trail, so backtracking undoes exactly what a branch did.  Hamilton
+# paths are the Hamilton cycles of the graph plus an apex joined to every
+# vertex, with the apex removed.
+
+
+class _CycleSearch:
+    """Edge-state backtracking for Hamilton cycles.
+
+    Vertices are ``0..n-1`` in branching order and ``ends[e]`` holds the
+    endpoints of edge ``e``; parallel edges are allowed.  ``run`` returns
+    the cycles through every forced-in and no forced-out edge as sorted
+    tuples of edge indices, at most ``limit`` of them.
+    """
+
+    UNDEC, IN, OUT = 0, 1, 2
+
+    def __init__(self, n, ends, limit=None):
+        if n < 2:
+            raise GraphError("need at least 2 vertices")
+        if limit is not None and limit < 1:
+            raise GraphError("limit must be positive")
+        self.n = n
+        self.ends = ends
+        inc = [[] for _ in range(n)]
+        for e, (a, b) in enumerate(ends):
+            inc[a].append(e)
+            inc[b].append(e)
+        self.inc = inc
+        self.state = [self.UNDEC] * len(ends)
+        self.chosen = [0] * n
+        self.live = [len(es) for es in inc]  # incident edges not OUT
+        # for a vertex that is the end of a chosen segment, the other end of
+        # that segment; isolated vertices map to themselves
+        self.pend = list(range(n))
+        # the segment end on the first endpoint's side when an IN edge joined
+        # two segments, -1 when it closed the cycle (read when undoing)
+        self.joined = [-1] * len(ends)
+        self.in_count = 0
+        self.trail = []  # edges in the order their state was decided
+        self.queue = list(range(n))  # vertices to re-examine
+        self.limit = limit
+        self.solutions = []
+        self.nodes = 0  # calls of _search, for measurements and tests
+
+    def run(self, forced_in=(), forced_out=()):
+        ok = all(self._set_in(e) for e in forced_in) and all(
+            self._set_out(e) for e in forced_out
+        )
+        if ok and self._propagate():
+            self._search()
+        return sorted(self.solutions)
+
+    def _set_in(self, e):
+        state = self.state
+        if state[e] != self.UNDEC:
+            return state[e] == self.IN
+        a, b = self.ends[e]
+        chosen = self.chosen
+        if chosen[a] >= 2 or chosen[b] >= 2:
+            return False
+        pend = self.pend
+        ea, eb = pend[a], pend[b]
+        closing = ea == b
+        if closing and self.in_count + 1 != self.n:
+            return False  # would close a cycle that is not spanning
+        state[e] = self.IN
+        chosen[a] += 1
+        chosen[b] += 1
+        self.in_count += 1
+        self.trail.append(e)
+        self.queue += (a, b)
+        if closing:
+            self.joined[e] = -1
+            return True
+        pend[ea] = eb
+        pend[eb] = ea
+        self.joined[e] = ea
+        if self.in_count + 1 != self.n:
+            # the new segment's ends may not be joined directly: that would
+            # close a cycle short of spanning
+            inc, ends = self.inc, self.ends
+            if len(inc[ea]) > len(inc[eb]):
+                ea, eb = eb, ea
+            for f in inc[ea]:
+                if state[f] == self.UNDEC:
+                    x, y = ends[f]
+                    if (y if x == ea else x) == eb:
+                        self._set_out(f)
+        return True
+
+    def _set_out(self, e):
+        state = self.state
+        if state[e] != self.UNDEC:
+            return state[e] == self.OUT
+        a, b = self.ends[e]
+        state[e] = self.OUT
+        self.live[a] -= 1
+        self.live[b] -= 1
+        self.trail.append(e)
+        self.queue += (a, b)
+        return True
+
+    def _propagate(self):
+        queue = self.queue
+        state, chosen, live, inc = self.state, self.chosen, self.live, self.inc
+        UNDEC = self.UNDEC
+        while queue:
+            v = queue.pop()
+            cin = chosen[v]
+            if cin == 2:
+                if live[v] > 2:
+                    for e in inc[v]:
+                        if state[e] == UNDEC:
+                            self._set_out(e)
+            elif live[v] < 2:
+                queue.clear()
+                return False
+            elif live[v] == 2:
+                for e in inc[v]:
+                    if state[e] == UNDEC and not self._set_in(e):
+                        queue.clear()
+                        return False
+        return True
+
+    def _undo(self, mark):
+        trail, state, ends = self.trail, self.state, self.ends
+        chosen, live, pend = self.chosen, self.live, self.pend
+        while len(trail) > mark:
+            e = trail.pop()
+            a, b = ends[e]
+            if state[e] == self.IN:
+                chosen[a] -= 1
+                chosen[b] -= 1
+                self.in_count -= 1
+                ea = self.joined[e]
+                if ea >= 0:
+                    eb = pend[ea]
+                    pend[ea] = a
+                    pend[eb] = b
+            else:
+                live[a] += 1
+                live[b] += 1
+            state[e] = self.UNDEC
+
+    def _pick(self):
+        """An undecided edge at the first vertex with one chosen edge, else
+        the first undecided edge."""
+        state, chosen, inc = self.state, self.chosen, self.inc
+        for v in range(self.n):
+            if chosen[v] == 1:
+                for e in inc[v]:
+                    if state[e] == self.UNDEC:
+                        return e
+        for e, s in enumerate(state):
+            if s == self.UNDEC:
+                return e
+        return None
+
+    def _search(self):
+        """Depth-first over IN/OUT branches on the picked edge, with an
+        explicit stack so that depth is not bounded by Python's recursion
+        limit.  A frame holds the picked edge, the trail length before the
+        branch, and whether its OUT branch has been entered."""
+        frames = []
+        enter = True  # the current state is a search node not yet expanded
+        while True:
+            if enter:
+                self.nodes += 1
+                enter = False
+                if self.in_count == self.n:
+                    if any(c != 2 for c in self.chosen):
+                        raise AssertionError("spanning edge set is not 2-regular")
+                    self.solutions.append(
+                        tuple(e for e, s in enumerate(self.state) if s == self.IN)
+                    )
+                    if self.limit is not None and len(self.solutions) >= self.limit:
+                        return
+                else:
+                    pick = self._pick()
+                    if pick is not None:
+                        frames.append([pick, len(self.trail), False])
+                        enter = self._set_in(pick) and self._propagate()
+                        continue
+            if not frames:
+                return
+            frame = frames[-1]
+            self._undo(frame[1])
+            if frame[2]:
+                frames.pop()
+            else:
+                frame[2] = True
+                enter = self._set_out(frame[0]) and self._propagate()
+
+
+def enumerate_hamilton_cycles(g, forced_in=(), forced_out=(), limit=None):
+    """Every spanning cycle as an edge set, each exactly once.
+
+    For a FiniteGraph the result is a sorted list of frozensets of
+    endpoint pairs; for a MultiGraph, frozensets of edge ids.  With
+    `limit`, the search stops after that many cycles and returns those.
+    """
+    vs = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(vs)}
+    if isinstance(g, FiniteGraph):
+        ids = pairs = g.sorted_edges()
+        forced_in = [canon_edge(*e) for e in forced_in]
+        forced_out = [canon_edge(*e) for e in forced_out]
+    else:
+        ids = [eid for eid, _, _ in g.edges]
+        pairs = [(a, b) for _, a, b in g.edges]
+    pos = {eid: i for i, eid in enumerate(ids)}
+    try:
+        fin = [pos[e] for e in forced_in]
+        fout = [pos[e] for e in forced_out]
+    except KeyError as missing:
+        raise GraphError(f"forced edge {missing} not in the graph")
+    ends = [(index[a], index[b]) for a, b in pairs]
+    # edge indices follow the sorted edges (or edge ids), so the search's
+    # sorted index tuples are already in output order
+    return [
+        frozenset(ids[i] for i in s)
+        for s in _CycleSearch(len(vs), ends, limit).run(fin, fout)
+    ]
+
+
+def _apex_paths(g: FiniteGraph, start=None, limit=None):
+    """Hamilton paths of g as vertex tuples, read off the Hamilton cycles of
+    g plus an apex joined to every vertex: a path's ends are the apex's two
+    neighbours on the cycle.  With `start` the apex edge to it is forced and
+    every path begins there; otherwise every path begins at its end that
+    comes first in vertex order."""
+    vs = g.sorted_vertices()
+    n = len(vs)
+    if n == 1:
+        return [tuple(vs)]
+    index = {v: i for i, v in enumerate(vs)}
+    ends = [(index[a], index[b]) for a, b in g.sorted_edges()]
+    m = len(ends)
+    ends += [(i, n) for i in range(n)]  # apex edge m + i joins vertex i
+    forced = [m + index[start]] if start is not None else []
+    paths = []
+    for cycle in _CycleSearch(n + 1, ends, limit).run(forced):
+        nbr = [[] for _ in range(n)]
+        for e in cycle[:-2]:
+            a, b = ends[e]
+            nbr[a].append(b)
+            nbr[b].append(a)
+        s, t = cycle[-2] - m, cycle[-1] - m
+        if start is not None and t == index[start]:
+            s = t
+        seq = [s]
+        prev = -1
+        while len(seq) < n:
+            here = seq[-1]
+            step = nbr[here][0] if nbr[here][0] != prev else nbr[here][1]
+            prev = here
+            seq.append(step)
+        paths.append(tuple(vs[i] for i in seq))
+    return paths
 
 
 def enumerate_hamilton_paths(g: FiniteGraph):
     """All spanning paths, each once (a path equals its reverse)."""
-    vs = g.sorted_vertices()
-    n = len(vs)
-    if n == 0:
+    if not g.vertices:
         raise GraphError("empty graph")
-    if n == 1:
-        return [tuple(vs)]
-    deg1 = [v for v in vs if g.degree(v) <= 1]
-    if len(deg1) > 2:
-        return []  # more than two forced endpoints
-    found = set()
-    adj = g.adj
-
-    def extend(path, used):
-        last = path[-1]
-        if len(path) == n:
-            rev = tuple(reversed(path))
-            fwd = tuple(path)
-            found.add(min(fwd, rev, key=lambda p: [vkey(v) for v in p]))
-            return
-        # a degree-1 vertex that is neither the start nor still available
-        # as the final endpoint makes the extension hopeless
-        pending = sum(1 for v in deg1 if v not in used)
-        if pending > 1:
-            return
-        for y in sorted(adj[last], key=vkey):
-            if y not in used:
-                path.append(y)
-                used.add(y)
-                extend(path, used)
-                path.pop()
-                used.remove(y)
-
-    # every Hamilton path ends in all degree-1 vertices, so one such vertex
-    # (when present) is a complete set of start points
-    starts = [deg1[0]] if deg1 else vs
-    for s in starts:
-        extend([s], {s})
-    return sorted(found, key=lambda p: [vkey(v) for v in p])
-
-
-class _CycleSearch:
-    """Edge-state backtracking for Hamilton cycles of a multigraph."""
-
-    UNDEC, IN, OUT = 0, 1, 2
-
-    def __init__(self, m: MultiGraph, forced_in=(), forced_out=()):
-        self.m = m
-        self.n = len(m.vertices)
-        self.eids = [e[0] for e in m.edges]
-        self.ends = {eid: (a, b) for eid, a, b in m.edges}
-        self.vedges = {v: sorted(eid for eid, _ in m.incidence[v]) for v in m.vertices}
-        self.forced_in = list(forced_in)
-        self.forced_out = list(forced_out)
-        self.solutions = []
-
-    def run(self):
-        if self.n == 2:
-            return self._run_digon()
-        if self.n < 2:
-            raise GraphError("need at least 2 vertices")
-        state = {eid: self.UNDEC for eid in self.eids}
-        chosen = {v: 0 for v in self.m.vertices}
-        # path-end map: for a vertex that is the end of a forced segment,
-        # the other end of that segment; isolated vertices map to themselves
-        pend = {v: v for v in self.m.vertices}
-        in_count = [0]
-        ok = True
-        for eid in self.forced_in:
-            ok = ok and self._set_in(eid, state, chosen, pend, in_count)
-        for eid in self.forced_out:
-            ok = ok and self._set_out(eid, state, chosen, pend, in_count)
-        if ok:
-            ok = self._propagate(state, chosen, pend, in_count)
-        if ok:
-            self._search(state, chosen, pend, in_count)
-        sols = sorted(set(frozenset(s) for s in self.solutions), key=sorted)
-        return sols
-
-    def _run_digon(self):
-        # two vertices: a spanning cycle is any pair of parallel edges
-        import itertools
-
-        out = []
-        banned = set(self.forced_out)
-        need = set(self.forced_in)
-        for pair in itertools.combinations(self.eids, 2):
-            if set(pair) & banned or not need <= set(pair):
-                continue
-            out.append(frozenset(pair))
-        return sorted(set(out), key=sorted)
-
-    def _set_in(self, eid, state, chosen, pend, in_count):
-        if state[eid] == self.IN:
-            return True
-        if state[eid] == self.OUT:
-            return False
-        a, b = self.ends[eid]
-        if chosen[a] >= 2 or chosen[b] >= 2:
-            return False
-        ea, eb = pend[a], pend[b]
-        if ea == b:
-            # would close a cycle: only allowed if it is spanning
-            if in_count[0] + 1 != self.n:
-                return False
-        state[eid] = self.IN
-        chosen[a] += 1
-        chosen[b] += 1
-        in_count[0] += 1
-        if ea != b:
-            pend[ea] = eb
-            pend[eb] = ea
-        return True
-
-    def _set_out(self, eid, state, chosen, pend, in_count):
-        if state[eid] == self.OUT:
-            return True
-        if state[eid] == self.IN:
-            return False
-        state[eid] = self.OUT
-        return True
-
-    def _propagate(self, state, chosen, pend, in_count):
-        changed = True
-        while changed:
-            changed = False
-            for v in self.m.vertices:
-                live = [e for e in self.vedges[v] if state[e] != self.OUT]
-                cin = chosen[v]
-                if cin > 2:
-                    return False
-                if cin == 2:
-                    for e in self.vedges[v]:
-                        if state[e] == self.UNDEC:
-                            state[e] = self.OUT
-                            changed = True
-                    continue
-                if len(live) < 2:
-                    return False
-                if len(live) == 2:
-                    for e in live:
-                        if state[e] == self.UNDEC:
-                            if not self._set_in(e, state, chosen, pend, in_count):
-                                return False
-                            changed = True
-            # exclude edges that would close a short cycle
-            for eid in self.eids:
-                if state[eid] != self.UNDEC:
-                    continue
-                a, b = self.ends[eid]
-                if pend[a] == b and pend[b] == a and in_count[0] + 1 != self.n:
-                    if chosen[a] > 0 or chosen[b] > 0:
-                        state[eid] = self.OUT
-                        changed = True
-        return True
-
-    def _search(self, state, chosen, pend, in_count):
-        if in_count[0] == self.n:
-            if all(chosen[v] == 2 for v in self.m.vertices):
-                self.solutions.append(
-                    [e for e in self.eids if state[e] == self.IN]
-                )
-            return
-        # branch on an undecided edge at the most constrained touched vertex
-        pick = None
-        for v in self.m.sorted_vertices():
-            if chosen[v] == 1:
-                for e in self.vedges[v]:
-                    if state[e] == self.UNDEC:
-                        pick = e
-                        break
-                if pick is not None:
-                    break
-        if pick is None:
-            for e in self.eids:
-                if state[e] == self.UNDEC:
-                    pick = e
-                    break
-        if pick is None:
-            return
-        for setter in (self._set_in, self._set_out):
-            st = dict(state)
-            ch = dict(chosen)
-            pe = dict(pend)
-            ic = [in_count[0]]
-            if setter(pick, st, ch, pe, ic) and self._propagate(st, ch, pe, ic):
-                self._search(st, ch, pe, ic)
-
-
-def enumerate_hamilton_cycles(g, forced_in=(), forced_out=()):
-    """Every spanning cycle as an edge set, each exactly once.
-
-    For a FiniteGraph the result is a sorted list of frozensets of
-    endpoint pairs; for a MultiGraph, frozensets of edge ids.
-    """
-    if isinstance(g, FiniteGraph):
-        m = MultiGraph.from_simple(g)
-        id2e = {eid: canon_edge(a, b) for eid, a, b in m.edges}
-        e2id = {e: eid for eid, e in id2e.items()}
-        try:
-            fin = [e2id[canon_edge(*e)] for e in forced_in]
-            fout = [e2id[canon_edge(*e)] for e in forced_out]
-        except KeyError as missing:
-            raise GraphError(f"forced edge {missing} not in the graph")
-        sols = _CycleSearch(m, fin, fout).run()
-        out = [frozenset(id2e[i] for i in s) for s in sols]
-        out.sort(key=lambda s: sorted(ekey(e) for e in s))
-        return out
-    return _CycleSearch(g, forced_in, forced_out).run()
+    return sorted(_apex_paths(g), key=lambda p: [vkey(v) for v in p])

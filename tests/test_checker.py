@@ -1,7 +1,10 @@
+import dataclasses
+
 import networkx as nx
 import pytest
 
 from hamcircle.checker import (
+    TransferTable,
     dp_series,
     fragment_tree_dp,
     ladder_rails_member,
@@ -16,7 +19,7 @@ from hamcircle.checker import (
     viable_patterns,
 )
 from hamcircle.fragment import build_gn, section5_graph
-from hamcircle.graphs import canon_edge
+from hamcircle.graphs import canon_edge, enumerate_hamilton_cycles
 from hamcircle.lazy import double_ladder
 
 
@@ -50,6 +53,21 @@ def test_limit_certificate():
     assert cert["pattern_counts"] == {"u": 0, "l": 0, "r": 1}
 
 
+def test_limit_certificate_counts_the_fixed_point():
+    # a doctored table whose missing-l state keeps a copy of the surviving
+    # missing-r pattern: the fixed point then leaves two patterns
+    tt = transfer_table()
+    fixed, _ = stabilized_viable(tt)
+    (p,) = fixed["r"]
+    doctored = TransferTable(
+        tt.fragment,
+        {**tt.patterns, "l": tt.patterns["l"] + (dataclasses.replace(p, missing="l"),)},
+    )
+    cert = limit_certificate(doctored)
+    assert cert["pattern_counts"] == {"u": 0, "l": 1, "r": 1}
+    assert cert["limit_count"] == 2
+
+
 def test_dp_counts_and_stabilization():
     series = dp_series(4)
     assert [v.count for v in series] == [6, 4, 16, 256, 65536]
@@ -70,6 +88,14 @@ def test_engine_agreement_levels_0_to_2():
     for r in range(3):
         _, cycles = quotient_hamilton(lg, r)
         assert len(cycles) == series[r].count
+
+
+def test_engine_agreement_level_3():
+    expect = dp_series(3)[3].count
+    assert expect == 256
+    _, cycles = quotient_hamilton(section5_graph(), 3)
+    assert len(cycles) == expect
+    assert len(enumerate_hamilton_cycles(build_gn(3)[0])) == expect
 
 
 def test_quotient_is_reinsertion():

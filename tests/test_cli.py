@@ -130,3 +130,44 @@ def test_determinism(tmp_path, capsys):
     _, out1, _ = run(capsys, "outerplanar", f, "--cycle")
     _, out2, _ = run(capsys, "outerplanar", f, "--cycle")
     assert out1 == out2
+
+
+def test_corpus_rejects_unknown_suite(capsys):
+    code, out, _ = run(capsys, "corpus", "--suite", "typo")
+    assert code == 2
+    assert out == ""
+
+
+def test_unique_circle_section5_exit_codes(capsys, monkeypatch):
+    code, out, _ = run(capsys, "unique-circle", "--generator", "section5", "--levels", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert [level["count"] for level in report["levels"]] == [6, 4, 16, 256]
+    assert report["limit_claim"] == "unique (fragment-tree exact)"
+
+    from hamcircle import checker
+
+    real = checker.limit_certificate
+    monkeypatch.setattr(
+        checker, "limit_certificate", lambda: {**real(), "limit_count": 2}
+    )
+    code, out, _ = run(capsys, "unique-circle", "--generator", "section5", "--levels", "3")
+    assert code == 1
+    assert json.loads(out)["limit_claim"] == "open"
+
+
+def test_unique_circle_section5_unstable_level_is_violation(capsys, monkeypatch):
+    from hamcircle import checker
+
+    real = checker.dp_series
+
+    def unstable(levels):
+        series = real(levels)
+        return series[:-1] + [checker.QuotientVerdict(
+            series[-1].level, series[-1].count, series[-1].forced, False
+        )]
+
+    monkeypatch.setattr(checker, "dp_series", unstable)
+    code, out, _ = run(capsys, "unique-circle", "--generator", "section5", "--levels", "3")
+    assert code == 1
+    assert json.loads(out)["limit_claim"] == "open"

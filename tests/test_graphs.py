@@ -1,9 +1,16 @@
+import itertools
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, graph, multigraph, path_graph
+from hamcircle.caterpillar import _ham_path_from
 from hamcircle.graphs import (
     FiniteGraph,
     GraphError,
+    MultiGraph,
     canon_edge,
     contract_subgraph,
     cut_edges,
@@ -15,6 +22,7 @@ from hamcircle.graphs import (
     is_two_connected,
     kth_power,
     v_split,
+    vkey,
 )
 
 
@@ -154,3 +162,132 @@ def test_eulerian_split_preconditions():
     path = multigraph([(0, "a", "b"), (1, "b", "c")])
     with pytest.raises(GraphError):
         eulerian_v_splits(path, "b")
+
+
+# differential checks of the kernel against permutation brute force
+
+DIFF = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def edge_lists(draw, simple):
+    """(vertex names, [(edge id, a, b)]) on 2..8 vertices; a multigraph adds
+    parallel copies of some edges, so two vertices can carry digons."""
+    n = draw(st.integers(2, 8))
+    names = draw(st.permutations([f"x{i}" for i in range(n)]))
+    pairs = list(itertools.combinations(names, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    if not simple and chosen:
+        chosen += draw(st.lists(st.sampled_from(chosen), max_size=6))
+    return names, [(i, a, b) for i, (a, b) in enumerate(chosen)]
+
+
+def brute_cycles(names, edges):
+    """Hamilton cycles as edge-id sets, from every vertex order with the
+    first vertex fixed and every choice among parallel edges."""
+    vs = sorted(names, key=vkey)
+    between = defaultdict(list)
+    for eid, a, b in edges:
+        between[frozenset((a, b))].append(eid)
+    if len(vs) == 2:
+        return {frozenset(p) for p in itertools.combinations(between[frozenset(vs)], 2)}
+    out = set()
+    for rest in itertools.permutations(vs[1:]):
+        order = (vs[0],) + rest
+        steps = [between[frozenset((x, y))] for x, y in zip(order, order[1:] + order[:1])]
+        if all(steps):
+            out.update(frozenset(c) for c in itertools.product(*steps))
+    return out
+
+
+def brute_paths(g):
+    vs = g.sorted_vertices()
+    out = set()
+    for order in itertools.permutations(vs):
+        if all(g.has_edge(x, y) for x, y in zip(order, order[1:])):
+            out.add(min(order, order[::-1], key=lambda p: [vkey(v) for v in p]))
+    return out
+
+
+def forced_and_limit(draw, ids):
+    fin = draw(st.lists(st.sampled_from(ids), max_size=2, unique=True)) if ids else []
+    fout = draw(st.lists(st.sampled_from(ids), max_size=2, unique=True)) if ids else []
+    limit = draw(st.one_of(st.none(), st.integers(1, 4)))
+    return fin, fout, limit
+
+
+@DIFF
+@given(st.data())
+def test_multigraph_cycles_match_brute_force(data):
+    names, edges = data.draw(edge_lists(simple=False))
+    m = MultiGraph.build(names, edges)
+    fin, fout, limit = forced_and_limit(data.draw, [e[0] for e in edges])
+    full = {
+        c for c in brute_cycles(names, edges) if set(fin) <= c and not set(fout) & c
+    }
+    got = enumerate_hamilton_cycles(m, forced_in=fin, forced_out=fout, limit=limit)
+    if limit is None:
+        assert got == sorted(full, key=sorted)
+    else:
+        assert len(got) == len(set(got)) == min(limit, len(full))
+        assert set(got) <= full
+
+
+@DIFF
+@given(st.data())
+def test_simple_graph_cycles_match_brute_force(data):
+    names, edges = data.draw(edge_lists(simple=True))
+    g = FiniteGraph.build(names, [(a, b) for _, a, b in edges])
+    pairs = g.sorted_edges()
+    fin, fout, limit = forced_and_limit(data.draw, pairs)
+    by_id = {eid: canon_edge(a, b) for eid, a, b in edges}
+    full = set()
+    for c in brute_cycles(names, edges):
+        c = frozenset(by_id[e] for e in c)
+        if set(fin) <= c and not set(fout) & c:
+            full.add(c)
+    got = enumerate_hamilton_cycles(g, forced_in=fin, forced_out=fout, limit=limit)
+    if limit is None:
+        assert got == sorted(full, key=lambda c: sorted(map(sorted, c)))
+    else:
+        assert len(got) == len(set(got)) == min(limit, len(full))
+        assert set(got) <= full
+
+
+@DIFF
+@given(edge_lists(simple=True))
+def test_apex_paths_match_brute_force(drawn):
+    names, edges = drawn
+    g = FiniteGraph.build(names, [(a, b) for _, a, b in edges])
+    expect = brute_paths(g)
+    assert enumerate_hamilton_paths(g) == sorted(expect, key=lambda p: [vkey(v) for v in p])
+    for v in names:
+        path = _ham_path_from(g, v)
+        if path is None:
+            assert not any(v in (p[0], p[-1]) for p in expect)
+        else:
+            assert path[0] == v
+            assert min(tuple(path), tuple(path[::-1]), key=lambda p: [vkey(x) for x in p]) in expect
+
+
+def test_search_node_count_on_level_2():
+    # the incremental propagation prunes exactly like a full re-sweep: the
+    # same 2807 search nodes on G2 as the sweeping kernel it replaced
+    from hamcircle.fragment import build_gn
+    from hamcircle.graphs import _CycleSearch
+
+    g = build_gn(2)[0]
+    vs = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(vs)}
+    search = _CycleSearch(len(vs), [(index[a], index[b]) for a, b in g.sorted_edges()])
+    assert len(search.run()) == 16
+    assert search.nodes == 2807
+
+
+def test_deep_search_is_not_bounded_by_recursion():
+    # the cube of a long path needs a branching level per few vertices
+    n = 1500
+    names = [f"v{i:04d}" for i in range(n)]
+    cube = kth_power(graph(list(zip(names, names[1:]))), 3)
+    (cycle,) = enumerate_hamilton_cycles(cube, limit=1)
+    assert len(cycle) == n
