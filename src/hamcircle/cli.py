@@ -89,11 +89,10 @@ def cmd_power(args):
 def cmd_outerplanar(args):
     g = _load(args.graph)
     report = {"budgets": _budgets(args)}
-    k4 = minors.find_k4_subgraph(g)
-    k23 = minors.has_k23_minor(g)
-    outer = k4 is None and not k23
+    outer = minors.is_outerplanar(g)
     report["outerplanar"] = outer
     if not outer:
+        k4 = minors.find_k4_subgraph(g)
         report["reason"] = "K4 subgraph" if k4 is not None else "K23 minor"
         _emit(args, report)
         return VIOLATED

@@ -51,15 +51,16 @@ def connected_atlas(n: int):
 
 
 def _dedup_iso(graphs):
-    """Isomorphism-reduce a list of networkx graphs (hash buckets + VF2)."""
+    """Isomorphism-reduce a list of networkx graphs (invariant buckets + VF2).
+
+    The bucket key is the sorted multiset of (degree, sorted neighbour
+    degrees); VF2 decides isomorphism within a bucket.
+    """
     buckets = {}
     out = []
     for g in graphs:
-        key = (
-            g.number_of_nodes(),
-            g.number_of_edges(),
-            nx.weisfeiler_lehman_graph_hash(g, iterations=3),
-        )
+        deg = dict(g.degree())
+        key = tuple(sorted((deg[v], tuple(sorted(deg[u] for u in g[v]))) for v in g))
         bucket = buckets.setdefault(key, [])
         if any(nx.is_isomorphic(g, h) for h in bucket):
             continue

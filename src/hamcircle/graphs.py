@@ -222,15 +222,53 @@ def kth_power(g: FiniteGraph, k: int) -> FiniteGraph:
     return FiniteGraph(g.vertices, frozenset(new_edges))
 
 
+def blocks(g: FiniteGraph) -> list:
+    """Vertex sets of the blocks of g (its maximal 2-connected subgraphs and
+    its bridges), from one iterative lowpoint DFS (Hopcroft-Tarjan).
+
+    A block's vertex set induces exactly the block.  Isolated vertices lie
+    in no block.  The DFS visits neighbours in ``vkey`` order, so the list
+    order is the same in every run.
+    """
+    disc, low = {}, {}
+    out = []
+    for root in g.sorted_vertices():
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(g.neighbors(root)))]
+        edges = []  # tree and back edges not yet assigned to a block
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    edges.append((v, w))
+                    stack.append((w, v, iter(g.neighbors(w))))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    low[v] = min(low[v], disc[w])
+                    edges.append((v, w))
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    # parent separates v's subtree: its edges form a block
+                    comp = set()
+                    while True:
+                        e = edges.pop()
+                        comp.update(e)
+                        if e == (parent, v):
+                            break
+                    out.append(frozenset(comp))
+    return out
+
+
 def is_two_connected(g: FiniteGraph) -> bool:
-    if len(g.vertices) < 3:
-        return False
-    if not g.is_connected():
-        return False
-    for v in g.vertices:
-        if not g.without_vertex(v).is_connected():
-            return False
-    return True
+    """At least 3 vertices, connected and without a cut vertex."""
+    return len(g.vertices) >= 3 and blocks(g) == [g.vertices]
 
 
 def cut_edges(g: FiniteGraph, s) -> frozenset:
@@ -337,6 +375,55 @@ def eulerian_v_splits(m: MultiGraph, v):
         if is_eulerian(res.multigraph):
             out.append(res)
     return out
+
+
+def augment_flow(cap: dict, source, sink, stop: int):
+    """Push flow from source to sink one unit per shortest augmenting path,
+    until `stop` units flow or no augmenting path is left.
+
+    ``cap`` maps arcs ``(u, v)`` to integer capacities.  Arcs leaving a node
+    are tried in ``str`` order of their heads, so the flow is reproducible.
+    Returns ``(value, flow)`` with ``flow`` mapping arcs to the units on them.
+    """
+    out_arcs = {}
+    for u, v in cap:
+        out_arcs.setdefault(u, set()).add(v)
+        out_arcs.setdefault(v, set()).add(u)  # residual direction
+    flow = {}
+
+    def residual(u, v):
+        return cap.get((u, v), 0) - flow.get((u, v), 0) + flow.get((v, u), 0)
+
+    value = 0
+    while value < stop:
+        prev = {source: None}
+        queue = [source]
+        found = False
+        while queue and not found:
+            nxt = []
+            for u in queue:
+                for v in sorted(out_arcs.get(u, ()), key=str):
+                    if v not in prev and residual(u, v) > 0:
+                        prev[v] = u
+                        if v == sink:
+                            found = True
+                            break
+                        nxt.append(v)
+                if found:
+                    break
+            queue = nxt
+        if not found:
+            break
+        v = sink
+        while prev[v] is not None:
+            u = prev[v]
+            if cap.get((u, v), 0) > flow.get((u, v), 0):
+                flow[(u, v)] = flow.get((u, v), 0) + 1
+            else:
+                flow[(v, u)] = flow.get((v, u), 0) - 1
+            v = u
+        value += 1
+    return value, flow
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import FiniteGraph, GraphError, canon_edge, vkey
+from .graphs import FiniteGraph, GraphError, augment_flow, canon_edge, vkey
 
 
 class BudgetError(GraphError):
@@ -219,46 +219,7 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
         for y in lg.neighbors(v):
             if y in dist:
                 cap[(("o", v), ("i", y))] = 1
-    out_arcs = {}
-    for (u, v) in cap:
-        out_arcs.setdefault(u, set()).add(v)
-        out_arcs.setdefault(v, set()).add(u)
-    flow = {}
-
-    def residual(u, v):
-        return cap.get((u, v), 0) - flow.get((u, v), 0) + flow.get((v, u), 0)
-
-    value = 0
-    while True:
-        prev = {SRC: None}
-        queue = [SRC]
-        found = False
-        while queue and not found:
-            nxt = []
-            for u in queue:
-                for v in sorted(out_arcs.get(u, ()), key=str):
-                    if v not in prev and residual(u, v) > 0:
-                        prev[v] = u
-                        if v == SNK:
-                            found = True
-                            break
-                        nxt.append(v)
-                if found:
-                    break
-            queue = nxt
-        if not found:
-            break
-        v = SNK
-        while prev[v] is not None:
-            u = prev[v]
-            if cap.get((u, v), 0) > flow.get((u, v), 0):
-                flow[(u, v)] = flow.get((u, v), 0) + 1
-            else:
-                flow[(v, u)] = flow.get((v, u), 0) - 1
-            v = u
-        value += 1
-        if value > upper:
-            break
+    value, _ = augment_flow(cap, SRC, SNK, upper + 1)
     lower = min(value, upper)
     return lower, upper
 

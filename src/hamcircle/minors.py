@@ -1,11 +1,24 @@
 """Forbidden-substructure detection: K4 subgraphs, K4 and K2,3 minors,
 and outerplanarity recognition with an independent circular-ordering oracle.
 
-Both patterns have maximum degree 3, so containing one as a minor is the
-same as containing a subdivision.  The searches below therefore place the
-branch vertices and route internally disjoint paths, which is much faster
-than enumerating branch-set assignments and still yields a branch-set
-witness (path interiors are absorbed into one endpoint's branch set).
+Every "is there a minor / is it outerplanar" question is decided first, by
+a linear-time test:
+
+* K4-minor-freeness by series-parallel reduction (Duffin 1965; Valdes,
+  Tarjan & Lawler 1982): deleting vertices of degree at most 1 and
+  suppressing vertices of degree 2 empties a graph iff it has no K4 minor;
+* outerplanarity as planarity of the graph plus an apex joined to every
+  vertex (Mitchell 1979 gives a direct linear test);
+* a K2,3 minor by blocks: K2,3 is 2-connected, so it is a minor of some
+  block, and a 2-connected graph without one is K4 or outerplanar.
+
+A witness is built by search only when it is asked for and the decision
+says one exists.  Both patterns have maximum degree 3, so containing one as
+a minor is the same as containing a subdivision.  The searches therefore
+place the branch vertices and route internally disjoint paths, which is
+much faster than enumerating branch-set assignments and still yields a
+branch-set witness (path interiors are absorbed into one endpoint's branch
+set).
 """
 
 from __future__ import annotations
@@ -13,7 +26,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import FiniteGraph, GraphError, canon_edge, vkey
+import networkx as nx
+
+from .graphs import FiniteGraph, GraphError, augment_flow, blocks, canon_edge, vkey
 
 
 @dataclass(frozen=True)
@@ -75,11 +90,23 @@ def validate_witness(g: FiniteGraph, w: MinorWitness):
 
 
 def find_k4_subgraph(g: FiniteGraph):
-    """First 4-clique in canonical order, or None."""
+    """First 4-clique in canonical order, or None.
+
+    Walks a < b < c < d in ``vkey`` rank, each adjacent to every vertex
+    before it, so the first clique found is the lexicographically first.
+    """
     vs = g.sorted_vertices()
-    for quad in itertools.combinations(vs, 4):
-        if all(g.has_edge(a, b) for a, b in itertools.combinations(quad, 2)):
-            return frozenset(quad)
+    rank = {v: i for i, v in enumerate(vs)}
+    adj = g.adj
+    later = {v: sorted((w for w in adj[v] if rank[w] > rank[v]), key=rank.get) for v in vs}
+    for a in vs:
+        for b in later[a]:
+            for c in later[b]:
+                if c not in adj[a]:
+                    continue
+                for d in later[c]:
+                    if d in adj[a] and d in adj[b]:
+                        return frozenset((a, b, c, d))
     return None
 
 
@@ -106,45 +133,7 @@ def internally_disjoint_paths(g: FiniteGraph, a, b, need, forbid_edge_ab=False):
             if w == a or u == b:
                 continue
             cap[(("o", u), ("i", w))] = 1
-    src, snk = ("o", a), ("i", b)
-    out_arcs = {}
-    for (u, v) in cap:
-        out_arcs.setdefault(u, set()).add(v)
-        out_arcs.setdefault(v, set()).add(u)  # residual direction
-    flow = {}
-
-    def residual(u, v):
-        return cap.get((u, v), 0) - flow.get((u, v), 0) + flow.get((v, u), 0)
-
-    value = 0
-    while value < need:
-        prev = {src: None}
-        queue = [src]
-        found = False
-        while queue and not found:
-            nxt = []
-            for u in queue:
-                for v in sorted(out_arcs.get(u, ()), key=str):
-                    if v not in prev and residual(u, v) > 0:
-                        prev[v] = u
-                        if v == snk:
-                            found = True
-                            break
-                        nxt.append(v)
-                if found:
-                    break
-            queue = nxt
-        if not found:
-            break
-        v = snk
-        while prev[v] is not None:
-            u = prev[v]
-            if cap.get((u, v), 0) > flow.get((u, v), 0):
-                flow[(u, v)] = flow.get((u, v), 0) + 1
-            else:
-                flow[(v, u)] = flow.get((v, u), 0) - 1
-            v = u
-        value += 1
+    value, flow = augment_flow(cap, ("o", a), ("i", b), need)
     # decompose the integral flow into vertex paths
     nxt_of = {}
     for (u, v), f in flow.items():
@@ -164,7 +153,8 @@ def internally_disjoint_paths(g: FiniteGraph, a, b, need, forbid_edge_ab=False):
 def _k23_minor(g: FiniteGraph):
     """A K2,3 minor witness via two hub vertices joined by three
     internally disjoint paths of length at least 2, or None."""
-    vs = g.sorted_vertices()
+    # a hub of degree < 3 cannot end three disjoint paths
+    vs = [v for v in g.sorted_vertices() if g.degree(v) >= 3]
     for a, b in itertools.combinations(vs, 2):
         paths = internally_disjoint_paths(g, a, b, 3, forbid_edge_ab=True)
         if len(paths) >= 3:
@@ -182,7 +172,40 @@ def _k23_minor(g: FiniteGraph):
 
 
 def has_k23_minor(g: FiniteGraph) -> bool:
-    return _k23_minor(g) is not None
+    """True iff g has a K2,3 minor, decided block by block.
+
+    K2,3 is 2-connected, so any K2,3 minor is a minor of one block.  A
+    2-connected graph without a K2,3 minor is K4 or outerplanar, and
+    neither has one.  A block on at most 4 vertices is K4 or outerplanar,
+    so only larger blocks are tested.
+    """
+    return any(len(b) >= 5 and not is_outerplanar(g.subgraph(b)) for b in blocks(g))
+
+
+def has_k4_minor(g: FiniteGraph) -> bool:
+    """True iff g has a K4 minor, by series-parallel reduction.
+
+    Deleting a vertex of degree at most 1, and suppressing a vertex of
+    degree 2 (its two neighbours become adjacent; a parallel edge merges
+    into the existing one), neither creates nor destroys a K4 minor.  A
+    graph without one reduces to nothing; a graph with one gets stuck at
+    minimum degree 3.
+    """
+    adj = {v: set(ns) for v, ns in g.adj.items()}
+    work = [v for v, ns in adj.items() if len(ns) <= 2]
+    while work:
+        v = work.pop()
+        if v not in adj or len(adj[v]) > 2:
+            continue
+        ns = adj.pop(v)
+        for u in ns:
+            adj[u].discard(v)
+        if len(ns) == 2:
+            u, w = ns
+            adj[u].add(w)
+            adj[w].add(u)
+        work.extend(u for u in ns if len(adj[u]) <= 2)
+    return bool(adj)
 
 
 def _route_paths(g, branch, pedges, used, idx, routes):
@@ -245,21 +268,46 @@ def _k4_minor(g: FiniteGraph):
 
 
 def find_minor(g: FiniteGraph, pattern: str):
+    """A validated witness that g has `pattern` ("K4" or "K23") as a minor,
+    or None.
+
+    The linear-time decision runs first; the witness search runs only when
+    the decision says a witness exists.
+    """
     if pattern == "K4":
-        return _k4_minor(g)
-    if pattern == "K23":
-        return _k23_minor(g)
-    raise GraphError(f"unknown pattern {pattern!r}")
+        present, search = has_k4_minor(g), _k4_minor
+    elif pattern == "K23":
+        present, search = has_k23_minor(g), _k23_minor
+    else:
+        raise GraphError(f"unknown pattern {pattern!r}")
+    if not present:
+        return None
+    w = search(g)
+    if w is None:
+        raise GraphError(f"{pattern} minor decided present but no witness was found")
+    return w
 
 
 def is_outerplanar(g: FiniteGraph) -> bool:
-    """No K4 subgraph and no K2,3 minor.
+    """True iff g has no K4 minor and no K2,3 minor, that is, it can be
+    drawn without crossings with every vertex on the outer face.
 
-    (For K4 the subgraph check suffices: in a K2,3-minor-free graph a K4
-    minor forces a K4 subgraph, and a graph with a K4 minor but no K4
-    subgraph contains a K2,3 minor anyway.)
+    Decided as planarity of g plus an apex joined to every vertex: a
+    drawing of one gives a drawing of the other, with the apex in the
+    outer face.  An outerplanar graph on n >= 2 vertices has at most
+    2n - 3 edges, which rejects dense graphs at once.
     """
-    return find_k4_subgraph(g) is None and not has_k23_minor(g)
+    n = len(g.vertices)
+    if n <= 3:
+        return True
+    if len(g.edges) > 2 * n - 3:
+        return False
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    apex = object()  # equal to no vertex of g
+    h.add_edges_from((apex, v) for v in g.vertices)
+    return nx.check_planarity(h)[0]
 
 
 def k4_minor_equals_subgraph(g: FiniteGraph) -> bool:
@@ -281,36 +329,38 @@ def circular_ordering_oracle(g: FiniteGraph):
     if n <= 3:
         return list(vs)
     first = vs[0]
+    adj = g.adj
 
-    def place(order, pos):
+    def place(order, pos, blocked):
+        # blocked: bitmask of the positions strictly inside a placed chord.
+        # Every later chord (q, p) has p beyond all placed positions, so it
+        # crosses a placed chord iff q is blocked; blocked positions only grow.
         if len(order) == n:
             return list(order)
+        p = len(order)
         for v in vs:
             if v in pos:
                 continue
-            p = len(order)
-            ok = True
-            # new chords (q, p) for q a placed neighbor of v must not cross
-            # any existing chord (i, j) with i < q < j
-            qs = [pos[u] for u in g.adj[v] if u in pos]
-            for q in qs:
-                for x, y in g.edges:
-                    if x in pos and y in pos and v not in (x, y):
-                        i, j = sorted((pos[x], pos[y]))
-                        if i < q < j:
-                            # (q,p) crosses (i,j): p > j always here
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                order.append(v)
-                pos[v] = p
-                res = place(order, pos)
-                if res is not None:
-                    return res
-                order.pop()
-                del pos[v]
+            qs = [pos[u] for u in adj[v] if u in pos]
+            if any(blocked >> q & 1 for q in qs):
+                continue
+            grown = blocked | ((1 << p) - (1 << (min(qs) + 1)) if qs else 0)
+            newly = grown & ~blocked
+            # a vertex that becomes blocked can take no further chord
+            if any(
+                w != v and w not in pos
+                for i in range(p)
+                if newly >> i & 1
+                for w in adj[order[i]]
+            ):
+                continue
+            order.append(v)
+            pos[v] = p
+            res = place(order, pos, grown)
+            if res is not None:
+                return res
+            order.pop()
+            del pos[v]
         return None
 
-    return place([first], {first: 0})
+    return place([first], {first: 0}, 0)

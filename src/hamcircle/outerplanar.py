@@ -11,7 +11,6 @@ from .graphs import (
     FiniteGraph,
     GraphError,
     canon_edge,
-    contract_subgraph,
     is_two_connected,
     vkey,
 )
@@ -19,14 +18,18 @@ from .minors import has_k23_minor, is_outerplanar
 
 
 def two_contractible_edges(g: FiniteGraph) -> frozenset:
-    """Edges whose contraction leaves the graph 2-connected."""
+    """Edges whose contraction leaves the graph 2-connected.
+
+    For a 2-connected g on n >= 4 vertices, g/ab is 2-connected iff
+    g - {a, b} is connected: a cut vertex of g/ab other than the merged
+    vertex would be one of g, and the merged vertex separates g/ab iff
+    {a, b} separates g.  A triangle contracts to K2, so it has none.
+    """
     if not is_two_connected(g):
         raise GraphError("graph is not 2-connected")
-    out = set()
-    for a, b in g.sorted_edges():
-        if is_two_connected(contract_subgraph(g, {a, b})):
-            out.add((a, b))
-    return frozenset(out)
+    if len(g.vertices) < 4:
+        return frozenset()
+    return frozenset(e for e in g.edges if g.subgraph(g.vertices - set(e)).is_connected())
 
 
 def _is_spanning_cycle(g: FiniteGraph, edges) -> bool:

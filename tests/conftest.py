@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from hamcircle.graphs import FiniteGraph, MultiGraph
 
@@ -23,6 +25,29 @@ def cycle_graph(n):
 def complete_graph(n):
     vs = [f"v{i}" for i in range(n)]
     return graph(list(itertools.combinations(vs, 2)))
+
+
+def two_connected_by_definition(g):
+    """Reference for is_two_connected: at least 3 vertices, connected, and
+    connected after removing any one vertex."""
+    if len(g.vertices) < 3 or not g.is_connected():
+        return False
+    return all(g.without_vertex(v).is_connected() for v in g.vertices)
+
+
+# differential tests of a fast path against its reference: reproducible runs
+DIFF = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def simple_graphs(draw, max_n=9):
+    """Simple graphs on 1..max_n vertices with permuted vertex names, so
+    that name order and structure vary independently."""
+    n = draw(st.integers(1, max_n))
+    names = draw(st.permutations([f"x{i}" for i in range(n)]))
+    pairs = list(itertools.combinations(names, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return FiniteGraph.build(names, chosen)
 
 
 def multigraph(edges, extra_vertices=()):

@@ -1,16 +1,28 @@
 import itertools
 from collections import defaultdict
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import complete_graph, cycle_graph, graph, multigraph, path_graph
+from conftest import (
+    DIFF,
+    complete_graph,
+    cycle_graph,
+    graph,
+    multigraph,
+    path_graph,
+    simple_graphs,
+    two_connected_by_definition,
+)
 from hamcircle.caterpillar import _ham_path_from
+from hamcircle.corpus import connected_graphs_upto
 from hamcircle.graphs import (
     FiniteGraph,
     GraphError,
     MultiGraph,
+    blocks,
     canon_edge,
     contract_subgraph,
     cut_edges,
@@ -57,6 +69,25 @@ def test_two_connectivity():
         [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e"), ("e", "c")]
     )
     assert not is_two_connected(bowtie)
+
+
+def check_two_connectivity(g):
+    assert is_two_connected(g) == two_connected_by_definition(g)
+    h = nx.Graph(list(g.edges))
+    assert sorted(blocks(g), key=sorted) == sorted(
+        (frozenset(b) for b in nx.biconnected_components(h)), key=sorted
+    )
+
+
+def test_two_connectivity_matches_definition_on_small_graphs():
+    for g in connected_graphs_upto(7):
+        check_two_connectivity(g)
+
+
+@DIFF
+@given(simple_graphs())
+def test_two_connectivity_matches_definition(g):
+    check_two_connectivity(g)
 
 
 def test_cut_edges_and_parity():
@@ -165,9 +196,6 @@ def test_eulerian_split_preconditions():
 
 
 # differential checks of the kernel against permutation brute force
-
-DIFF = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
 
 @st.composite
 def edge_lists(draw, simple):

@@ -1,9 +1,23 @@
 import math
 
 import pytest
+from hypothesis import given
 
-from conftest import complete_graph, cycle_graph, graph
-from hamcircle.graphs import GraphError, canon_edge, enumerate_hamilton_cycles
+from conftest import (
+    DIFF,
+    complete_graph,
+    cycle_graph,
+    graph,
+    simple_graphs,
+    two_connected_by_definition,
+)
+from hamcircle.corpus import connected_graphs_upto
+from hamcircle.graphs import (
+    GraphError,
+    canon_edge,
+    contract_subgraph,
+    enumerate_hamilton_cycles,
+)
 from hamcircle.outerplanar import (
     check_quotient_two_connected,
     check_struct1,
@@ -49,6 +63,32 @@ def test_two_contractible_triangle_empty():
 def test_two_contractible_requires_two_connected():
     with pytest.raises(GraphError):
         two_contractible_edges(graph([("a", "b"), ("b", "c")]))
+
+
+def two_contractible_by_contraction(g):
+    """Reference: contract each edge and test the result by definition."""
+    return frozenset(
+        e for e in g.edges if two_connected_by_definition(contract_subgraph(g, set(e)))
+    )
+
+
+def check_two_contractible(g):
+    if two_connected_by_definition(g):
+        assert two_contractible_edges(g) == two_contractible_by_contraction(g)
+    else:
+        with pytest.raises(GraphError):
+            two_contractible_edges(g)
+
+
+def test_two_contractible_matches_contraction_on_small_graphs():
+    for g in connected_graphs_upto(7):
+        check_two_contractible(g)
+
+
+@DIFF
+@given(simple_graphs())
+def test_two_contractible_matches_contraction(g):
+    check_two_contractible(g)
 
 
 def test_unique_cycle_triangle_exception():
