@@ -15,6 +15,7 @@ from typing import Optional
 from .graphs import (
     FiniteGraph,
     GraphError,
+    InvariantError,
     MultiGraph,
     _apex_paths,
     canon_edge,
@@ -151,18 +152,21 @@ def _assert_partition_properties(part: OrderedCaterpillarPartition):
     covered = set()
     for cls in part.classes:
         covered |= cls
-    assert covered == set(t.vertices), "classes do not partition the vertex set"
+    if covered != set(t.vertices):
+        raise InvariantError("classes do not partition the vertex set")
     for cls in part.classes:
         for a in cls:
             dist = t.distances_from(a, limit=2)
             for b in cls:
-                if a != b:
-                    assert dist.get(b) == 2, f"{a},{b} not at distance 2"
+                if a != b and dist.get(b) != 2:
+                    raise InvariantError(f"{a},{b} not at distance 2")
     for i in range(len(part.classes) - 1):
         j = part.jumping[i]
-        assert j is not None
+        if j is None:
+            raise InvariantError(f"class {i} has no jumping vertex")
         for b in part.classes[i + 1]:
-            assert b in t.adj[j], f"jumping vertex {j} not adjacent to {b}"
+            if b not in t.adj[j]:
+                raise InvariantError(f"jumping vertex {j} not adjacent to {b}")
 
 
 @dataclass(frozen=True)
@@ -239,10 +243,12 @@ def square_string(part: OrderedCaterpillarPartition, spec: SquareStringSpec):
 
 def _assert_square_path(part, path):
     t = part.tree
-    assert len(set(path)) == len(path), "square string repeats a vertex"
+    if len(set(path)) != len(path):
+        raise InvariantError("square string repeats a vertex")
     for a, b in zip(path, path[1:]):
         d = t.distances_from(a, limit=2).get(b)
-        assert d is not None and d <= 2, f"{a}-{b} not an edge of the square"
+        if d is None or d > 2:
+            raise InvariantError(f"{a}-{b} not an edge of the square")
 
 
 def hamilton_cycle_of_square(t: FiniteGraph) -> frozenset:
@@ -277,17 +283,21 @@ def hamilton_cycle_of_square(t: FiniteGraph) -> frozenset:
             j = jumping[i]
             members = classes[i]
             seq += [j] + sorted((x for x in members if x != j), key=vkey)
-    assert len(seq) == len(t.vertices)
+    if len(seq) != len(t.vertices):
+        raise InvariantError("cycle does not visit every vertex once")
     edges = {canon_edge(a, b) for a, b in zip(seq, seq[1:])}
     edges.add(canon_edge(seq[-1], seq[0]))
     square = kth_power(t, 2)
-    assert edges <= square.edges, "cycle leaves the square"
+    if not edges <= square.edges:
+        raise InvariantError("cycle leaves the square")
     cnt = {v: 0 for v in t.vertices}
     for a, b in edges:
         cnt[a] += 1
         cnt[b] += 1
-    assert all(c == 2 for c in cnt.values()), "not 2-regular"
-    assert FiniteGraph(t.vertices, frozenset(edges)).is_connected()
+    if not all(c == 2 for c in cnt.values()):
+        raise InvariantError("not 2-regular")
+    if not FiniteGraph(t.vertices, frozenset(edges)).is_connected():
+        raise InvariantError("cycle is not connected")
     return frozenset(edges)
 
 
@@ -343,7 +353,7 @@ def spanning_caterpillar_search(g: FiniteGraph):
         if best is not None:
             break
     if best is not None and is_caterpillar(best) is None:
-        raise AssertionError("constructed spanning tree is not a caterpillar")
+        raise InvariantError("constructed spanning tree is not a caterpillar")
     return best
 
 
@@ -417,18 +427,19 @@ def decomp_covers(t: FiniteGraph, part: OrderedCaterpillarPartition, v, w):
                 if d is not None:
                     break
             if d is None:
-                raise AssertionError("no covering path for the complement of P")
+                raise InvariantError("no covering path for the complement of P")
         else:
             d = []
         pair = _two_ray_cover(
             square, universe, v, w, universe - upper, universe - lower
         )
         if pair is None:
-            raise AssertionError("no two-ray cover found")
+            raise InvariantError("no two-ray cover found")
         report.update({"P": p, "D": d, "R_v": pair[0], "R_w": pair[1]})
         _check_cover(universe, p, d, disjoint=True)
         _check_cover(universe, pair[0], pair[1], disjoint=v != w)
-        assert not (set(pair[0]) & upper) and not (set(pair[1]) & lower)
+        if set(pair[0]) & upper or set(pair[1]) & lower:
+            raise InvariantError("two-ray cover enters a forbidden side")
     else:
         pair1 = _two_ray_cover(
             square, universe, v, w, universe - upper, universe - lower
@@ -437,7 +448,7 @@ def decomp_covers(t: FiniteGraph, part: OrderedCaterpillarPartition, v, w):
             square, universe, v, w, universe - lower, universe - upper
         )
         if pair1 is None or pair2 is None:
-            raise AssertionError("no two-ray cover found")
+            raise InvariantError("no two-ray cover found")
         report.update(
             {
                 "R_v": pair1[0],
@@ -448,16 +459,19 @@ def decomp_covers(t: FiniteGraph, part: OrderedCaterpillarPartition, v, w):
         )
         _check_cover(universe, pair1[0], pair1[1], disjoint=v != w)
         _check_cover(universe, pair2[0], pair2[1], disjoint=v != w)
-        assert not (set(pair1[0]) & upper) and not (set(pair1[1]) & lower)
-        assert not (set(pair2[0]) & lower) and not (set(pair2[1]) & upper)
+        if set(pair1[0]) & upper or set(pair1[1]) & lower:
+            raise InvariantError("two-ray cover enters a forbidden side")
+        if set(pair2[0]) & lower or set(pair2[1]) & upper:
+            raise InvariantError("two-ray cover enters a forbidden side")
     return report
 
 
 def _check_cover(universe, p1, p2, disjoint):
     s1, s2 = set(p1), set(p2)
-    assert s1 | s2 == universe, "cover misses vertices"
-    if disjoint:
-        assert not (s1 & s2), "cover paths overlap"
+    if s1 | s2 != universe:
+        raise InvariantError("cover misses vertices")
+    if disjoint and s1 & s2:
+        raise InvariantError("cover paths overlap")
 
 
 def interval_path(
@@ -484,7 +498,7 @@ def interval_path(
                     nxt.append(z)
         queue = nxt
     if y not in prev:
-        raise AssertionError("no path inside the interval")
+        raise InvariantError("no path inside the interval")
     path = [y]
     while prev[path[-1]] is not None:
         path.append(prev[path[-1]])
@@ -507,6 +521,6 @@ def split_to_cycle(m: MultiGraph):
         res = eulerian_v_splits(cur, deg4[0])[0]
         history.append(res)
         cur = res.multigraph
-    assert is_eulerian(cur)
-    assert all(cur.degree(v) == 2 for v in cur.vertices)
+    if not is_eulerian(cur) or any(cur.degree(v) != 2 for v in cur.vertices):
+        raise InvariantError("splitting did not end in a 2-regular Eulerian multigraph")
     return cur, history

@@ -27,6 +27,7 @@ from .fragment import (
     load_tutte_fragment,
 )
 from .graphs import (
+    InvariantError,
     MultiGraph,
     canon_edge,
     enumerate_hamilton_cycles,
@@ -62,14 +63,14 @@ def _unused_child(f, es, center, roles, l_side):
     g = f.graph
     unused = [n for n in g.adj[center] if canon_edge(center, n) not in es]
     if len(unused) != 1:
-        raise AssertionError(f"expected exactly one unused edge at {center}")
+        raise InvariantError(f"expected exactly one unused edge at {center}")
     (only,) = unused
     if l_side and only == f.roles["l"]:
         return "u"
     for role, child in roles.items():
         if f.roles[role] == only:
             return child
-    raise AssertionError(f"unused neighbor {only} of {center} has no role")
+    raise InvariantError(f"unused neighbor {only} of {center} has no role")
 
 
 def transfer_table(f: Fragment = None) -> TransferTable:
@@ -82,11 +83,11 @@ def transfer_table(f: Fragment = None) -> TransferTable:
         for p in paths:
             others = {f.roles[m] for m in ("u", "l", "r") if m != missing}
             if {p[0], p[-1]} != others:
-                raise AssertionError("Hamilton path does not end at the contacts")
+                raise InvariantError("Hamilton path does not end at the contacts")
             entries.append(_annotate(f, missing, p))
         pats[missing] = tuple(entries)
     if len(pats["u"]) != 0 or len(pats["r"]) != 2:
-        raise AssertionError("transfer table counts contradict the fragment lemma")
+        raise InvariantError("transfer table counts contradict the fragment lemma")
     return TransferTable(f, pats)
 
 
@@ -114,14 +115,14 @@ def stabilized_viable(tt: TransferTable, depth_bound: int = 10):
         cur = viable_patterns(tt, d)
         if all(cur[m] == prev[m] for m in cur):
             if all(not cur[m] for m in cur):
-                raise AssertionError("viability fixed point is empty: no circle")
+                raise InvariantError("viability fixed point is empty: no circle")
             if len(cur["r"]) != 1:
-                raise AssertionError(
+                raise InvariantError(
                     "stabilized missing-r list does not have exactly one entry"
                 )
             return cur, d - 1
         prev = cur
-    raise AssertionError(f"viability did not stabilize within depth {depth_bound}")
+    raise InvariantError(f"viability did not stabilize within depth {depth_bound}")
 
 
 @dataclass(frozen=True)

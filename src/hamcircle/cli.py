@@ -1,7 +1,8 @@
 """Command-line interface.
 
 One binary, subcommand style.  Exit codes: 0 success/verified, 1 property
-violated, 2 usage or input error, 3 budget exceeded.  Diagnostics go to
+violated, 2 usage or input error, 3 budget exceeded, 4 internal invariant
+failed (``InvariantError``: a bug, not a verdict).  Diagnostics go to
 stderr; data goes to stdout or --out.
 """
 
@@ -23,6 +24,7 @@ from .fragment import (
 )
 from .graphs import (
     GraphError,
+    InvariantError,
     canon_edge,
     enumerate_hamilton_cycles,
     enumerate_hamilton_paths,
@@ -38,7 +40,7 @@ from .lazy import (
     end_degree_bound,
 )
 
-OK, VIOLATED, USAGE, BUDGET = 0, 1, 2, 3
+OK, VIOLATED, USAGE, BUDGET, INVARIANT = 0, 1, 2, 3, 4
 
 
 def _budgets(args):
@@ -448,6 +450,9 @@ def main(argv=None) -> int:
     except GraphError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
+    except InvariantError as e:
+        print(f"internal invariant failed: {e}", file=sys.stderr)
+        return INVARIANT
 
 
 if __name__ == "__main__":

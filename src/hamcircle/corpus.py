@@ -18,7 +18,7 @@ from importlib import resources
 
 import networkx as nx
 
-from .graphs import FiniteGraph, GraphError, MultiGraph, canon_edge
+from .graphs import FiniteGraph, GraphError, InvariantError, MultiGraph, canon_edge
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
@@ -46,7 +46,7 @@ def connected_atlas(n: int):
         if g.number_of_nodes() == n and n > 0 and nx.is_connected(g):
             out.append(_from_nx(g))
     if len(out) != CONNECTED_COUNTS[n]:
-        raise AssertionError(f"atlas count mismatch at n={n}: {len(out)}")
+        raise InvariantError(f"atlas count mismatch at n={n}: {len(out)}")
     return out
 
 
@@ -85,7 +85,7 @@ def _generate_connected8():
             candidates.append(nx.convert_node_labels_to_integers(h))
     result = _dedup_iso(candidates)
     if len(result) != CONNECTED_COUNTS[8]:
-        raise AssertionError(f"connected-8 generation found {len(result)} graphs")
+        raise InvariantError(f"connected-8 generation found {len(result)} graphs")
     return result
 
 
@@ -109,7 +109,7 @@ def connected_graphs_8():
             if line.strip()
         ]
         if len(graphs) != CONNECTED_COUNTS[8]:
-            raise AssertionError("connected-8 cache is corrupt")
+            raise InvariantError("connected-8 cache is corrupt")
     _connected8_cache = [_from_nx(g) for g in graphs]
     return _connected8_cache
 

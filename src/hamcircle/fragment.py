@@ -21,6 +21,7 @@ from importlib import resources
 from .graphs import (
     FiniteGraph,
     GraphError,
+    InvariantError,
     canon_edge,
     cut_edges,
     enumerate_hamilton_paths,
@@ -155,13 +156,14 @@ def _fragment_local_edges(f: Fragment):
     return interior_edges, pendants
 
 
-def _attach_copy(f, path, contacts, vertices, edges):
+def _attach_copy(f, local, path, contacts, vertices, edges):
     """Add the interior of a fresh copy at `path`, wired to the given
-    contact ids."""
-    interior_edges, pendants = _fragment_local_edges(f)
+    contact ids.  `local` is ``_fragment_local_edges(f)``, computed once
+    per build."""
+    interior_edges, pendants = local
 
-    def gid(local):
-        return f"F:{path}:{local}"
+    def gid(x):
+        return f"F:{path}:{x}"
 
     for x in f.interior:
         vertices.add(gid(x))
@@ -178,7 +180,7 @@ def build_g0() -> FragmentTree:
     vertices = {z}
     edges = set()
     contacts = {"u": z, "l": z, "r": z}
-    _attach_copy(f, "", contacts, vertices, edges)
+    _attach_copy(f, _fragment_local_edges(f), "", contacts, vertices, edges)
     g = FiniteGraph(frozenset(vertices), frozenset(edges))
     return FragmentTree(f, 0, g, {"": contacts}, ("",))
 
@@ -187,6 +189,8 @@ def expand(ft: FragmentTree) -> FragmentTree:
     """One construction step: each marked copy loses its c and v and gains
     a child copy in each one's place."""
     f = ft.fragment
+    local = _fragment_local_edges(f)
+    adj = ft.graph.adj
     vertices = set(ft.graph.vertices)
     edges = set(ft.graph.edges)
     nodes = dict(ft.nodes)
@@ -194,9 +198,12 @@ def expand(ft: FragmentTree) -> FragmentTree:
     for path in ft.marked:
         gc = ft.node_vertex(path, f.roles["c"])
         gv = ft.node_vertex(path, f.roles["v"])
+        # children attach only to surviving vertices, so a dead vertex's
+        # edges are exactly its edges in the graph being expanded
         for dead in (gc, gv):
             vertices.discard(dead)
-            edges = {e for e in edges if dead not in e}
+            for nbr in adj[dead]:
+                edges.discard(canon_edge(dead, nbr))
         c_contacts = {
             "u": ft.nodes[path]["l"],
             "l": ft.node_vertex(path, f.roles["s"]),
@@ -209,7 +216,7 @@ def expand(ft: FragmentTree) -> FragmentTree:
         }
         for tag, contacts in (("c", c_contacts), ("v", v_contacts)):
             child = path + tag
-            _attach_copy(f, child, contacts, vertices, edges)
+            _attach_copy(f, local, child, contacts, vertices, edges)
             nodes[child] = contacts
             new_marked.append(child)
     g = FiniteGraph(frozenset(vertices), frozenset(edges))
@@ -235,16 +242,16 @@ def audit_tree(ft: FragmentTree):
     g = ft.graph
     for x in g.vertices:
         if g.degree(x) != 3:
-            raise AssertionError(f"vertex {x} has degree {g.degree(x)}")
+            raise InvariantError(f"vertex {x} has degree {g.degree(x)}")
     for path in ft.marked:
         sub = ft.subtree_vertices(path)
         cut = cut_edges(g, sub)
         if len(cut) != 3:
-            raise AssertionError(
+            raise InvariantError(
                 f"marked copy {path!r} has a {len(cut)}-edge boundary cut"
             )
         if set(cut) != set(ft.cut_edges_of(path)):
-            raise AssertionError(f"cut of {path!r} differs from its pendant edges")
+            raise InvariantError(f"cut of {path!r} differs from its pendant edges")
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +266,31 @@ def _depth_of(vertex_id) -> int:
 
 class _Section5Hint:
     """Exhaustion by fragment depth: the level-r region holds every copy of
-    depth <= r; each deeper subtree is infinite by construction."""
+    depth <= r; each deeper subtree is infinite by construction.
+
+    Regions and components are computed once per radius and kept on the
+    hint, so they live as long as the graph that owns it."""
 
     def __init__(self, oracle):
         self.oracle = oracle
+        self._u_local = _fragment_local_edges(oracle.fragment)[1]["u"]
+        self._regions = {}
+        self._components = {}
 
     def region(self, r):
-        _, ft = build_gn(min(r + 3, ORACLE_LEVEL_CAP), cap=ORACLE_LEVEL_CAP)
-        return frozenset(
-            x for x in ft.graph.vertices if _depth_of(x) <= r
-        )
+        if r not in self._regions:
+            _, ft = build_gn(min(r + 3, ORACLE_LEVEL_CAP), cap=ORACLE_LEVEL_CAP)
+            self._regions[r] = frozenset(
+                x for x in ft.graph.vertices if _depth_of(x) <= r
+            )
+        return self._regions[r]
 
     def components(self, r):
+        if r not in self._components:
+            self._components[r] = self._scan_components(r)
+        return self._components[r]
+
+    def _scan_components(self, r):
         level = min(r + 3, ORACLE_LEVEL_CAP)
         _, ft = build_gn(level, cap=ORACLE_LEVEL_CAP)
         region = self.region(r)
@@ -282,23 +302,18 @@ class _Section5Hint:
                 # the pendant edge at l is transient; the persistent cut
                 # edge goes to the c-child's u-side neighbor instead
                 if _depth_of(outside) <= r:
-                    raise AssertionError("cut edge does not leave the region")
+                    raise InvariantError("cut edge does not leave the region")
                 cut.append((inside, outside))
             # replace the transient l-c edge by its stable replacement
             stable = []
             for inside, outside in cut:
                 if outside == f"F:{path}:" + self.oracle.fragment.roles["c"]:
-                    child_u_inner = self._u_inner(path + "c")
-                    stable.append((inside, child_u_inner))
+                    stable.append((inside, f"F:{path}c:{self._u_local}"))
                 else:
                     stable.append((inside, outside))
             fingers = frozenset(f for _, f in stable)
             out.append((path, fingers, tuple(stable)))
-        return out
-
-    def _u_inner(self, path):
-        _, pendants = _fragment_local_edges(self.oracle.fragment)
-        return f"F:{path}:{pendants['u']}"
+        return tuple(out)
 
     def nest(self, comp_id, r1):
         return comp_id[: r1 + 1]

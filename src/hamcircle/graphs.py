@@ -33,6 +33,12 @@ class GraphError(ValueError):
     pass
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: a bug, not a property of the input.
+
+    Raised explicitly, so the check survives ``python -O``."""
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
     """An undirected simple graph without loops."""
@@ -383,47 +389,63 @@ def augment_flow(cap: dict, source, sink, stop: int):
 
     ``cap`` maps arcs ``(u, v)`` to integer capacities.  Arcs leaving a node
     are tried in ``str`` order of their heads, so the flow is reproducible.
-    Returns ``(value, flow)`` with ``flow`` mapping arcs to the units on them.
+    Returns ``(value, flow)`` with ``flow`` mapping arcs to the units on them,
+    in the order the arcs were first used.
+
+    The nodes are numbered once, in ``str`` order, so each node's residual
+    arcs are a list sorted by head number, built before the search.  Every
+    node pair joined by an arc gets two slots, ``a`` and ``a ^ 1``, one per
+    direction, holding capacity and flow in flat lists.
     """
-    out_arcs = {}
-    for u, v in cap:
-        out_arcs.setdefault(u, set()).add(v)
-        out_arcs.setdefault(v, set()).add(u)  # residual direction
-    flow = {}
-
-    def residual(u, v):
-        return cap.get((u, v), 0) - flow.get((u, v), 0) + flow.get((v, u), 0)
-
+    names = sorted({x for arc in cap for x in arc}, key=str)
+    number = {x: i for i, x in enumerate(names)}
+    if stop <= 0 or source not in number or sink not in number:
+        return 0, {}
+    slot_to = [{} for _ in names]  # node -> {head: slot of the arc to it}
+    tail = []  # slot -> tail node; the head is tail[a ^ 1]
+    capacity = []
+    for (u, v), c in cap.items():
+        i, j = number[u], number[v]
+        if i == j:
+            continue
+        a = slot_to[i].get(j)
+        if a is None:
+            a = slot_to[i][j] = len(tail)
+            slot_to[j][i] = a + 1
+            tail += (i, j)
+            capacity += (0, 0)
+        capacity[a] = c
+    out = [sorted(arcs.items()) for arcs in slot_to]  # [(head, slot)]
+    flow = [0] * len(tail)
+    used = {}  # slots whose flow changed, in the order of the first change
+    s, t = number[source], number[sink]
     value = 0
     while value < stop:
-        prev = {source: None}
-        queue = [source]
+        via = [-1] * len(names)  # the slot that reached each node
+        via[s] = len(tail)
+        queue = [s]
         found = False
-        while queue and not found:
-            nxt = []
-            for u in queue:
-                for v in sorted(out_arcs.get(u, ()), key=str):
-                    if v not in prev and residual(u, v) > 0:
-                        prev[v] = u
-                        if v == sink:
-                            found = True
-                            break
-                        nxt.append(v)
-                if found:
-                    break
-            queue = nxt
+        for u in queue:
+            for v, a in out[u]:
+                if via[v] < 0 and capacity[a] - flow[a] + flow[a ^ 1] > 0:
+                    via[v] = a
+                    if v == t:
+                        found = True
+                        break
+                    queue.append(v)
+            if found:
+                break
         if not found:
             break
-        v = sink
-        while prev[v] is not None:
-            u = prev[v]
-            if cap.get((u, v), 0) > flow.get((u, v), 0):
-                flow[(u, v)] = flow.get((u, v), 0) + 1
-            else:
-                flow[(v, u)] = flow.get((v, u), 0) - 1
-            v = u
+        v = t
+        while v != s:
+            a = via[v]
+            push = a if capacity[a] > flow[a] else a ^ 1
+            used[push] = None
+            flow[push] += 1 if push == a else -1
+            v = tail[a]
         value += 1
-    return value, flow
+    return value, {(names[tail[a]], names[tail[a ^ 1]]): flow[a] for a in used}
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +628,7 @@ class _CycleSearch:
                 enter = False
                 if self.in_count == self.n:
                     if any(c != 2 for c in self.chosen):
-                        raise AssertionError("spanning edge set is not 2-regular")
+                        raise InvariantError("spanning edge set is not 2-regular")
                     self.solutions.append(
                         tuple(e for e, s in enumerate(self.state) if s == self.IN)
                     )

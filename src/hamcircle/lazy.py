@@ -203,22 +203,26 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
     if not deep_set:
         raise BudgetError("component exhausted before the depth budget")
     # unit-capacity flow: source -> fingers (per cut edge or per finger),
-    # through the explored part, sink at the depth frontier
+    # through the explored part, sink at the depth frontier.  The k-th
+    # explored vertex splits into in-node 2k + 2 and out-node 2k + 3:
+    # integers are cheap to hash and order, and the value of a maximum
+    # flow does not depend on how its nodes are named
+    SRC, SNK = 0, 1
+    node = {v: 2 * k + 2 for k, v in enumerate(dist)}
     cap = {}
-    SRC, SNK = ("s",), ("t",)
     for a, b in comp.cut_edges:
         if mode == "edge":
-            cap[(SRC, ("i", b))] = cap.get((SRC, ("i", b)), 0) + 1
+            cap[(SRC, node[b])] = cap.get((SRC, node[b]), 0) + 1
         else:
-            cap[(SRC, ("i", b))] = 1
-    for v in dist:
-        cap[(("i", v), ("o", v))] = (1 if mode == "vertex" else upper + 1)
+            cap[(SRC, node[b])] = 1
+    for v, i in node.items():
+        cap[(i, i + 1)] = (1 if mode == "vertex" else upper + 1)
         if v in deep_set:
-            cap[(("o", v), SNK)] = upper + 1
-    for v in dist:
+            cap[(i + 1, SNK)] = upper + 1
+    for v, i in node.items():
         for y in lg.neighbors(v):
-            if y in dist:
-                cap[(("o", v), ("i", y))] = 1
+            if y in node:
+                cap[(i + 1, node[y])] = 1
     value, _ = augment_flow(cap, SRC, SNK, upper + 1)
     lower = min(value, upper)
     return lower, upper

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from .graphs import (
     FiniteGraph,
     GraphError,
+    InvariantError,
     canon_edge,
     is_two_connected,
     vkey,
@@ -55,7 +56,7 @@ def unique_hamilton_cycle_outerplanar(g: FiniteGraph) -> frozenset:
         return g.edges
     cyc = two_contractible_edges(g)
     if not _is_spanning_cycle(g, cyc):
-        raise AssertionError(
+        raise InvariantError(
             "2-contractible edges of a 2-connected outerplanar graph "
             "failed to form a spanning cycle"
         )
@@ -182,7 +183,7 @@ def disk_layout(g: FiniteGraph) -> DiskLayout:
     for i in range(len(chords)):
         for j in range(i + 1, len(chords)):
             if chords_cross(order, chords[i], chords[j]):
-                raise AssertionError(
+                raise InvariantError(
                     f"chords {chords[i]} and {chords[j]} cross in the layout"
                 )
     return DiskLayout(placements, boundary, chords)

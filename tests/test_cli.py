@@ -1,8 +1,17 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hamcircle
+from hamcircle import cli
 from hamcircle.cli import main
+from hamcircle.fragment import build_gn
+from hamcircle.graphs import FiniteGraph
 
 
 def run(capsys, *argv):
@@ -171,3 +180,49 @@ def test_unique_circle_section5_unstable_level_is_violation(capsys, monkeypatch)
     code, out, _ = run(capsys, "unique-circle", "--generator", "section5", "--levels", "3")
     assert code == 1
     assert json.loads(out)["limit_claim"] == "open"
+
+
+def _doctored_level_1(level, cap=None):
+    # level 1 with one edge removed: two vertices of degree 2
+    g, ft = build_gn(level)
+    cut = FiniteGraph(g.vertices, g.edges - {g.sorted_edges()[0]})
+    return cut, dataclasses.replace(ft, graph=cut)
+
+
+def test_invariant_failure_has_its_own_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_gn", _doctored_level_1)
+    code, out, err = run(capsys, "construct-gn", "-n", "1")
+    assert code == cli.INVARIANT == 4
+    assert out == ""
+    assert "internal invariant failed" in err and "has degree 2" in err
+
+
+def test_invariant_checks_survive_optimize():
+    # under -O bare asserts vanish; these checks are explicit raises
+    script = (
+        "import dataclasses\n"
+        "from hamcircle.caterpillar import _check_cover\n"
+        "from hamcircle.fragment import audit_tree, build_gn\n"
+        "from hamcircle.graphs import FiniteGraph, InvariantError\n"
+        "assert False, 'asserts are stripped under -O'\n"
+        "caught = []\n"
+        "try:\n"
+        "    _check_cover({1, 2, 3}, [1], [2], disjoint=True)\n"
+        "except InvariantError as e:\n"
+        "    caught.append(str(e))\n"
+        "g, ft = build_gn(1)\n"
+        "cut = FiniteGraph(g.vertices, g.edges - {g.sorted_edges()[0]})\n"
+        "try:\n"
+        "    audit_tree(dataclasses.replace(ft, graph=cut))\n"
+        "except InvariantError as e:\n"
+        "    caught.append(str(e))\n"
+        "print(__debug__, len(caught), caught[0])\n"
+    )
+    src = str(Path(hamcircle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().split(maxsplit=2) == ["False", "2", "cover misses vertices"]

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import cycle_graph, graph
-from hamcircle.graphs import GraphError, canon_edge
+from conftest import DIFF, cycle_graph, graph, simple_graphs
+from hamcircle import lazy
+from hamcircle.graphs import GraphError, augment_flow, canon_edge
 from hamcircle.lazy import (
     BudgetError,
+    DeepComponent,
     LazyGraph,
     ball,
     deep_components,
@@ -90,3 +94,81 @@ def test_ball_budget():
     lad = double_ladder()
     with pytest.raises(BudgetError):
         ball(lad, 100, max_vertices=50)
+
+
+def reference_end_degree_bound(lg, comp, mode, depth):
+    """The packing with tuple-named flow nodes ("i", v) and ("o", v)."""
+    region = lazy._region(lg, comp.radius)
+    upper = len(comp.fingers) if mode == "vertex" else len(comp.cut_edges)
+    dist = lazy._explore_component(lg, region, comp, depth)
+    deep_set = {v for v, d in dist.items() if d >= depth}
+    if not deep_set:
+        raise BudgetError("component exhausted before the depth budget")
+    cap = {}
+    SRC, SNK = ("s",), ("t",)
+    for a, b in comp.cut_edges:
+        if mode == "edge":
+            cap[(SRC, ("i", b))] = cap.get((SRC, ("i", b)), 0) + 1
+        else:
+            cap[(SRC, ("i", b))] = 1
+    for v in dist:
+        cap[(("i", v), ("o", v))] = (1 if mode == "vertex" else upper + 1)
+        if v in deep_set:
+            cap[(("o", v), SNK)] = upper + 1
+    for v in dist:
+        for y in lg.neighbors(v):
+            if y in dist:
+                cap[(("o", v), ("i", y))] = 1
+    value, _ = augment_flow(cap, SRC, SNK, upper + 1)
+    return min(value, upper), upper
+
+
+def outside_components(lg, r):
+    """Each component of a finite graph minus the radius-r ball, as a
+    DeepComponent (finite ones included, to exercise the packing)."""
+    region = lazy._region(lg, r)
+    cut = [(v, y) for v in sorted(region) for y in lg.neighbors(v) if y not in region]
+    out, owner = [], {}
+    for _, f in cut:
+        if f in owner:
+            continue
+        seen, stack = {f}, [f]
+        while stack:
+            for y in lg.neighbors(stack.pop()):
+                if y not in region and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        owner.update(dict.fromkeys(seen, len(out)))
+        out.append(seen)
+    comps = []
+    for k, seen in enumerate(out):
+        edges = tuple(e for e in cut if owner[e[1]] == k)
+        fingers = frozenset(y for _, y in edges)
+        comps.append(DeepComponent(r, k, fingers, min(fingers), edges))
+    return comps
+
+
+def test_end_degree_bound_sees_a_bottleneck():
+    # three fingers that all pass through x: one vertex-disjoint path and
+    # one edge-disjoint path reach the depth frontier
+    g = graph([("r", "a"), ("r", "b"), ("r", "c"), ("a", "x"), ("b", "x"),
+               ("c", "x"), ("x", "p1"), ("p1", "p2"), ("p2", "p3")])
+    lg = lazy_from_finite(g, "r")
+    (c,) = outside_components(lg, 0)
+    assert end_degree_bound(lg, c, "vertex", depth=3) == (1, 3)
+    assert end_degree_bound(lg, c, "edge", depth=3) == (1, 3)
+
+
+@DIFF
+@given(simple_graphs(max_n=12), st.integers(0, 1), st.integers(1, 2))
+def test_end_degree_bound_matches_reference(g, r, depth):
+    lg = lazy_from_finite(g)
+    for c in outside_components(lg, r):
+        for mode in ("vertex", "edge"):
+            try:
+                want = reference_end_degree_bound(lg, c, mode, depth)
+            except BudgetError:
+                with pytest.raises(BudgetError):
+                    end_degree_bound(lg, c, mode, depth)
+            else:
+                assert end_degree_bound(lg, c, mode, depth) == want
