@@ -143,12 +143,9 @@ def cmd_caterpillar(args):
 def cmd_minor(args):
     g = _load(args.graph)
     pattern = args.pattern.upper()
-    if pattern not in ("K4", "K23"):
-        raise SystemExit_(USAGE, f"unknown pattern {args.pattern!r}")
     w = minors.find_minor(g, pattern)
     report = {"budgets": _budgets(args), "pattern": pattern, "found": w is not None}
     if w is not None:
-        minors.validate_witness(g, w)
         report["witness"] = w.to_obj()
     _emit(args, report)
     return OK if w is not None else VIOLATED

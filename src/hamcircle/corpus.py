@@ -19,6 +19,7 @@ from importlib import resources
 import networkx as nx
 
 from .graphs import FiniteGraph, GraphError, InvariantError, MultiGraph, canon_edge
+from .outerplanar import positions_cross
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
@@ -146,10 +147,6 @@ def _noncrossing_chord_subsets(n: int):
         if not (i == 0 and j == n - 1)
     ]
 
-    def crosses(c1, c2):
-        (a, b), (c, d) = c1, c2
-        return (a < c < b < d) or (c < a < d < b)
-
     out = []
 
     def rec(idx, chosen):
@@ -158,7 +155,7 @@ def _noncrossing_chord_subsets(n: int):
             return
         rec(idx + 1, chosen)
         c = chords[idx]
-        if all(not crosses(c, o) for o in chosen):
+        if not any(positions_cross(c, o) for o in chosen):
             chosen.append(c)
             rec(idx + 1, chosen)
             chosen.pop()
@@ -281,13 +278,9 @@ def random_dissection(rng: random.Random, max_n: int = 10) -> FiniteGraph:
     for c in pool:
         if rng.random() < 0.5:
             continue
-        (a, b) = c
-        ok = all(
-            not ((a < x < b < y) or (x < a < y < b)) for x, y in chords
-        )
-        if ok:
+        if not any(positions_cross(c, o) for o in chords):
             chords.append(c)
-            edges.add(canon_edge(verts[a], verts[b]))
+            edges.add(canon_edge(verts[c[0]], verts[c[1]]))
     return FiniteGraph(frozenset(verts), frozenset(edges))
 
 

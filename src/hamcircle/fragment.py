@@ -23,7 +23,6 @@ from .graphs import (
     GraphError,
     InvariantError,
     canon_edge,
-    cut_edges,
     enumerate_hamilton_paths,
     vkey,
 )
@@ -243,9 +242,19 @@ def audit_tree(ft: FragmentTree):
     for x in g.vertices:
         if g.degree(x) != 3:
             raise InvariantError(f"vertex {x} has degree {g.degree(x)}")
+    # one pass groups the vertices by marked copy: a vertex lies in the
+    # subtree of each marked copy whose path is a prefix of its own
+    subtrees = {path: set() for path in ft.marked}
+    depths = {len(path) for path in ft.marked}
+    for x in g.vertices:
+        if x.startswith("F:"):
+            own = x.split(":", 2)[1]
+            for k in depths:
+                if own[:k] in subtrees:
+                    subtrees[own[:k]].add(x)
     for path in ft.marked:
-        sub = ft.subtree_vertices(path)
-        cut = cut_edges(g, sub)
+        sub = subtrees[path]
+        cut = {canon_edge(x, y) for x in sub for y in g.adj[x] if y not in sub}
         if len(cut) != 3:
             raise InvariantError(
                 f"marked copy {path!r} has a {len(cut)}-edge boundary cut"

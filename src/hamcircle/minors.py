@@ -12,13 +12,14 @@ a linear-time test:
 * a K2,3 minor by blocks: K2,3 is 2-connected, so it is a minor of some
   block, and a 2-connected graph without one is K4 or outerplanar.
 
-A witness is built by search only when it is asked for and the decision
-says one exists.  Both patterns have maximum degree 3, so containing one as
-a minor is the same as containing a subdivision.  The searches therefore
-place the branch vertices and route internally disjoint paths, which is
-much faster than enumerating branch-set assignments and still yields a
-branch-set witness (path interiors are absorbed into one endpoint's branch
-set).
+A witness is built only when it is asked for and the decision says one
+exists.  Both patterns have maximum degree 3, so a minimal set of edges that
+still contains one as a minor is a subdivision of it (Diestel, *Graph
+Theory*, 1.7).  The witness helper deletes each edge, in canonical order,
+whose removal keeps the decision true, then reads the subdivision: its
+degree-3 vertices are the branch vertices, and the paths of degree-2
+vertices between them become branch sets.  That costs one decision per
+edge, O(m (n + m)).
 """
 
 from __future__ import annotations
@@ -28,7 +29,15 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .graphs import FiniteGraph, GraphError, augment_flow, blocks, canon_edge, vkey
+from .graphs import (
+    FiniteGraph,
+    GraphError,
+    InvariantError,
+    augment_flow,
+    blocks,
+    canon_edge,
+    vkey,
+)
 
 
 @dataclass(frozen=True)
@@ -150,27 +159,6 @@ def internally_disjoint_paths(g: FiniteGraph, a, b, need, forbid_edge_ab=False):
     return paths
 
 
-def _k23_minor(g: FiniteGraph):
-    """A K2,3 minor witness via two hub vertices joined by three
-    internally disjoint paths of length at least 2, or None."""
-    # a hub of degree < 3 cannot end three disjoint paths
-    vs = [v for v in g.sorted_vertices() if g.degree(v) >= 3]
-    for a, b in itertools.combinations(vs, 2):
-        paths = internally_disjoint_paths(g, a, b, 3, forbid_edge_ab=True)
-        if len(paths) >= 3:
-            branch = {"a1": frozenset([a]), "a2": frozenset([b])}
-            edges = {}
-            for i, p in enumerate(paths[:3]):
-                mid = p[1:-1]
-                branch[f"b{i + 1}"] = frozenset(mid)
-                edges[tuple(sorted(("a1", f"b{i + 1}")))] = canon_edge(p[0], p[1])
-                edges[tuple(sorted(("a2", f"b{i + 1}")))] = canon_edge(p[-2], p[-1])
-            w = MinorWitness("K23", branch, edges)
-            validate_witness(g, w)
-            return w
-    return None
-
-
 def has_k23_minor(g: FiniteGraph) -> bool:
     """True iff g has a K2,3 minor, decided block by block.
 
@@ -208,83 +196,83 @@ def has_k4_minor(g: FiniteGraph) -> bool:
     return bool(adj)
 
 
-def _route_paths(g, branch, pedges, used, idx, routes):
-    """Backtracking router: realize pattern edges by internally disjoint
-    host paths avoiding other branch vertices."""
-    if idx == len(pedges):
-        return True
-    x, y = pedges[idx]
-    a, b = branch[x], branch[y]
-    blocked = (set(branch.values()) - {a, b}) | used
+def _minimal_subgraph(g: FiniteGraph, present) -> FiniteGraph:
+    """An edge-minimal subgraph of g on which the decision `present` holds,
+    given that it holds on g, without isolated vertices.
 
-    def dfs(path):
-        last = path[-1]
-        for nb in g.neighbors(last):
-            if nb == b and len(path) >= 1:
-                routes[idx] = path + [b]
-                newly = set(path[1:])
-                used.update(newly)
-                if _route_paths(g, branch, pedges, used, idx + 1, routes):
-                    return True
-                used.difference_update(newly)
-                routes[idx] = None
-            elif nb not in blocked and nb not in path and nb != a:
-                if dfs(path + [nb]):
-                    return True
-        return False
-
-    return dfs([a])
+    Edges are tried in canonical order, and each is deleted when the
+    decision stays true without it.  Having a minor is closed under
+    deleting edges, so an edge kept once is still needed at the end.
+    """
+    edges = set(g.edges)
+    for e in g.sorted_edges():
+        edges.remove(e)
+        if not present(FiniteGraph(g.vertices, frozenset(edges))):
+            edges.add(e)
+    return FiniteGraph(frozenset(v for e in edges for v in e), frozenset(edges))
 
 
-def _k4_minor(g: FiniteGraph):
-    sub = find_k4_subgraph(g)
-    if sub is not None:
-        quad = sorted(sub, key=vkey)
-        names = ["a", "b", "c", "d"]
-        branch = {n: frozenset([v]) for n, v in zip(names, quad)}
-        edges = {
-            tuple(sorted((names[i], names[j]))): canon_edge(quad[i], quad[j])
-            for i, j in itertools.combinations(range(4), 2)
-        }
-        w = MinorWitness("K4", branch, edges)
-        validate_witness(g, w)
-        return w
-    vs = [v for v in g.sorted_vertices() if g.degree(v) >= 3]
-    pedges = list(itertools.combinations(["a", "b", "c", "d"], 2))
-    for quad in itertools.combinations(vs, 4):
-        branch = dict(zip(["a", "b", "c", "d"], quad))
-        routes = [None] * len(pedges)
-        if _route_paths(g, branch, pedges, set(), 0, routes):
-            bsets = {n: {v} for n, v in branch.items()}
-            edges = {}
-            for (x, y), path in zip(pedges, routes):
-                interior = path[1:-1]
-                bsets[x].update(interior)
-                edges[tuple(sorted((x, y)))] = canon_edge(path[-2], path[-1])
-            w = MinorWitness("K4", {k: frozenset(v) for k, v in bsets.items()}, edges)
-            validate_witness(g, w)
-            return w
-    return None
+def _subdivision_witness(g: FiniteGraph, pattern: str, present):
+    """A witness read off a minimal subgraph of g on which the decision
+    `present` for `pattern` holds, or None if that subgraph is not a
+    subdivision of the pattern.
+
+    The branch vertices are the degree-3 vertices, named in ``vkey``
+    order; every other vertex has degree 2 and lies on one path between
+    two of them.  For K4 a path's interior joins its first end's branch
+    set; for K2,3 each of the three paths from a1 to a2 has an interior,
+    which becomes a b set.
+    """
+    sub = _minimal_subgraph(g, present)
+    hubs = [v for v in sub.sorted_vertices() if sub.degree(v) == 3]
+    names = ["a", "b", "c", "d"] if pattern == "K4" else ["a1", "a2"]
+    if len(hubs) != len(names) or any(sub.degree(v) not in (2, 3) for v in sub.vertices):
+        return None
+    name = dict(zip(hubs, names))
+    paths = []
+    for h in hubs:
+        for v in sub.neighbors(h):
+            path = [h, v]
+            while path[-1] not in name:
+                x, y = sub.adj[path[-1]]
+                path.append(y if x == path[-2] else x)
+            if name[h] < name[path[-1]]:
+                paths.append(path)
+    branch = {n: {h} for h, n in name.items()}
+    edges = {}
+    for i, p in enumerate(paths):
+        x, y = name[p[0]], name[p[-1]]
+        if pattern == "K4":
+            branch[x].update(p[1:-1])
+            edges[(x, y)] = canon_edge(p[-2], p[-1])
+        else:
+            b = f"b{i + 1}"
+            branch[b] = set(p[1:-1])
+            edges[(x, b)] = canon_edge(p[0], p[1])
+            edges[(y, b)] = canon_edge(p[-2], p[-1])
+    return MinorWitness(pattern, {k: frozenset(v) for k, v in branch.items()}, edges)
 
 
 def find_minor(g: FiniteGraph, pattern: str):
     """A validated witness that g has `pattern` ("K4" or "K23") as a minor,
     or None.
 
-    The linear-time decision runs first; the witness search runs only when
-    the decision says a witness exists.
+    The linear-time decision runs first; the witness is built only when
+    the decision says one exists.  A decision without a valid witness is
+    a bug and raises ``InvariantError``.
     """
-    if pattern == "K4":
-        present, search = has_k4_minor(g), _k4_minor
-    elif pattern == "K23":
-        present, search = has_k23_minor(g), _k23_minor
-    else:
+    present = {"K4": has_k4_minor, "K23": has_k23_minor}.get(pattern)
+    if present is None:
         raise GraphError(f"unknown pattern {pattern!r}")
-    if not present:
+    if not present(g):
         return None
-    w = search(g)
+    w = _subdivision_witness(g, pattern, present)
     if w is None:
-        raise GraphError(f"{pattern} minor decided present but no witness was found")
+        raise InvariantError(f"{pattern} minor decided present but no witness was found")
+    try:
+        validate_witness(g, w)
+    except GraphError as e:
+        raise InvariantError(f"{pattern} witness is invalid: {e}") from e
     return w
 
 

@@ -161,11 +161,17 @@ def _cycle_order(g: FiniteGraph, cyc):
     return order
 
 
+def positions_cross(p, q):
+    """True iff two chords of a circle cross, each given by the positions
+    (lower, higher) of its ends along the circle.  Chords that share an
+    end do not cross."""
+    (a, b), (c, d) = p, q
+    return (a < c < b < d) or (c < a < d < b)
+
+
 def chords_cross(order, e, f):
     pos = {v: i for i, v in enumerate(order)}
-    a, b = sorted((pos[e[0]], pos[e[1]]))
-    c, d = sorted((pos[f[0]], pos[f[1]]))
-    return (a < c < b < d) or (c < a < d < b)
+    return positions_cross(*(sorted((pos[a], pos[b])) for a, b in (e, f)))
 
 
 def disk_layout(g: FiniteGraph) -> DiskLayout:
@@ -180,9 +186,11 @@ def disk_layout(g: FiniteGraph) -> DiskLayout:
     chords = tuple(
         sorted(g.edges - cyc, key=lambda e: (vkey(e[0]), vkey(e[1])))
     )
+    pos = {v: i for i, v in enumerate(order)}
+    spans = [sorted((pos[a], pos[b])) for a, b in chords]
     for i in range(len(chords)):
         for j in range(i + 1, len(chords)):
-            if chords_cross(order, chords[i], chords[j]):
+            if positions_cross(spans[i], spans[j]):
                 raise InvariantError(
                     f"chords {chords[i]} and {chords[j]} cross in the layout"
                 )

@@ -84,6 +84,14 @@ def test_minor_exit_codes(tmp_path, capsys):
     assert code == 1
 
 
+def test_minor_without_witness_is_invariant_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.minors, "_subdivision_witness", lambda *_: None)
+    code, out, err = run(capsys, "minor", k4_file(tmp_path), "--pattern", "k4")
+    assert code == cli.INVARIANT == 4
+    assert out == ""
+    assert "internal invariant failed" in err and "no witness" in err
+
+
 def test_caterpillar_square_cycle(tmp_path, capsys):
     p = write_graph(
         tmp_path,

@@ -16,6 +16,7 @@ from hamcircle.fragment import (
 from hamcircle.graphs import (
     FiniteGraph,
     GraphError,
+    InvariantError,
     canon_edge,
     cut_edges,
     enumerate_hamilton_paths,
@@ -170,3 +171,41 @@ def test_section5_regions_and_components_once_per_radius():
         cut = {(v, y) for v in region for y in lg.neighbors(v) if y not in region}
         assert {e for _, _, es in comps for e in es} == cut
         assert len(comps) == 2 ** (r + 1)
+
+
+def _swap_ends(g, e, f):
+    """g with edges a-b and c-d replaced by a-d and c-b: every degree stays."""
+    (a, b), (c, d) = e, f
+    new = {canon_edge(a, d), canon_edge(c, b)}
+    assert len({a, b, c, d}) == 4 and not new & g.edges
+    return FiniteGraph(g.vertices, (g.edges - {e, f}) | new)
+
+
+def _outside_edge(g, ft, avoid):
+    """An edge with no end in a marked subtree, disjoint from `avoid` and
+    from their neighbours."""
+    inside = set().union(*(ft.subtree_vertices(p) for p in ft.marked))
+    near = set(avoid).union(*(g.adj[x] for x in avoid))
+    return next(
+        e for e in g.sorted_edges() if not set(e) & inside and not set(e) & near
+    )
+
+
+@pytest.mark.parametrize("pendant", [True, False])
+def test_audit_catches_a_changed_cut(pendant):
+    g, ft = build_gn(2)
+    first = ft.marked[0]
+    sub = ft.subtree_vertices(first)
+    if pendant:
+        # move the copy's first pendant edge onto another outside vertex:
+        # still three cut edges, but not the pendant ones
+        e = ft.cut_edges_of(first)[0]
+        expect = "differs from its pendant edges"
+    else:
+        # tie an interior edge to the outside: five cut edges
+        e = next(e for e in g.sorted_edges() if set(e) <= sub)
+        expect = "has a 5-edge boundary cut"
+    bad = _swap_ends(g, e, _outside_edge(g, ft, e))
+    assert all(bad.degree(x) == 3 for x in bad.vertices)
+    with pytest.raises(InvariantError, match=expect):
+        audit_tree(FragmentTree(ft.fragment, ft.level, bad, ft.nodes, ft.marked))

@@ -6,7 +6,7 @@ from hypothesis import given
 from conftest import DIFF, complete_graph, cycle_graph, graph, path_graph, simple_graphs
 from hamcircle import minors
 from hamcircle.corpus import connected_graphs_upto
-from hamcircle.graphs import GraphError
+from hamcircle.graphs import FiniteGraph, GraphError, InvariantError
 from hamcircle.minors import (
     circular_ordering_oracle,
     find_k4_subgraph,
@@ -129,25 +129,77 @@ def k23_hubs_by_all_pairs(g):
     return None
 
 
+def _route_paths(g, branch, pedges, used, idx, routes):
+    """Backtracking router: realize pattern edges by internally disjoint
+    host paths avoiding other branch vertices."""
+    if idx == len(pedges):
+        return True
+    x, y = pedges[idx]
+    a, b = branch[x], branch[y]
+    blocked = (set(branch.values()) - {a, b}) | used
+
+    def dfs(path):
+        for nb in g.neighbors(path[-1]):
+            if nb == b:
+                routes[idx] = path + [b]
+                newly = set(path[1:])
+                used.update(newly)
+                if _route_paths(g, branch, pedges, used, idx + 1, routes):
+                    return True
+                used.difference_update(newly)
+                routes[idx] = None
+            elif nb not in blocked and nb not in path and nb != a:
+                if dfs(path + [nb]):
+                    return True
+        return False
+
+    return dfs([a])
+
+
+def k4_subdivision_by_routing(g):
+    """The first four branch vertices, in ``vkey`` order, whose six pairs
+    can be joined by internally disjoint paths, or None.  Exponential: it
+    gives up only after every 4-set of vertices of degree at least 3."""
+    vs = [v for v in g.sorted_vertices() if g.degree(v) >= 3]
+    pedges = list(itertools.combinations("abcd", 2))
+    for quad in itertools.combinations(vs, 4):
+        routes = [None] * len(pedges)
+        if _route_paths(g, dict(zip("abcd", quad)), pedges, set(), 0, routes):
+            return quad
+    return None
+
+
+DECISIONS = {"K4": has_k4_minor, "K23": has_k23_minor}
+
+
+def check_minimal_subgraph(g, pattern):
+    """The witness helper's subgraph keeps the minor, loses it without any
+    one of its edges, and is a subdivision: 4 (K4) or 2 (K2,3) vertices of
+    degree 3 and all others of degree 2."""
+    decide = DECISIONS[pattern]
+    sub = minors._minimal_subgraph(g, decide)
+    assert sub.edges <= g.edges
+    assert decide(sub)
+    for e in sub.edges:
+        assert not decide(FiniteGraph(sub.vertices, sub.edges - {e}))
+    degrees = sorted(sub.degree(v) for v in sub.vertices)
+    hubs = 4 if pattern == "K4" else 2
+    assert degrees == [2] * (len(degrees) - hubs) + [3] * hubs
+
+
 def check_decisions(g):
     k4 = k4_subgraph_by_scan(g)
     assert find_k4_subgraph(g) == k4
-    # the exhaustive router, which gives up only after every 4-set
-    k4_minor = minors._k4_minor(g)
-    assert has_k4_minor(g) == (k4_minor is not None)
-    w = find_minor(g, "K4")
-    assert (w is None) == (k4_minor is None)
+    assert has_k4_minor(g) == (k4_subdivision_by_routing(g) is not None)
     hubs = k23_hubs_by_all_pairs(g)
     assert has_k23_minor(g) == (hubs is not None)
     assert is_outerplanar(g) == (k4 is None and hubs is None)
-    w = find_minor(g, "K23")
-    if hubs is None:
-        assert w is None
-    else:
-        a, b, paths = hubs
-        expect = {"a1": frozenset([a]), "a2": frozenset([b])}
-        expect.update((f"b{i + 1}", frozenset(p[1:-1])) for i, p in enumerate(paths))
-        assert w.branch_sets == expect
+    for pattern, decide in DECISIONS.items():
+        w = find_minor(g, pattern)
+        assert (w is not None) == decide(g)
+        if w is not None:
+            validate_witness(g, w)
+            check_minimal_subgraph(g, pattern)
 
 
 def test_decisions_match_searches_on_small_graphs():
@@ -221,7 +273,28 @@ def test_no_minor_in_a_triangulated_40_gon():
     assert find_minor(g, "K23") is None
 
 
+def test_witnesses_on_a_crossed_40_gon():
+    # a crossing chord gives both minors but no K4 subgraph, so the K4
+    # witness has to be a proper subdivision
+    g = zigzag_triangulation(40)
+    g = FiniteGraph(g.vertices, g.edges | {("p00", "p20")})
+    assert find_k4_subgraph(g) is None
+    for pattern in ("K4", "K23"):
+        w = find_minor(g, pattern)
+        assert w is not None
+        validate_witness(g, w)
+
+
 def test_decision_without_witness_raises(monkeypatch):
-    monkeypatch.setattr(minors, "_k4_minor", lambda g: None)
-    with pytest.raises(GraphError):
+    monkeypatch.setattr(minors, "_subdivision_witness", lambda *_: None)
+    with pytest.raises(InvariantError):
         find_minor(complete_graph(4), "K4")
+
+
+def test_invalid_witness_raises(monkeypatch):
+    w = find_minor(k23(), "K23")
+    swapped = dict(w.branch_sets, a1=w.branch_sets["b1"], b1=w.branch_sets["a1"])
+    bad = minors.MinorWitness("K23", swapped, w.edges)
+    monkeypatch.setattr(minors, "_subdivision_witness", lambda *_: bad)
+    with pytest.raises(InvariantError, match="witness is invalid"):
+        find_minor(k23(), "K23")
