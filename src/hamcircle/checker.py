@@ -34,7 +34,7 @@ from .graphs import (
     enumerate_hamilton_paths,
     vkey,
 )
-from .lazy import LazyGraph, _region, deep_components
+from .lazy import BudgetError, LazyGraph, _region, deep_components
 
 
 @dataclass(frozen=True)
@@ -368,6 +368,13 @@ def verify_candidate_circle(lg: LazyGraph, member, levels) -> bool:
 def limit_circle_edges(max_depth: int) -> frozenset:
     """The unique circle's edges on all copies of depth <= max_depth,
     mapped to persistent global edges."""
+    # a copy's pattern maps its c and v edges through its children, and a
+    # build holds copies of depth at most its level
+    if max_depth + 1 > ORACLE_LEVEL_CAP:
+        raise BudgetError(
+            f"the circle on copies of depth <= {max_depth} needs copies of depth "
+            f"{max_depth + 1}, past the oracle's level cap {ORACLE_LEVEL_CAP}"
+        )
     tt = transfer_table()
     fixed, _ = stabilized_viable(tt)
     (p1,) = fixed["r"]

@@ -9,6 +9,16 @@ Deterministic sources:
 * all trees on a vertex range.
 
 Seeded random sources for the Eulerian-split and structure-lemma suites.
+
+Each source costs about as much as its output.  The atlas lists graphs by
+vertex count (Read & Wilson, *An Atlas of Graphs*), so it is read once, up
+to the largest count asked for, and bucketed.  The 8-vertex cache is
+decoded from graph6 straight into ``FiniteGraph``.  Dissections need no
+general isomorphism test: a
+dissection of a polygon has exactly one Hamilton cycle, the polygon's
+boundary, so every isomorphism between two dissections maps boundary to
+boundary and is a rotation or reflection of the polygon.  Two chord sets
+are isomorphic iff they share the least image under those 2n symmetries.
 """
 
 from __future__ import annotations
@@ -18,6 +28,13 @@ from importlib import resources
 
 import networkx as nx
 
+# networkx's private atlas generator lets a read stop early; the public
+# graph_atlas_g builds all 1,253 graphs (about 5 times the cost up to n = 6)
+try:
+    from networkx.generators.atlas import _generate_graphs as _atlas_graphs
+except ImportError:  # pragma: no cover - a networkx without the helper
+    _atlas_graphs = nx.graph_atlas_g
+
 from .graphs import FiniteGraph, GraphError, InvariantError, MultiGraph, canon_edge
 from .outerplanar import positions_cross
 
@@ -25,10 +42,16 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 def _from_nx(g) -> FiniteGraph:
-    relabel = {v: f"v{i}" for i, v in enumerate(sorted(g.nodes(), key=str))}
+    relabel = _names(g.nodes())
     return FiniteGraph.build(
         relabel.values(), [(relabel[a], relabel[b]) for a, b in g.edges()]
     )
+
+
+def _names(nodes) -> dict:
+    """Names v0, v1, ... for networkx nodes, in the ``str`` order of the
+    nodes (so 10 comes between 1 and 2)."""
+    return {v: f"v{i}" for i, v in enumerate(sorted(nodes, key=str))}
 
 
 def _to_nx(g: FiniteGraph):
@@ -38,21 +61,34 @@ def _to_nx(g: FiniteGraph):
     return h
 
 
-def connected_atlas(n: int):
-    """All connected graphs on exactly n <= 7 vertices (networkx atlas)."""
-    if not 1 <= n <= 7:
+def _atlas_by_order(n_min: int, n_max: int) -> dict:
+    """The connected atlas graphs on n_min..n_max vertices, keyed by vertex
+    count, from one read of the atlas.  The atlas lists graphs by vertex
+    count, so the read stops at the first graph on more than n_max."""
+    if not 1 <= n_min <= n_max <= 7:
         raise GraphError("atlas covers 1..7 vertices")
-    out = []
-    for g in nx.graph_atlas_g():
-        if g.number_of_nodes() == n and n > 0 and nx.is_connected(g):
-            out.append(_from_nx(g))
-    if len(out) != CONNECTED_COUNTS[n]:
-        raise InvariantError(f"atlas count mismatch at n={n}: {len(out)}")
+    out = {k: [] for k in range(n_min, n_max + 1)}
+    for g in _atlas_graphs():
+        k = g.number_of_nodes()
+        if k > n_max:
+            break
+        if k in out and nx.is_connected(g):
+            out[k].append(_from_nx(g))
+    for k, graphs in out.items():
+        if len(graphs) != CONNECTED_COUNTS[k]:
+            raise InvariantError(f"atlas count mismatch at n={k}: {len(graphs)}")
     return out
 
 
+def connected_atlas(n: int):
+    """All connected graphs on exactly n <= 7 vertices (networkx atlas)."""
+    return _atlas_by_order(n, n)[n]
+
+
 def _dedup_iso(graphs):
-    """Isomorphism-reduce a list of networkx graphs (invariant buckets + VF2).
+    """Isomorphism-reduce a list of networkx graphs (invariant buckets + VF2),
+    keeping the first of each class.  Used only to regenerate the 8-vertex
+    cache.
 
     The bucket key is the sorted multiset of (degree, sorted neighbour
     degrees); VF2 decides isomorphism within a bucket.
@@ -102,17 +138,37 @@ def connected_graphs_8():
     try:
         text = path.read_bytes()
     except FileNotFoundError:
-        graphs = _generate_connected8()
+        graphs = [_from_nx(g) for g in _generate_connected8()]
     else:
-        graphs = [
-            nx.from_graph6_bytes(line.strip())
-            for line in text.splitlines()
-            if line.strip()
-        ]
+        graphs = _read_graph6(text, 8)
         if len(graphs) != CONNECTED_COUNTS[8]:
             raise InvariantError("connected-8 cache is corrupt")
-    _connected8_cache = [_from_nx(g) for g in graphs]
-    return _connected8_cache
+    _connected8_cache = graphs
+    return graphs
+
+
+def _read_graph6(text: bytes, n: int):
+    """Decode graph6 lines of n-vertex graphs (n <= 62, no header) into
+    graphs on v0..v{n-1}, named as ``_from_nx`` names networkx's decoding.
+
+    A line is the byte 63 + n, then the upper triangle of the adjacency
+    matrix column by column (0-1, 0-2, 1-2, 0-3, ...), six bits to a byte,
+    each byte offset by 63."""
+    name = _names(range(n))
+    vertices = frozenset(name.values())
+    pairs = [canon_edge(name[i], name[j]) for j in range(1, n) for i in range(j)]
+    width = -(-len(pairs) // 6)
+    top = 6 * width - 1
+    out = []
+    for line in text.split():
+        if len(line) != 1 + width or line[0] != 63 + n:
+            raise InvariantError(f"not a {n}-vertex graph6 line: {line!r}")
+        bits = 0
+        for c in line[1:]:
+            bits = bits << 6 | (c - 63)
+        edges = frozenset(e for k, e in enumerate(pairs) if bits >> (top - k) & 1)
+        out.append(FiniteGraph(vertices, edges))
+    return out
 
 
 def connected_graphs_upto(n: int):
@@ -120,8 +176,9 @@ def connected_graphs_upto(n: int):
     if n > 8:
         raise GraphError("corpus covers up to 8 vertices")
     out = []
-    for k in range(1, min(n, 7) + 1):
-        out.extend(connected_atlas(k))
+    if n >= 1:
+        for graphs in _atlas_by_order(1, min(n, 7)).values():
+            out.extend(graphs)
     if n == 8:
         out.extend(connected_graphs_8())
     return out
@@ -164,20 +221,43 @@ def _noncrossing_chord_subsets(n: int):
     return out
 
 
+def _dihedral_keys(n: int):
+    """A function from a chord set of the n-gon to the least sorted image of
+    its chords, as indices in lexicographic order, under the 2n rotations
+    and reflections of the polygon."""
+    chords = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {c: k for k, c in enumerate(chords)}
+    images = [
+        {c: index[tuple(sorted((s * x + r) % n for x in c))] for c in chords}
+        for r in range(n)
+        for s in (1, -1)
+    ]
+    return lambda chosen: min(tuple(sorted(map(im.__getitem__, chosen))) for im in images)
+
+
 def two_connected_outerplanar(n_min: int = 4, n_max: int = 9):
     """All 2-connected outerplanar graphs with n_min..n_max vertices, up to
-    isomorphism (a cycle plus non-crossing chords, deduplicated)."""
+    isomorphism: a cycle plus non-crossing chords, the first chord set of
+    each isomorphism class in enumeration order.
+
+    The boundary cycle is the graph's only Hamilton cycle, so isomorphisms
+    between dissections are the polygon's rotations and reflections, and
+    ``_dihedral_keys`` decide isomorphism exactly (the counts per n are
+    OEIS A001004)."""
     out = []
     for n in range(n_min, n_max + 1):
+        name = _names(range(n))
         base = [(i, (i + 1) % n) for i in range(n)]
-        candidates = []
+        dihedral_key = _dihedral_keys(n)
+        seen = set()
         for chords in _noncrossing_chord_subsets(n):
-            g = nx.Graph()
-            g.add_nodes_from(range(n))
-            g.add_edges_from(base)
-            g.add_edges_from(chords)
-            candidates.append(g)
-        out.extend(_from_nx(g) for g in _dedup_iso(candidates))
+            key = dihedral_key(chords)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(FiniteGraph.build(
+                name.values(), [(name[a], name[b]) for a, b in base + list(chords)]
+            ))
     return out
 
 

@@ -27,7 +27,7 @@ from .graphs import (
     vkey,
 )
 from .jsonio import graph_from_obj
-from .lazy import LazyGraph
+from .lazy import BudgetError, LazyGraph
 
 LEVEL_CAP = 4  # default cap for explicit level builds
 ORACLE_LEVEL_CAP = 8  # internal cap for the lazy limit oracle
@@ -286,9 +286,20 @@ class _Section5Hint:
         self._regions = {}
         self._components = {}
 
+    @staticmethod
+    def _level(r):
+        """The build level that holds the level-r region and its cut edges;
+        past the oracle's cap the answer would be a truncated build's."""
+        if r + 3 > ORACLE_LEVEL_CAP:
+            raise BudgetError(
+                f"radius {r} needs level {r + 3}, past the oracle's level cap "
+                f"{ORACLE_LEVEL_CAP}"
+            )
+        return r + 3
+
     def region(self, r):
         if r not in self._regions:
-            _, ft = build_gn(min(r + 3, ORACLE_LEVEL_CAP), cap=ORACLE_LEVEL_CAP)
+            _, ft = build_gn(self._level(r), cap=ORACLE_LEVEL_CAP)
             self._regions[r] = frozenset(
                 x for x in ft.graph.vertices if _depth_of(x) <= r
             )
@@ -300,8 +311,7 @@ class _Section5Hint:
         return self._components[r]
 
     def _scan_components(self, r):
-        level = min(r + 3, ORACLE_LEVEL_CAP)
-        _, ft = build_gn(level, cap=ORACLE_LEVEL_CAP)
+        _, ft = build_gn(self._level(r), cap=ORACLE_LEVEL_CAP)
         region = self.region(r)
         out = []
         for path in sorted(p for p in ft.nodes if len(p) == r + 1):

@@ -15,11 +15,12 @@ a linear-time test:
 A witness is built only when it is asked for and the decision says one
 exists.  Both patterns have maximum degree 3, so a minimal set of edges that
 still contains one as a minor is a subdivision of it (Diestel, *Graph
-Theory*, 1.7).  The witness helper deletes each edge, in canonical order,
-whose removal keeps the decision true, then reads the subdivision: its
-degree-3 vertices are the branch vertices, and the paths of degree-2
-vertices between them become branch sets.  That costs one decision per
-edge, O(m (n + m)).
+Theory*, 1.7).  Both patterns are 2-connected, so such a set lies inside
+one block.  The witness helper takes the first block on which the decision
+holds, deletes each of its edges, in canonical order, whose removal keeps
+the decision true, then reads the subdivision: its degree-3 vertices are
+the branch vertices, and the paths of degree-2 vertices between them become
+branch sets.  That costs one decision per edge of the block, O(m (n + m)).
 """
 
 from __future__ import annotations
@@ -266,7 +267,13 @@ def find_minor(g: FiniteGraph, pattern: str):
         raise GraphError(f"unknown pattern {pattern!r}")
     if not present(g):
         return None
-    w = _subdivision_witness(g, pattern, present)
+    # both patterns are 2-connected, so a minor lies inside one block: only
+    # the first block that has one is shrunk (with one block, g is that block)
+    bs = blocks(g)
+    block = bs[0] if len(bs) == 1 else next((b for b in bs if present(g.subgraph(b))), None)
+    if block is None:
+        raise InvariantError(f"{pattern} minor decided present but in no block")
+    w = _subdivision_witness(g.subgraph(block), pattern, present)
     if w is None:
         raise InvariantError(f"{pattern} minor decided present but no witness was found")
     try:

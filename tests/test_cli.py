@@ -190,6 +190,23 @@ def test_unique_circle_section5_unstable_level_is_violation(capsys, monkeypatch)
     assert json.loads(out)["limit_claim"] == "open"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ends", "--generator", "section5", "--radius", "7"),
+        ("ends", "--generator", "section5", "--radius", "8"),
+        ("verify-circle", "--generator", "section5", "--member", "viable-pattern",
+         "--levels", "5"),
+    ],
+)
+def test_section5_past_the_oracle_cap_is_a_budget_error(capsys, argv):
+    # past the oracle's level cap there is no exact answer to give
+    code, out, err = run(capsys, *argv)
+    assert code == cli.BUDGET == 3
+    assert out == ""
+    assert "past the oracle's level cap" in err
+
+
 def _doctored_level_1(level, cap=None):
     # level 1 with one edge removed: two vertices of degree 2
     g, ft = build_gn(level)

@@ -285,6 +285,28 @@ def test_witnesses_on_a_crossed_40_gon():
         validate_witness(g, w)
 
 
+@pytest.mark.parametrize("pattern", ["K4", "K23"])
+def test_witness_is_shrunk_inside_one_block(monkeypatch, pattern):
+    # a triangulated 12-gon (21 edges, no minor) shares a cut vertex with the
+    # pattern itself; only the pattern's block is shrunk, one decision per
+    # edge of it
+    polygon = zigzag_triangulation(12)
+    hub = "p00" if pattern == "K4" else "p05"
+    if pattern == "K4":
+        block = graph(list(itertools.combinations((hub, "q1", "q2", "q3"), 2)))
+    else:
+        block = graph([(a, b) for a in (hub, "q1") for b in ("q2", "q3", "q4")])
+    g = FiniteGraph(polygon.vertices | block.vertices, polygon.edges | block.edges)
+    name = {"K4": "has_k4_minor", "K23": "has_k23_minor"}[pattern]
+    real, calls = getattr(minors, name), []
+    monkeypatch.setattr(minors, name, lambda h: calls.append(h) or real(h))
+    w = find_minor(g, pattern)
+    validate_witness(g, w)
+    assert set().union(*w.branch_sets.values()) <= block.vertices
+    # the decision on g, at most one per block, then one per block edge
+    assert len(calls) <= 1 + 2 + len(block.edges) < 1 + len(g.edges)
+
+
 def test_decision_without_witness_raises(monkeypatch):
     monkeypatch.setattr(minors, "_subdivision_witness", lambda *_: None)
     with pytest.raises(InvariantError):
