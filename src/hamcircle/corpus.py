@@ -14,11 +14,11 @@ Each source costs about as much as its output.  The atlas lists graphs by
 vertex count (Read & Wilson, *An Atlas of Graphs*), so it is read once, up
 to the largest count asked for, and bucketed.  The 8-vertex cache is
 decoded from graph6 straight into ``FiniteGraph``.  Dissections need no
-general isomorphism test: a
-dissection of a polygon has exactly one Hamilton cycle, the polygon's
-boundary, so every isomorphism between two dissections maps boundary to
-boundary and is a rotation or reflection of the polygon.  Two chord sets
-are isomorphic iff they share the least image under those 2n symmetries.
+general isomorphism test: a dissection of a polygon has exactly one
+Hamilton cycle, the polygon's boundary, so every isomorphism between two
+dissections maps boundary to boundary and is a rotation or reflection of
+the polygon.  Two chord sets are isomorphic iff they share the least image
+under those 2n symmetries.
 """
 
 from __future__ import annotations
