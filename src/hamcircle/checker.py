@@ -243,18 +243,19 @@ def fragment_tree_dp(ft: FragmentTree, tt: TransferTable) -> QuotientVerdict:
     return QuotientVerdict(level, count, forced & persistent_edges(ft), None)
 
 
-def dp_series(max_level: int, cap: int = ORACLE_LEVEL_CAP):
+def dp_series(max_level: int):
     """Verdicts for levels 0..max_level with stabilization flags.
 
     The stabilization window at level n is the persistent edge set two
     levels down (edges whose copies are fully settled at both compared
-    levels); the flag says the forced set no longer changes there.
+    levels); the flag says the forced set no longer changes there.  Levels
+    past the oracle's cap raise GraphError.
     """
     tt = transfer_table()
     verdicts = []
     trees = []
     for n in range(max_level + 1):
-        g, ft = build_gn(n, cap=cap)
+        g, ft = build_gn(n, cap=ORACLE_LEVEL_CAP)
         trees.append(ft)
         verdicts.append(fragment_tree_dp(ft, tt))
     out = []

@@ -310,9 +310,11 @@ def cmd_corpus(args):
             for g in corpus.two_connected_outerplanar(4, args.outer_max):
                 cycles = enumerate_hamilton_cycles(g, limit=2)
                 # the layout's boundary is the unique Hamilton cycle; building
-                # it also checks that no two chords cross
+                # it also checks that no two chords cross.  The paper's claim
+                # is that the cycle is the set of 2-contractible edges.
                 expect = frozenset(outerplanar.disk_layout(g).boundary)
-                if len(cycles) != 1 or cycles[0] != expect:
+                if (len(cycles) != 1 or cycles[0] != expect
+                        or outerplanar.two_contractible_edges(g) != expect):
                     bad += 1
             return {"violations": bad}
 

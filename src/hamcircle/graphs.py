@@ -177,12 +177,6 @@ class MultiGraph:
     def sorted_vertices(self):
         return sorted(self.vertices, key=vkey)
 
-    def edge_by_id(self, eid):
-        for e in self.edges:
-            if e[0] == eid:
-                return e
-        raise KeyError(eid)
-
     def is_connected_on_support(self) -> bool:
         support = sorted((v for v in self.vertices if self.degree(v) > 0), key=vkey)
         if not support:

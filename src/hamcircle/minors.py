@@ -8,7 +8,10 @@ a linear-time test:
   Tarjan & Lawler 1982): deleting vertices of degree at most 1 and
   suppressing vertices of degree 2 empties a graph iff it has no K4 minor;
 * outerplanarity as planarity of the graph plus an apex joined to every
-  vertex (Mitchell 1979 gives a direct linear test);
+  vertex (Mitchell 1979 gives a direct linear test).  If g is 2-connected,
+  g plus the apex is 3-connected, so (Whitney) its faces are induced cycles
+  and those through the apex are triangles: the apex's rotation is g's
+  unique Hamilton cycle, in circle order;
 * a K2,3 minor by blocks: K2,3 is 2-connected, so it is a minor of some
   block, and a 2-connected graph without one is K4 or outerplanar.
 
@@ -283,6 +286,18 @@ def find_minor(g: FiniteGraph, pattern: str):
     return w
 
 
+def apex_rotation(g: FiniteGraph):
+    """The clockwise order around an apex joined to every vertex of g, in a
+    planar embedding of g plus the apex, or None if there is none."""
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    apex = object()  # equal to no vertex of g
+    h.add_edges_from((apex, v) for v in g.vertices)
+    planar, embedding = nx.check_planarity(h)
+    return list(embedding.neighbors_cw_order(apex)) if planar else None
+
+
 def is_outerplanar(g: FiniteGraph) -> bool:
     """True iff g has no K4 minor and no K2,3 minor, that is, it can be
     drawn without crossings with every vertex on the outer face.
@@ -297,12 +312,7 @@ def is_outerplanar(g: FiniteGraph) -> bool:
         return True
     if len(g.edges) > 2 * n - 3:
         return False
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
-    apex = object()  # equal to no vertex of g
-    h.add_edges_from((apex, v) for v in g.vertices)
-    return nx.check_planarity(h)[0]
+    return apex_rotation(g) is not None
 
 
 def k4_minor_equals_subgraph(g: FiniteGraph) -> bool:

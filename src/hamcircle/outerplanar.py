@@ -1,6 +1,8 @@
 """Unique Hamilton cycles of 2-connected outerplanar graphs, 2-contractible
 edges, contraction quotients, the two-neighbour structure lemma, and
-straight-chord disk layouts."""
+straight-chord disk layouts.  The cycle, in circle order, is the apex's
+rotation in the outerplanarity test's embedding: with the apex a 2-connected
+g is 3-connected, so (Whitney) every face through the apex is a triangle."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from .graphs import (
     is_two_connected,
     vkey,
 )
-from .minors import has_k23_minor, is_outerplanar
+from .minors import apex_rotation, has_k23_minor
 
 
 def two_contractible_edges(g: FiniteGraph) -> frozenset:
@@ -33,34 +35,28 @@ def two_contractible_edges(g: FiniteGraph) -> frozenset:
     return frozenset(e for e in g.edges if g.subgraph(g.vertices - set(e)).is_connected())
 
 
-def _is_spanning_cycle(g: FiniteGraph, edges) -> bool:
-    cnt = {v: 0 for v in g.vertices}
-    for a, b in edges:
-        cnt[a] += 1
-        cnt[b] += 1
-    if any(c != 2 for c in cnt.values()):
-        return False
-    sub = FiniteGraph(g.vertices, frozenset(edges))
-    return sub.is_connected()
+def _circle_order(g: FiniteGraph):
+    """The unique Hamilton cycle as (circle order, edge set); the order
+    starts at the least vertex and turns toward its lesser neighbour."""
+    if not is_two_connected(g):
+        raise GraphError("graph is not 2-connected")
+    order = apex_rotation(g)
+    if order is None:
+        raise GraphError("graph is not outerplanar")
+    i = order.index(min(order, key=vkey))
+    order = order[i:] + order[:i]
+    if vkey(order[-1]) < vkey(order[1]):
+        order = order[:1] + order[:0:-1]
+    cyc = frozenset(canon_edge(a, b) for a, b in zip(order, order[1:] + order[:1]))
+    if len(order) != len(g.vertices) or set(order) != g.vertices or not cyc <= g.edges:
+        raise InvariantError("the apex rotation is not a Hamilton cycle")
+    return order, cyc
 
 
 def unique_hamilton_cycle_outerplanar(g: FiniteGraph) -> frozenset:
-    """The unique Hamilton cycle: the 2-contractible edges, except that a
-    triangle (whose contractions all collapse below 2-connectivity) is its
-    own cycle."""
-    if not is_two_connected(g):
-        raise GraphError("graph is not 2-connected")
-    if not is_outerplanar(g):
-        raise GraphError("graph is not outerplanar")
-    if len(g.vertices) == 3:
-        return g.edges
-    cyc = two_contractible_edges(g)
-    if not _is_spanning_cycle(g, cyc):
-        raise InvariantError(
-            "2-contractible edges of a 2-connected outerplanar graph "
-            "failed to form a spanning cycle"
-        )
-    return cyc
+    """The unique Hamilton cycle; unless g is a triangle, these are exactly
+    the 2-contractible edges."""
+    return _circle_order(g)[1]
 
 
 def contraction_quotient(g: FiniteGraph, k) -> FiniteGraph:
@@ -146,21 +142,6 @@ class DiskLayout:
         }
 
 
-def _cycle_order(g: FiniteGraph, cyc):
-    nbr = {}
-    for a, b in cyc:
-        nbr.setdefault(a, []).append(b)
-        nbr.setdefault(b, []).append(a)
-    start = min(g.vertices, key=vkey)
-    second = min(nbr[start], key=vkey)
-    order = [start, second]
-    while len(order) < len(g.vertices):
-        prev, cur = order[-2], order[-1]
-        nxt = [x for x in nbr[cur] if x != prev]
-        order.append(nxt[0])
-    return order
-
-
 def positions_cross(p, q):
     """True iff two chords of a circle cross, each given by the positions
     (lower, higher) of its ends along the circle.  Chords that share an
@@ -178,8 +159,7 @@ def disk_layout(g: FiniteGraph) -> DiskLayout:
     """Place the unique Hamilton cycle on the unit circle at uniform
     angles; all remaining edges become straight chords, asserted pairwise
     non-crossing."""
-    cyc = unique_hamilton_cycle_outerplanar(g)
-    order = _cycle_order(g, cyc)
+    order, cyc = _circle_order(g)
     n = len(order)
     placements = tuple((v, 2 * math.pi * i / n) for i, v in enumerate(order))
     boundary = tuple(sorted(cyc, key=lambda e: (vkey(e[0]), vkey(e[1]))))

@@ -27,6 +27,24 @@ def complete_graph(n):
     return graph(list(itertools.combinations(vs, 2)))
 
 
+def k23():
+    return graph([(a, b) for a in ("a1", "a2") for b in ("b1", "b2", "b3")])
+
+
+def zigzag_triangulation(n):
+    """An n-gon triangulated by a zigzag of n - 3 chords."""
+    names = [f"p{i:02d}" for i in range(n)]
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    lo, hi = 0, n - 1
+    while hi - lo > 2:
+        if (hi - lo) % 2:
+            lo += 1
+        else:
+            hi -= 1
+        edges.append((names[lo], names[hi]))
+    return graph(edges)
+
+
 def two_connected_by_definition(g):
     """Reference for is_two_connected: at least 3 vertices, connected, and
     connected after removing any one vertex."""

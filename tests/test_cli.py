@@ -190,6 +190,13 @@ def test_unique_circle_section5_unstable_level_is_violation(capsys, monkeypatch)
     assert json.loads(out)["limit_claim"] == "open"
 
 
+def test_unique_circle_section5_past_the_level_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "unique-circle", "--generator", "section5", "--levels", "9")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the cap 8" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

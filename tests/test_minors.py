@@ -3,7 +3,16 @@ import itertools
 import pytest
 from hypothesis import given
 
-from conftest import DIFF, complete_graph, cycle_graph, graph, path_graph, simple_graphs
+from conftest import (
+    DIFF,
+    complete_graph,
+    cycle_graph,
+    graph,
+    k23,
+    path_graph,
+    simple_graphs,
+    zigzag_triangulation,
+)
 from hamcircle import minors
 from hamcircle.corpus import connected_graphs_upto
 from hamcircle.graphs import FiniteGraph, GraphError, InvariantError
@@ -18,10 +27,6 @@ from hamcircle.minors import (
     k4_minor_equals_subgraph,
     validate_witness,
 )
-
-
-def k23():
-    return graph([(a, b) for a in ("a1", "a2") for b in ("b1", "b2", "b3")])
 
 
 def k4_subdivided():
@@ -250,20 +255,6 @@ def circular_order_by_edge_scan(g):
 def test_circular_oracle_orders_match_edge_scan():
     for g in connected_graphs_upto(7):
         assert circular_ordering_oracle(g) == circular_order_by_edge_scan(g)
-
-
-def zigzag_triangulation(n):
-    """An n-gon triangulated by a zigzag of n - 3 chords."""
-    names = [f"p{i:02d}" for i in range(n)]
-    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
-    lo, hi = 0, n - 1
-    while hi - lo > 2:
-        if (hi - lo) % 2:
-            lo += 1
-        else:
-            hi -= 1
-        edges.append((names[lo], names[hi]))
-    return graph(edges)
 
 
 def test_no_minor_in_a_triangulated_40_gon():

@@ -1,24 +1,35 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     DIFF,
     complete_graph,
     cycle_graph,
     graph,
+    k23,
+    path_graph,
     simple_graphs,
     two_connected_by_definition,
+    zigzag_triangulation,
 )
-from hamcircle.corpus import connected_graphs_upto
+from hamcircle import cli, outerplanar
+from hamcircle.corpus import connected_graphs_upto, random_dissection, two_connected_outerplanar
 from hamcircle.graphs import (
     GraphError,
+    InvariantError,
     canon_edge,
     contract_subgraph,
+    ekey,
     enumerate_hamilton_cycles,
+    vkey,
 )
+from hamcircle.jsonio import dump_graph
 from hamcircle.outerplanar import (
+    DiskLayout,
     check_quotient_two_connected,
     check_struct1,
     chords_cross,
@@ -102,6 +113,93 @@ def test_unique_cycle_diamond_and_fan():
         cycles = enumerate_hamilton_cycles(g)
         assert len(cycles) == 1
         assert cycles[0] == got
+
+
+def reference_cycle_and_layout(g):
+    """Reference for the cycle and the layout, built from the paper's
+    characterisation: the 2-contractible edges (a triangle is its own
+    cycle), walked from the least vertex toward its lesser neighbour."""
+    cyc = g.edges if len(g.vertices) == 3 else two_contractible_edges(g)
+    nbr = {v: [] for v in g.vertices}
+    for a, b in cyc:
+        nbr[a].append(b)
+        nbr[b].append(a)
+    start = min(g.vertices, key=vkey)
+    order = [start, min(nbr[start], key=vkey)]
+    while len(order) < len(g.vertices):
+        prev, cur = order[-2:]
+        order.append(next(x for x in nbr[cur] if x != prev))
+    n = len(order)
+    layout = DiskLayout(
+        tuple((v, 2 * math.pi * i / n) for i, v in enumerate(order)),
+        tuple(sorted(cyc, key=ekey)),
+        tuple(sorted(g.edges - cyc, key=ekey)),
+    )
+    return cyc, layout
+
+
+def check_against_reference(g):
+    cyc, layout = reference_cycle_and_layout(g)
+    assert unique_hamilton_cycle_outerplanar(g) == cyc
+    assert disk_layout(g) == layout
+
+
+def test_cycle_and_layout_match_reference_on_dissections():
+    for g in two_connected_outerplanar(3, 9):
+        check_against_reference(g)
+
+
+@DIFF
+@given(st.integers(0, 2**32 - 1))
+def test_cycle_and_layout_match_reference_on_random_dissections(seed):
+    check_against_reference(random_dissection(random.Random(seed)))
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_cycle_and_layout_match_reference_on_zigzags(n):
+    check_against_reference(zigzag_triangulation(n))
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (path_graph(4), "graph is not 2-connected"),
+        (complete_graph(4), "graph is not outerplanar"),
+        (k23(), "graph is not outerplanar"),
+    ],
+    ids=["path", "K4", "K23"],
+)
+def test_cycle_and_layout_reject_other_graphs(g, message):
+    for f in (unique_hamilton_cycle_outerplanar, disk_layout):
+        with pytest.raises(GraphError, match=message):
+            f(g)
+
+
+def swap_first_two(order):
+    return [order[1], order[0]] + order[2:]
+
+
+def twice_round(order):
+    return order + order
+
+
+@pytest.mark.parametrize("doctor", [swap_first_two, twice_round])
+def test_rotation_that_is_no_hamilton_cycle_is_an_invariant_failure(
+    monkeypatch, tmp_path, capsys, doctor
+):
+    real = outerplanar.apex_rotation
+    monkeypatch.setattr(outerplanar, "apex_rotation", lambda g: doctor(real(g)))
+    c5 = cycle_graph(5)
+    for f in (unique_hamilton_cycle_outerplanar, disk_layout):
+        with pytest.raises(InvariantError, match="not a Hamilton cycle"):
+            f(c5)
+    path = str(tmp_path / "c5.json")
+    dump_graph(c5, path)
+    code = cli.main(["outerplanar", path, "--cycle"])
+    captured = capsys.readouterr()
+    assert code == cli.INVARIANT == 4
+    assert captured.out == ""
+    assert "not a Hamilton cycle" in captured.err
 
 
 def test_contraction_quotient_examples():
