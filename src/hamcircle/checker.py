@@ -19,14 +19,15 @@ from functools import lru_cache
 from typing import Optional
 
 from .fragment import (
+    ROLES,
     Fragment,
     FragmentTree,
-    ORACLE_LEVEL_CAP,
-    _fragment_local_edges,
     build_gn,
+    copy_paths,
     load_tutte_fragment,
 )
 from .graphs import (
+    GraphError,
     InvariantError,
     MultiGraph,
     canon_edge,
@@ -34,7 +35,7 @@ from .graphs import (
     enumerate_hamilton_paths,
     vkey,
 )
-from .lazy import BudgetError, LazyGraph, _region, deep_components
+from .lazy import LazyGraph, _region, deep_components
 
 
 @dataclass(frozen=True)
@@ -53,24 +54,15 @@ class TransferTable:
 
 def _annotate(f: Fragment, missing, path):
     es = frozenset(canon_edge(a, b) for a, b in zip(path, path[1:]))
-    c, v = f.roles["c"], f.roles["v"]
-    c_missing = _unused_child(f, es, c, {"s": "l", "t": "r"}, l_side=True)
-    v_missing = _unused_child(f, es, v, {"w": "u", "x": "l", "y": "r"}, l_side=False)
-    return PathPattern(missing, es, c_missing, v_missing)
-
-
-def _unused_child(f, es, center, roles, l_side):
-    g = f.graph
-    unused = [n for n in g.adj[center] if canon_edge(center, n) not in es]
-    if len(unused) != 1:
-        raise InvariantError(f"expected exactly one unused edge at {center}")
-    (only,) = unused
-    if l_side and only == f.roles["l"]:
-        return "u"
-    for role, child in roles.items():
-        if f.roles[role] == only:
-            return child
-    raise InvariantError(f"unused neighbor {only} of {center} has no role")
+    # the child replacing c (then v) misses the contact wired to the
+    # neighbour whose edge the path leaves unused
+    child_missing = []
+    for center, (_, nbrs) in f.children.items():
+        unused = [n for n in nbrs if canon_edge(center, n) not in es]
+        if len(unused) != 1:
+            raise InvariantError(f"expected exactly one unused edge at {center}")
+        child_missing.append(ROLES[nbrs.index(unused[0])])
+    return PathPattern(missing, es, *child_missing)
 
 
 def transfer_table(f: Fragment = None) -> TransferTable:
@@ -136,61 +128,15 @@ class QuotientVerdict:
 def persistent_edges(ft: FragmentTree) -> frozenset:
     """Edges of the level graph that survive into all later levels: all
     but those touching a marked copy's c or v."""
-    f = ft.fragment
-    dead = set()
-    for path in ft.marked:
-        dead.add(ft.node_vertex(path, f.roles["c"]))
-        dead.add(ft.node_vertex(path, f.roles["v"]))
+    dead = {ft.node_vertex(path, x) for path in ft.marked for x in ft.fragment.children}
     return frozenset(e for e in ft.graph.edges if e[0] not in dead and e[1] not in dead)
-
-
-def _pattern_global_edges(ft: FragmentTree, path, pattern, leaf: bool):
-    """Map a fragment path pattern into level-graph edge ids."""
-    f = ft.fragment
-    g = f.graph
-    roles = f.roles
-    contacts = ft.nodes[path]
-    _, pendants = _fragment_local_edges(f)
-    contact_ids = {roles[m]: m for m in ("u", "l", "r")}
-    c_loc, v_loc = roles["c"], roles["v"]
-    out = set()
-    for a, b in pattern.edges:
-        if not leaf and c_loc in (a, b) and v_loc not in (a, b):
-            other = b if a == c_loc else a
-            if other == roles["l"]:
-                child_role = "u"
-            elif other == roles["s"]:
-                child_role = "l"
-            else:
-                child_role = "r"
-            cut = ft.cut_edges_of(path + "c")
-            out.add(cut[("u", "l", "r").index(child_role)])
-        elif not leaf and v_loc in (a, b):
-            other = b if a == v_loc else a
-            if other == roles["w"]:
-                child_role = "u"
-            elif other == roles["x"]:
-                child_role = "l"
-            else:
-                child_role = "r"
-            cut = ft.cut_edges_of(path + "v")
-            out.add(cut[("u", "l", "r").index(child_role)])
-        elif a in contact_ids or b in contact_ids:
-            contact = a if a in contact_ids else b
-            inner = b if a in contact_ids else a
-            role = contact_ids[contact]
-            out.add(canon_edge(contacts[role], ft.node_vertex(path, inner)))
-        else:
-            out.add(
-                canon_edge(ft.node_vertex(path, a), ft.node_vertex(path, b))
-            )
-    return out
 
 
 def fragment_tree_dp(ft: FragmentTree, tt: TransferTable) -> QuotientVerdict:
     """Count Hamilton cycles of the closed level graph by composing
     per-copy path patterns across the recursion tree, and compute the
-    edges common to all of them (restricted to persistent edges)."""
+    edges common to all of them (restricted to persistent edges).  A
+    pattern's edges at c and v map through the children's pendants."""
     level = ft.level
     paths_by_depth = {}
     for p in ft.nodes:
@@ -232,7 +178,7 @@ def fragment_tree_dp(ft: FragmentTree, tt: TransferTable) -> QuotientVerdict:
                             continue
                         child_reach_c.add(pat.c_child_missing)
                         child_reach_v.add(pat.v_child_missing)
-                    ge = _pattern_global_edges(ft, path, pat, leaf)
+                    ge = {ft.fragment.edge(path, a, b, level) for a, b in pat.edges}
                     node_forced = ge if node_forced is None else node_forced & ge
             if node_forced:
                 forced = node_forced if forced is None else forced | node_forced
@@ -248,14 +194,15 @@ def dp_series(max_level: int):
 
     The stabilization window at level n is the persistent edge set two
     levels down (edges whose copies are fully settled at both compared
-    levels); the flag says the forced set no longer changes there.  Levels
-    past the oracle's cap raise GraphError.
+    levels); the flag says the forced set no longer changes there.  A
+    negative level or one past the build cap raises GraphError.
     """
+    build_gn(max_level)  # the range check, before any DP runs
     tt = transfer_table()
     verdicts = []
     trees = []
     for n in range(max_level + 1):
-        g, ft = build_gn(n, cap=ORACLE_LEVEL_CAP)
+        _, ft = build_gn(n)
         trees.append(ft)
         verdicts.append(fragment_tree_dp(ft, tt))
     out = []
@@ -319,7 +266,10 @@ def verify_candidate_circle(lg: LazyGraph, member, levels) -> bool:
     """Necessary finite-level checks for a candidate Hamilton circle given
     as an edge membership predicate: degree two at every region vertex,
     even crossing count (at least 2) of every deep-component cut, and
-    connectivity of the member set on the quotient."""
+    connectivity of the member set on the quotient; no levels is an error."""
+    levels = list(levels)
+    if not levels:
+        raise GraphError("no levels to check")
     for r in levels:
         region = _region(lg, r)
         comps = deep_components(lg, r)
@@ -367,25 +317,16 @@ def verify_candidate_circle(lg: LazyGraph, member, levels) -> bool:
 
 @lru_cache(maxsize=None)
 def limit_circle_edges(max_depth: int) -> frozenset:
-    """The unique circle's edges on all copies of depth <= max_depth,
-    mapped to persistent global edges."""
-    # a copy's pattern maps its c and v edges through its children, and a
-    # build holds copies of depth at most its level
-    if max_depth + 1 > ORACLE_LEVEL_CAP:
-        raise BudgetError(
-            f"the circle on copies of depth <= {max_depth} needs copies of depth "
-            f"{max_depth + 1}, past the oracle's level cap {ORACLE_LEVEL_CAP}"
-        )
+    """The unique circle's edges on all copies of depth <= max_depth, as
+    edges of the limit graph: each copy's missing-r pattern, its edges at
+    c and v mapped through the children's pendants."""
     tt = transfer_table()
     fixed, _ = stabilized_viable(tt)
     (p1,) = fixed["r"]
-    level = min(max_depth + 3, ORACLE_LEVEL_CAP)
-    _, ft = build_gn(level, cap=ORACLE_LEVEL_CAP)
-    out = set()
-    for path in ft.nodes:
-        if len(path) <= max_depth:
-            out |= _pattern_global_edges(ft, path, p1, leaf=False)
-    return frozenset(out)
+    f = tt.fragment
+    return frozenset(
+        f.edge(path, a, b) for path in copy_paths(f, max_depth) for a, b in p1.edges
+    )
 
 
 def section5_circle_member(max_depth: int = 6):

@@ -109,14 +109,16 @@ def cmd_outerplanar(args):
             report["two_contractible"] = sorted(
                 sorted(e) for e in outerplanar.two_contractible_edges(g)
             )
-        if args.cycle or args.layout:
-            cyc = outerplanar.unique_hamilton_cycle_outerplanar(g)
-            report["hamilton_cycle"] = sorted(sorted(e) for e in cyc)
         if args.layout:
             layout = outerplanar.disk_layout(g)
             with open(args.layout, "w") as fh:
                 fh.write(outerplanar.layout_to_svg(layout))
             report["layout"] = args.layout
+            # the layout's boundary is the cycle: one embedding serves both
+            report["hamilton_cycle"] = sorted(sorted(e) for e in layout.boundary)
+        elif args.cycle:
+            cyc = outerplanar.unique_hamilton_cycle_outerplanar(g)
+            report["hamilton_cycle"] = sorted(sorted(e) for e in cyc)
     _emit(args, report)
     return OK
 

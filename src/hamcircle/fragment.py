@@ -9,14 +9,21 @@ while the graph minus r has exactly two, both using the pendant edges at
 u and l.  Expansion replaces each marked copy's c and v by fresh child
 copies, attached through the (u,l,r) -> (l,s,t) and (u,l,r) -> (w,x,y)
 identification.
+
+A copy is named by its path ("" for the root, then "c" or "v" per step),
+its vertex x by ``F:<path>:<x>``, the root's closed contacts by ``Z``.  The
+finite builds and the limit graph both read their wiring off these ids:
+`Fragment.contact` and `Fragment.descend`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import product
 
 from .graphs import (
     FiniteGraph,
@@ -24,13 +31,12 @@ from .graphs import (
     InvariantError,
     canon_edge,
     enumerate_hamilton_paths,
-    vkey,
 )
 from .jsonio import graph_from_obj
-from .lazy import BudgetError, LazyGraph
+from .lazy import DEFAULT_VERTEX_BUDGET, BudgetError, LazyGraph
 
-LEVEL_CAP = 4  # default cap for explicit level builds
-ORACLE_LEVEL_CAP = 8  # internal cap for the lazy limit oracle
+LEVEL_CAP = 8  # cap for explicit level builds
+ROLES = ("u", "l", "r")  # a copy's contacts, in this order
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,68 @@ class Fragment:
     def interior(self):
         return self.graph.vertices - set(self.contacts)
 
+    # -- the wiring of copies, read off their paths
+
+    @cached_property
+    def children(self):
+        """Replaced vertex -> (path tag of the child copy in its place, the
+        neighbours that become the child's u, l and r contacts)."""
+        r = self.roles
+        return {
+            r["c"]: ("c", (r["l"], r["s"], r["t"])),
+            r["v"]: ("v", (r["w"], r["x"], r["y"])),
+        }
+
+    @cached_property
+    def pendants(self):
+        """Contact role -> the interior vertex its pendant edge meets."""
+        return _fragment_local_edges(self)[1]
+
+    @cached_property
+    def kept(self):
+        """The interior vertices that no child replaces, sorted."""
+        return tuple(sorted(self.interior - set(self.children)))
+
+    def contact(self, path, role):
+        """Graph id of the `role` contact of the copy at `path`: Z for the
+        root, else the parent's neighbour of the replaced c or v."""
+        if not path:
+            return "Z"
+        _, nbrs = self.children[self.roles[path[-1]]]
+        return self.vertex(path[:-1], nbrs[ROLES.index(role)])
+
+    def vertex(self, path, x):
+        """Graph id of local vertex x of the copy at `path`; a contact is
+        the vertex it stands for."""
+        if x in self.contacts:
+            return self.contact(path, ROLES[self.contacts.index(x)])
+        return f"F:{path}:{x}"
+
+    def descend(self, path, x, via, level=None):
+        """Where the copy's local edge via-x ends at x, as (copy path, local
+        vertex): a replaced c or v hands the edge on to its child's pendant.
+        In the limit (level None) every c and v is replaced, at level n
+        those of copies of depth below n."""
+        while x in self.children and (level is None or len(path) < level):
+            tag, nbrs = self.children[x]
+            role = ROLES[nbrs.index(via)]
+            path, via, x = path + tag, self.roles[role], self.pendants[role]
+        return path, x
+
+    def land(self, path, role, level=None):
+        """Graph id where the copy's pendant edge at `role` lands (in the
+        limit, the l pendant on ``F:<path>c:p1``)."""
+        return self.vertex(
+            *self.descend(path, self.pendants[role], self.roles[role], level)
+        )
+
+    def edge(self, path, a, b, level=None):
+        """The graph edge that the copy's local edge a-b stands for."""
+        return canon_edge(
+            self.vertex(*self.descend(path, a, b, level)),
+            self.vertex(*self.descend(path, b, a, level)),
+        )
+
 
 def _validate_fragment(f: Fragment):
     g = f.graph
@@ -61,13 +129,9 @@ def _validate_fragment(f: Fragment):
     for x in f.interior:
         if g.degree(x) != 3:
             raise GraphError(f"interior vertex {x!r} must have degree 3")
-    c, v = f.roles["c"], f.roles["v"]
-    if g.adj[c] != {l, f.roles["s"], f.roles["t"]}:
-        raise GraphError("c must be adjacent to exactly {l, s, t}")
-    if g.adj[v] != {f.roles["w"], f.roles["x"], f.roles["y"]}:
-        raise GraphError("v must be adjacent to exactly {w, x, y}")
-    if not g.has_edge(l, c) or not g.has_edge(v, f.roles["w"]):
-        raise GraphError("edges l-c and v-w must be present")
+    for x, (tag, nbrs) in f.children.items():
+        if g.adj[x] != set(nbrs):
+            raise GraphError(f"{tag} must be adjacent to exactly {set(nbrs)}")
     # the Hamilton path counts that characterize the gadget
     minus_u = enumerate_hamilton_paths(g.without_vertex(u))
     if len(minus_u) != 0:
@@ -118,13 +182,7 @@ class FragmentTree:
     def cut_edges_of(self, path):
         """The three attachment edges of a marked copy."""
         f = self.fragment
-        contacts = self.nodes[path]
-        out = []
-        for role in ("u", "l", "r"):
-            pv, nbr = f.pendant_edge(role)
-            inner = nbr if pv == f.roles[role] else pv
-            out.append(canon_edge(contacts[role], self.node_vertex(path, inner)))
-        return out
+        return [canon_edge(f.contact(path, m), f.land(path, m, self.level)) for m in ROLES]
 
     def subtree_vertices(self, path):
         """All interior vertices of the copy at `path` and its descendants.
@@ -155,11 +213,12 @@ def _fragment_local_edges(f: Fragment):
     return interior_edges, pendants
 
 
-def _attach_copy(f, local, path, contacts, vertices, edges):
-    """Add the interior of a fresh copy at `path`, wired to the given
-    contact ids.  `local` is ``_fragment_local_edges(f)``, computed once
-    per build."""
+def _attach_copy(f, local, path, vertices, edges):
+    """Add the interior of a fresh copy at `path`, wired to its contacts,
+    and return those.  `local` is ``_fragment_local_edges(f)``, computed
+    once per build."""
     interior_edges, pendants = local
+    contacts = {m: f.contact(path, m) for m in ROLES}
 
     def gid(x):
         return f"F:{path}:{x}"
@@ -170,16 +229,15 @@ def _attach_copy(f, local, path, contacts, vertices, edges):
         edges.add(canon_edge(gid(a), gid(b)))
     for role, inner in pendants.items():
         edges.add(canon_edge(contacts[role], gid(inner)))
+    return contacts
 
 
 def build_g0() -> FragmentTree:
     """The closed base level: one copy with its three contacts merged."""
     f = load_tutte_fragment()
-    z = "Z"
-    vertices = {z}
+    vertices = {"Z"}
     edges = set()
-    contacts = {"u": z, "l": z, "r": z}
-    _attach_copy(f, _fragment_local_edges(f), "", contacts, vertices, edges)
+    contacts = _attach_copy(f, _fragment_local_edges(f), "", vertices, edges)
     g = FiniteGraph(frozenset(vertices), frozenset(edges))
     return FragmentTree(f, 0, g, {"": contacts}, ("",))
 
@@ -195,44 +253,29 @@ def expand(ft: FragmentTree) -> FragmentTree:
     nodes = dict(ft.nodes)
     new_marked = []
     for path in ft.marked:
-        gc = ft.node_vertex(path, f.roles["c"])
-        gv = ft.node_vertex(path, f.roles["v"])
-        # children attach only to surviving vertices, so a dead vertex's
-        # edges are exactly its edges in the graph being expanded
-        for dead in (gc, gv):
+        for x, (tag, _) in f.children.items():
+            # children attach only to surviving vertices, so a dead vertex's
+            # edges are exactly its edges in the graph being expanded
+            dead = ft.node_vertex(path, x)
             vertices.discard(dead)
             for nbr in adj[dead]:
                 edges.discard(canon_edge(dead, nbr))
-        c_contacts = {
-            "u": ft.nodes[path]["l"],
-            "l": ft.node_vertex(path, f.roles["s"]),
-            "r": ft.node_vertex(path, f.roles["t"]),
-        }
-        v_contacts = {
-            "u": ft.node_vertex(path, f.roles["w"]),
-            "l": ft.node_vertex(path, f.roles["x"]),
-            "r": ft.node_vertex(path, f.roles["y"]),
-        }
-        for tag, contacts in (("c", c_contacts), ("v", v_contacts)):
             child = path + tag
-            _attach_copy(f, local, child, contacts, vertices, edges)
-            nodes[child] = contacts
+            nodes[child] = _attach_copy(f, local, child, vertices, edges)
             new_marked.append(child)
     g = FiniteGraph(frozenset(vertices), frozenset(edges))
     return FragmentTree(f, ft.level + 1, g, nodes, tuple(sorted(new_marked)))
 
 
 @lru_cache(maxsize=None)
-def build_gn(n: int, cap: int = LEVEL_CAP):
+def build_gn(n: int):
     """The level-n graph (contacts closed into one root vertex) and its
-    recursion tree."""
+    recursion tree: level n - 1 expanded once."""
     if n < 0:
         raise GraphError("level must be nonnegative")
-    if n > cap:
-        raise GraphError(f"level {n} exceeds the cap {cap}")
-    ft = build_g0()
-    for _ in range(n):
-        ft = expand(ft)
+    if n > LEVEL_CAP:
+        raise GraphError(f"level {n} exceeds the cap {LEVEL_CAP}")
+    ft = build_g0() if n == 0 else expand(build_gn(n - 1)[1])
     return ft.graph, ft
 
 
@@ -267,97 +310,97 @@ def audit_tree(ft: FragmentTree):
 # the limit graph as a lazy oracle
 
 
-def _depth_of(vertex_id) -> int:
-    if vertex_id == "Z":
-        return 0
-    return len(vertex_id.split(":", 2)[1])
+def copy_paths(f: Fragment, depth: int):
+    """Paths of all copies of depth <= `depth`, shallowest first.  They and
+    Z hold 1 + |kept| * (2^(depth+1) - 1) vertices of the limit graph; past
+    the vertex budget this raises before building anything."""
+    size = 1 + len(f.kept) * ((1 << max(0, min(depth + 1, 64))) - 1)
+    if size > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(
+            f"the copies of depth <= {depth} hold {size} vertices, over the "
+            f"vertex budget {DEFAULT_VERTEX_BUDGET}"
+        )
+    return ["".join(p) for k in range(depth + 1) for p in product("cv", repeat=k)]
 
 
 class _Section5Hint:
     """Exhaustion by fragment depth: the level-r region holds every copy of
-    depth <= r; each deeper subtree is infinite by construction.
+    depth <= r; each deeper subtree is infinite by construction, and its
+    cut edges are its root copy's three pendant edges.
 
     Regions and components are computed once per radius and kept on the
     hint, so they live as long as the graph that owns it."""
 
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self._u_local = _fragment_local_edges(oracle.fragment)[1]["u"]
+    def __init__(self, fragment):
+        self.fragment = fragment
         self._regions = {}
         self._components = {}
 
-    @staticmethod
-    def _level(r):
-        """The build level that holds the level-r region and its cut edges;
-        past the oracle's cap the answer would be a truncated build's."""
-        if r + 3 > ORACLE_LEVEL_CAP:
-            raise BudgetError(
-                f"radius {r} needs level {r + 3}, past the oracle's level cap "
-                f"{ORACLE_LEVEL_CAP}"
-            )
-        return r + 3
-
     def region(self, r):
         if r not in self._regions:
-            _, ft = build_gn(self._level(r), cap=ORACLE_LEVEL_CAP)
+            kept = self.fragment.kept
             self._regions[r] = frozenset(
-                x for x in ft.graph.vertices if _depth_of(x) <= r
+                ["Z"] + [f"F:{p}:{x}" for p in copy_paths(self.fragment, r) for x in kept]
             )
         return self._regions[r]
 
     def components(self, r):
         if r not in self._components:
-            self._components[r] = self._scan_components(r)
+            f = self.fragment
+            out = []
+            for path in (p + t for p in copy_paths(f, r) if len(p) == r for t in "cv"):
+                cut = tuple((f.contact(path, m), f.land(path, m)) for m in ROLES)
+                out.append((path, frozenset(b for _, b in cut), cut))
+            self._components[r] = tuple(out)
         return self._components[r]
-
-    def _scan_components(self, r):
-        _, ft = build_gn(self._level(r), cap=ORACLE_LEVEL_CAP)
-        region = self.region(r)
-        out = []
-        for path in sorted(p for p in ft.nodes if len(p) == r + 1):
-            cut = []
-            for a, b in ft.cut_edges_of(path):
-                inside, outside = (a, b) if a in region else (b, a)
-                # the pendant edge at l is transient; the persistent cut
-                # edge goes to the c-child's u-side neighbor instead
-                if _depth_of(outside) <= r:
-                    raise InvariantError("cut edge does not leave the region")
-                cut.append((inside, outside))
-            # replace the transient l-c edge by its stable replacement
-            stable = []
-            for inside, outside in cut:
-                if outside == f"F:{path}:" + self.oracle.fragment.roles["c"]:
-                    stable.append((inside, f"F:{path}c:{self._u_local}"))
-                else:
-                    stable.append((inside, outside))
-            fingers = frozenset(f for _, f in stable)
-            out.append((path, fingers, tuple(stable)))
-        return tuple(out)
 
     def nest(self, comp_id, r1):
         return comp_id[: r1 + 1]
 
 
+_VERTEX_ID = re.compile(r"F:([cv]*):([^:]+)")
+
+
 class _Section5Oracle:
-    def __init__(self):
-        self.fragment = load_tutte_fragment()
+    """Neighbours of ``F:<path>:<x>`` in the limit graph, from a table fixed
+    once per kept local vertex: the role of its contact, if it has a
+    pendant edge, and (path suffix, local vertex) for its other edges."""
+
+    def __init__(self, fragment):
+        f = self.fragment = fragment
+        self._root = sorted(f.land("", m) for m in ROLES)
+        self._targets = {}
+        for x in f.kept:
+            role, below = None, []
+            for y in f.graph.adj[x]:
+                if y in f.contacts:
+                    role = ROLES[f.contacts.index(y)]
+                else:
+                    below.append(f.descend("", y, x))
+            self._targets[x] = (role, tuple(below))
 
     def neighbors(self, v):
-        d = _depth_of(v)
-        level = min(d + 2, ORACLE_LEVEL_CAP)
-        g, _ = build_gn(level, cap=ORACLE_LEVEL_CAP)
-        if v not in g.vertices:
+        if v == "Z":
+            return self._root
+        m = _VERTEX_ID.fullmatch(v) if isinstance(v, str) else None
+        if m is None or m[2] not in self._targets:
             raise GraphError(f"unknown vertex {v!r}")
-        return g.neighbors(v)
+        path = m[1]
+        role, below = self._targets[m[2]]
+        out = [f"F:{path}{s}:{y}" for s, y in below]
+        if role is not None:
+            out.append(self.fragment.contact(path, role))
+        out.sort()
+        return out
 
 
 def section5_graph() -> LazyGraph:
     """The limit of the fragment construction as a lazy adjacency oracle.
 
-    A vertex of fragment depth d has its final neighborhood from level
-    d+2 on, so the oracle serves adjacency from a deep enough finite
-    build and only ever reports persistent edges.
+    Adjacency is read off the vertex ids, so every vertex has its final
+    neighbourhood at any depth; regions and components past the vertex
+    budget raise `BudgetError`.
     """
-    oracle = _Section5Oracle()
-    hint = _Section5Hint(oracle)
+    oracle = _Section5Oracle(load_tutte_fragment())
+    hint = _Section5Hint(oracle.fragment)
     return LazyGraph("Z", oracle.neighbors, hint=hint, name="section5")

@@ -54,10 +54,14 @@ DEFAULT_VERTEX_BUDGET = 200_000
 DEFAULT_EXPLORE_BUDGET = 5_000
 
 
-def ball(lg: LazyGraph, r: int, max_vertices=DEFAULT_VERTEX_BUDGET) -> BallView:
-    """Exact induced subgraph on all vertices within distance r of the root."""
+def _check_radius(r):
     if r < 0:
         raise GraphError("radius must be nonnegative")
+
+
+def ball(lg: LazyGraph, r: int, max_vertices=DEFAULT_VERTEX_BUDGET) -> BallView:
+    """Exact induced subgraph on all vertices within distance r of the root."""
+    _check_radius(r)
     dist = {lg.root: 0}
     order = [lg.root]
     frontier = [lg.root]
@@ -83,6 +87,7 @@ def ball(lg: LazyGraph, r: int, max_vertices=DEFAULT_VERTEX_BUDGET) -> BallView:
 
 
 def _region(lg: LazyGraph, r: int):
+    _check_radius(r)
     if lg.hint is not None:
         return frozenset(lg.hint.region(r))
     return ball(lg, r).graph.vertices
@@ -95,6 +100,7 @@ def deep_components(lg: LazyGraph, r: int, budget=DEFAULT_EXPLORE_BUDGET):
     component is explored exhaustively and a component that neither
     exhausts nor is certified raises a budget error.
     """
+    region = _region(lg, r)
     if lg.hint is not None:
         out = []
         for comp_id, fingers, cut in lg.hint.components(r):
@@ -103,7 +109,6 @@ def deep_components(lg: LazyGraph, r: int, budget=DEFAULT_EXPLORE_BUDGET):
             out.append(DeepComponent(r, comp_id, fingers, rep, tuple(cut)))
         out.sort(key=lambda c: str(c.comp_id))
         return out
-    region = _region(lg, r)
     # collect cut edges
     cut = []
     for v in sorted(region, key=vkey):
@@ -196,6 +201,8 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
     """
     if mode not in ("vertex", "edge"):
         raise GraphError("mode must be 'vertex' or 'edge'")
+    if depth < 1:
+        raise GraphError("depth must be positive")
     region = _region(lg, comp.radius)
     upper = len(comp.fingers) if mode == "vertex" else len(comp.cut_edges)
     dist = _explore_component(lg, region, comp, depth)

@@ -9,6 +9,7 @@ from hamcircle.checker import (
     fragment_tree_dp,
     ladder_rails_member,
     limit_certificate,
+    limit_circle_edges,
     persistent_edges,
     quotient_hamilton,
     quotient_multigraph,
@@ -19,8 +20,8 @@ from hamcircle.checker import (
     viable_patterns,
 )
 from hamcircle.fragment import build_gn, section5_graph
-from hamcircle.graphs import canon_edge, enumerate_hamilton_cycles
-from hamcircle.lazy import double_ladder
+from hamcircle.graphs import GraphError, canon_edge, enumerate_hamilton_cycles
+from hamcircle.lazy import BudgetError, double_ladder
 
 
 def test_transfer_table_shape():
@@ -175,3 +176,31 @@ def test_verify_section5_rejects_perturbations():
 
     assert not verify_candidate_circle(lg, dropped, range(0, 4))
     assert not verify_candidate_circle(lg, added, range(0, 4))
+
+
+def test_limit_circle_edges_are_limit_graph_edges_of_degree_two():
+    lg = section5_graph()
+    for d in range(8):
+        edges = limit_circle_edges(d)
+        for a, b in edges:
+            assert b in lg.neighbors(a), (d, a, b)
+        for v in lg.hint.region(d):
+            used = [y for y in lg.neighbors(v) if canon_edge(v, y) in edges]
+            assert len(used) == 2, (d, v, used)
+
+
+def test_limit_circle_past_the_vertex_budget():
+    # copies of depth <= 13 hold 212,980 vertices, over the 200,000 budget
+    with pytest.raises(BudgetError, match="over the vertex budget"):
+        limit_circle_edges(13)
+
+
+def test_verify_candidate_circle_needs_a_level():
+    with pytest.raises(GraphError, match="no levels"):
+        verify_candidate_circle(double_ladder(), ladder_rails_member(), range(1, 1))
+
+
+def test_dp_series_rejects_levels_outside_the_builds():
+    for bad, msg in ((-1, "nonnegative"), (9, "exceeds the cap 8")):
+        with pytest.raises(GraphError, match=msg):
+            dp_series(bad)

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import hamcircle
-from hamcircle import cli
+from hamcircle import cli, corpus, jsonio, outerplanar
 from hamcircle.cli import main
 from hamcircle.fragment import build_gn
 from hamcircle.graphs import FiniteGraph
@@ -198,20 +200,85 @@ def test_unique_circle_section5_past_the_level_cap_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("ends", "--generator", "section5", "--radius", "7"), 256),
+        (("ends", "--generator", "section5", "--radius", "8"), 512),
+        (("verify-circle", "--generator", "section5", "--member", "viable-pattern",
+          "--levels", "5"), None),
+    ],
+    ids=["ends-radius-7", "ends-radius-8", "verify-circle-levels-5"],
+)
+def test_section5_deep_requests_answer(capsys, argv, count):
+    # the limit graph is read off the vertex ids, so depth is not capped
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    if count is None:
+        assert report["verified"] is True
+    else:
+        assert len(report["components"]) == count
+        assert {
+            (c["degree_lower"], c["degree_upper"], c["cut_size"])
+            for c in report["components"]
+        } == {(3, 3, 3)}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
-        ("ends", "--generator", "section5", "--radius", "7"),
-        ("ends", "--generator", "section5", "--radius", "8"),
+        ("ends", "--generator", "section5", "--radius", "13"),
         ("verify-circle", "--generator", "section5", "--member", "viable-pattern",
-         "--levels", "5"),
+         "--levels", "10"),
     ],
 )
-def test_section5_past_the_oracle_cap_is_a_budget_error(capsys, argv):
-    # past the oracle's level cap there is no exact answer to give
+def test_section5_past_the_vertex_budget_is_a_budget_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == cli.BUDGET == 3
     assert out == ""
-    assert "past the oracle's level cap" in err
+    assert "over the vertex budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ends", "--generator", "section5", "--radius", "-1"),
+         "radius must be nonnegative"),
+        (("ends", "--generator", "double-ladder", "--radius", "-1"),
+         "radius must be nonnegative"),
+        (("ends", "--generator", "section5", "--depth", "0"), "depth must be positive"),
+        (("verify-circle", "--generator", "double-ladder", "--member", "rails",
+          "--levels", "0"), "no levels"),
+        (("unique-circle", "--generator", "section5", "--levels", "-1"),
+         "level must be nonnegative"),
+    ],
+)
+def test_requests_that_check_nothing_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.USAGE == 2
+    assert out == ""
+    assert message in err
+
+
+def test_outerplanar_layout_reads_the_cycle_off_one_embedding(tmp_path, monkeypatch, capsys):
+    g = corpus.random_dissection(random.Random(7))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jsonio.graph_to_obj(g)))
+    calls = []
+    real = nx.check_planarity
+    monkeypatch.setattr(
+        nx, "check_planarity", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    svg = str(tmp_path / "g.svg")
+    code, out, _ = run(capsys, "outerplanar", str(path), "--cycle", "--contractible",
+                       "--layout", svg)
+    assert code == 0
+    # one embedding for the verdict, one for the layout and its cycle
+    assert len(calls) == 2
+    cycle = json.loads(out)["hamilton_cycle"]
+    assert cycle == sorted(
+        sorted(e) for e in outerplanar.unique_hamilton_cycle_outerplanar(g)
+    )
 
 
 def _doctored_level_1(level, cap=None):

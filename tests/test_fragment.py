@@ -1,9 +1,8 @@
 import pytest
 
 from hamcircle.fragment import (
-    ORACLE_LEVEL_CAP,
+    LEVEL_CAP,
     FragmentTree,
-    _depth_of,
     _fragment_local_edges,
     audit_tree,
     build_g0,
@@ -21,7 +20,12 @@ from hamcircle.graphs import (
     cut_edges,
     enumerate_hamilton_paths,
 )
-from hamcircle.lazy import deep_components, end_degree_bound, end_nesting
+from hamcircle.lazy import BudgetError, deep_components, end_degree_bound, end_nesting
+
+
+def depth(vertex_id):
+    """Fragment depth of a vertex id: the length of its copy's path."""
+    return 0 if vertex_id == "Z" else len(vertex_id.split(":", 2)[1])
 
 
 def test_fragment_loads_and_validates():
@@ -49,7 +53,8 @@ def test_missing_l_count_is_computed():
 
 
 def test_level_sizes_and_audits():
-    expected = {0: 16, 1: 44, 2: 100, 3: 212}
+    expected = {0: 16, 1: 44, 2: 100, 3: 212, 4: 436, 5: 884, 6: 1780, 7: 3572, 8: 7156}
+    assert max(expected) == LEVEL_CAP
     for n, size in expected.items():
         g, ft = build_gn(n)
         assert len(g.vertices) == size
@@ -68,18 +73,51 @@ def test_marked_subtree_cuts_are_three():
 
 
 def test_level_cap():
-    with pytest.raises(GraphError):
-        build_gn(99)
+    for n in (LEVEL_CAP + 1, 99):
+        with pytest.raises(GraphError, match=f"level {n} exceeds the cap 8"):
+            build_gn(n)
 
 
 def test_limit_oracle_matches_finite_builds():
+    # a copy of depth d has its children's children from level d + 2 on,
+    # so its vertices' adjacency in every such build is the limit's
     lg = section5_graph()
-    g2, _ = build_gn(2)
-    # depth <= 0 vertices already have their final adjacency at level 2
-    for v in g2.vertices:
-        depth = 0 if v == "Z" else len(v.split(":", 2)[1])
-        if depth == 0:
-            assert set(lg.neighbors(v)) == g2.adj[v]
+    for n in range(LEVEL_CAP + 1):
+        g, _ = build_gn(n)
+        for v in g.vertices:
+            if depth(v) <= n - 2:
+                assert set(lg.neighbors(v)) == g.adj[v], (n, v)
+                assert len(lg.neighbors(v)) == 3
+
+
+def test_limit_oracle_is_cubic_and_symmetric_past_the_builds():
+    lg = section5_graph()
+    region = lg.hint.region(9)
+    assert len(region) == 1 + 13 * (2**10 - 1)
+    for v in region:
+        nbrs = lg.neighbors(v)
+        assert len(set(nbrs)) == 3 and v not in nbrs
+        for y in nbrs:
+            assert v in lg.neighbors(y)
+
+
+@pytest.mark.parametrize("v", ["", "F", "F:c", "F:x:p1", "F:c:c", "F:v:v", "F:c:u",
+                               "F:cv:p1:", "G:c:p1", ("F", "c", "p1"), 7])
+def test_limit_oracle_rejects_unknown_ids(v):
+    # c and v of every copy are replaced in the limit; contacts are not ids
+    with pytest.raises(GraphError, match="unknown vertex"):
+        section5_graph().neighbors(v)
+
+
+def test_section5_radius_past_the_vertex_budget():
+    # region(r) holds 1 + 13 * (2^(r+1) - 1) vertices: 106,484 at r = 12,
+    # 212,980 at r = 13; the check runs before anything is built
+    hint = section5_graph().hint
+    for r in (13, 40, 10**9):
+        with pytest.raises(BudgetError, match="over the vertex budget"):
+            hint.region(r)
+        with pytest.raises(BudgetError, match="over the vertex budget"):
+            hint.components(r)
 
 
 def test_limit_deep_components():
@@ -165,12 +203,41 @@ def test_section5_regions_and_components_once_per_radius():
         fresh = section5_graph().hint
         assert fresh.region(r) == region and fresh.components(r) == comps
         # the region is every vertex of depth <= r, already final one level on
-        g, _ = build_gn(r + 1, cap=ORACLE_LEVEL_CAP)
-        assert region == {x for x in g.vertices if _depth_of(x) <= r}
+        g, _ = build_gn(r + 1)
+        assert region == {x for x in g.vertices if depth(x) <= r}
         # the component cuts are exactly the oracle's edges leaving the region
         cut = {(v, y) for v in region for y in lg.neighbors(v) if y not in region}
         assert {e for _, _, es in comps for e in es} == cut
         assert len(comps) == 2 ** (r + 1)
+
+
+def reference_region_and_components(r):
+    """The level-r region and deep components scanned off the explicit
+    level-(r + 3) build."""
+    _, ft = build_gn(r + 3)
+    f = ft.fragment
+    region = frozenset(x for x in ft.graph.vertices if depth(x) <= r)
+    out = []
+    for path in sorted(p for p in ft.nodes if len(p) == r + 1):
+        cut = []
+        for a, b in ft.cut_edges_of(path):
+            inside, outside = (a, b) if a in region else (b, a)
+            assert depth(outside) > r
+            # the pendant edge at l ends at the copy's c, which the next
+            # level replaces; the lasting edge goes to the c-child's u side
+            if outside == f"F:{path}:" + f.roles["c"]:
+                outside = f"F:{path}c:" + _fragment_local_edges(f)[1]["u"]
+            cut.append((inside, outside))
+        out.append((path, frozenset(x for _, x in cut), tuple(cut)))
+    return region, tuple(out)
+
+
+def test_section5_hint_matches_a_scan_of_the_builds():
+    hint = section5_graph().hint
+    for r in range(6):
+        region, comps = reference_region_and_components(r)
+        assert hint.region(r) == region
+        assert hint.components(r) == comps
 
 
 def _swap_ends(g, e, f):
