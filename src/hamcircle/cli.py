@@ -114,7 +114,7 @@ def cmd_outerplanar(args):
             with open(args.layout, "w") as fh:
                 fh.write(outerplanar.layout_to_svg(layout))
             report["layout"] = args.layout
-            # the layout's boundary is the cycle: one embedding serves both
+            # the layout's boundary is the cycle: one circle order serves both
             report["hamilton_cycle"] = sorted(sorted(e) for e in layout.boundary)
         elif args.cycle:
             cyc = outerplanar.unique_hamilton_cycle_outerplanar(g)
@@ -228,6 +228,8 @@ def cmd_unique_circle(args):
         )
         claim = "unique (fragment-tree exact)" if all_one else "open"
     else:
+        if args.levels < 1:
+            raise SystemExit_(USAGE, "no levels to check")
         for r in range(1, args.levels + 1):
             m, cycles = checker.quotient_hamilton(lg, r)
             if len(cycles) != 1:
@@ -256,7 +258,7 @@ def cmd_verify_circle(args):
     elif args.member == "viable-pattern":
         if args.generator != "section5":
             raise SystemExit_(USAGE, "member 'viable-pattern' needs section5")
-        member = checker.section5_circle_member(args.levels + 3)
+        member = checker.section5_circle_member(args.levels)
         levels = range(0, args.levels + 1)
     else:
         raise SystemExit_(USAGE, f"unknown member set {args.member!r}")

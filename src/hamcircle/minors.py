@@ -7,11 +7,14 @@ a linear-time test:
 * K4-minor-freeness by series-parallel reduction (Duffin 1965; Valdes,
   Tarjan & Lawler 1982): deleting vertices of degree at most 1 and
   suppressing vertices of degree 2 empties a graph iff it has no K4 minor;
-* outerplanarity as planarity of the graph plus an apex joined to every
-  vertex (Mitchell 1979 gives a direct linear test).  If g is 2-connected,
-  g plus the apex is 3-connected, so (Whitney) its faces are induced cycles
-  and those through the apex are triangles: the apex's rotation is g's
-  unique Hamilton cycle, in circle order;
+* outerplanarity block by block, by degree-2 elimination (after Mitchell
+  1979): a degree-2 vertex is removed and its neighbours joined until two
+  vertices are left, and the removed vertices, put back between their
+  neighbours in reverse order, give the unique Hamilton cycle in circle
+  order.  Getting stuck, or reducing a second vertex onto one pair too
+  early, shows a K4 or K2,3 minor; an order is returned only after it is
+  certified (a Hamilton cycle, no two chords crossing), so acceptance is a
+  proof by itself;
 * a K2,3 minor by blocks: K2,3 is 2-connected, so it is a minor of some
   block, and a 2-connected graph without one is K4 or outerplanar.
 
@@ -30,8 +33,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .graphs import (
     FiniteGraph,
@@ -171,7 +172,7 @@ def has_k23_minor(g: FiniteGraph) -> bool:
     neither has one.  A block on at most 4 vertices is K4 or outerplanar,
     so only larger blocks are tested.
     """
-    return any(len(b) >= 5 and not is_outerplanar(g.subgraph(b)) for b in blocks(g))
+    return any(len(b) >= 5 and circle_order(g.subgraph(b)) is None for b in blocks(g))
 
 
 def has_k4_minor(g: FiniteGraph) -> bool:
@@ -286,33 +287,108 @@ def find_minor(g: FiniteGraph, pattern: str):
     return w
 
 
-def apex_rotation(g: FiniteGraph):
-    """The clockwise order around an apex joined to every vertex of g, in a
-    planar embedding of g plus the apex, or None if there is none."""
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
-    apex = object()  # equal to no vertex of g
-    h.add_edges_from((apex, v) for v in g.vertices)
-    planar, embedding = nx.check_planarity(h)
-    return list(embedding.neighbors_cw_order(apex)) if planar else None
+def _eliminate(g: FiniteGraph):
+    """Degree-2 elimination of a 2-connected g, then reinsertion: a cyclic
+    vertex order, or None when the elimination shows a K4 or K2,3 minor.
+
+    Removing a vertex v of degree 2 with neighbours u, w and adding uw
+    keeps g 2-connected, and outerplanar if it was; v sat between u and w
+    on the Hamilton cycle, so uw is an edge of the smaller graph's cycle.
+    A second removal on the pair {u, w} while a third vertex is left gives
+    three internally disjoint u-w paths with interiors (through the two
+    removed vertices and through what is left), so a K2,3 minor; a third
+    removal on one pair cannot happen after that.  A 2-connected graph on
+    three or more vertices without a degree-2 vertex has a K4 minor.
+    Otherwise two adjacent vertices are left, and each removed vertex is
+    put back between its pair, last removed first, in a linked ring.
+    """
+    adj = {v: set(ns) for v, ns in g.adj.items()}
+    work = [v for v, ns in adj.items() if len(ns) == 2]
+    removed = []
+    pairs = set()
+    while len(adj) > 2:
+        while work:
+            v = work.pop()
+            if v in adj and len(adj[v]) == 2:
+                break
+        else:
+            return None
+        u, w = ns = adj.pop(v)
+        pair = frozenset(ns)
+        if pair in pairs and len(adj) > 2:
+            return None
+        pairs.add(pair)
+        removed.append((v, u, w))
+        adj[u].discard(v)
+        adj[w].discard(v)
+        adj[u].add(w)
+        adj[w].add(u)
+        work += (x for x in ns if len(adj[x]) == 2)
+    u, w = adj
+    nxt = {u: w, w: u}
+    for v, a, b in reversed(removed):
+        if nxt[a] != b:
+            a, b = b, a
+        nxt[a], nxt[v] = v, b
+    order = [u]
+    for _ in range(len(nxt) - 1):
+        order.append(nxt[order[-1]])
+    return order
+
+
+def circle_order(g: FiniteGraph):
+    """The unique Hamilton cycle of a 2-connected outerplanar g in circle
+    order, or None if g is not outerplanar.
+
+    The order comes from ``_eliminate`` and is certified before it is
+    returned: consecutive vertices are adjacent and, in one stack sweep
+    over the edges' position spans, no two edges cross.  An accepted order
+    is thus an outerplanar drawing of g.  A certificate that fails is a
+    bug and raises ``InvariantError``.
+    """
+    order = _eliminate(g)
+    if order is None:
+        return None
+    n = len(g.vertices)
+    pos = {v: i for i, v in enumerate(order)}
+    adj = g.adj
+    if len(order) != n or len(pos) != n or any(
+        order[i - 1] not in adj[v] for i, v in enumerate(order)
+    ):
+        raise InvariantError("the elimination order is not a Hamilton cycle")
+    # spans opening at each position, longest first; an open span ending
+    # before a new one ends is crossed by it
+    opens = [[] for _ in range(n)]
+    for a, b in g.edges:
+        i, j = pos[a], pos[b]
+        opens[min(i, j)].append(max(i, j))
+    stack = []
+    for i, ends in enumerate(opens):
+        while stack and stack[-1] == i:
+            stack.pop()
+        for j in sorted(ends, reverse=True):
+            if stack and j > stack[-1]:
+                raise InvariantError("two chords of the elimination order cross")
+            stack.append(j)
+    return order
 
 
 def is_outerplanar(g: FiniteGraph) -> bool:
     """True iff g has no K4 minor and no K2,3 minor, that is, it can be
     drawn without crossings with every vertex on the outer face.
 
-    Decided as planarity of g plus an apex joined to every vertex: a
-    drawing of one gives a drawing of the other, with the apex in the
-    outer face.  An outerplanar graph on n >= 2 vertices has at most
-    2n - 3 edges, which rejects dense graphs at once.
+    An outerplanar graph on n >= 2 vertices has at most 2n - 3 edges,
+    which rejects dense graphs at once.  Otherwise each block on at least
+    4 vertices is tested by ``circle_order``: a graph is outerplanar iff
+    its blocks are, and a block on at most 3 vertices is an edge or a
+    triangle.
     """
     n = len(g.vertices)
     if n <= 3:
         return True
     if len(g.edges) > 2 * n - 3:
         return False
-    return apex_rotation(g) is not None
+    return all(len(b) < 4 or circle_order(g.subgraph(b)) is not None for b in blocks(g))
 
 
 def k4_minor_equals_subgraph(g: FiniteGraph) -> bool:

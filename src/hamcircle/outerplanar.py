@@ -1,8 +1,9 @@
 """Unique Hamilton cycles of 2-connected outerplanar graphs, 2-contractible
 edges, contraction quotients, the two-neighbour structure lemma, and
-straight-chord disk layouts.  The cycle, in circle order, is the apex's
-rotation in the outerplanarity test's embedding: with the apex a 2-connected
-g is 3-connected, so (Whitney) every face through the apex is a triangle."""
+straight-chord disk layouts.  The cycle, in circle order, is the order that
+``minors.circle_order`` rebuilds by putting back the vertices its degree-2
+elimination removed, each between its two neighbours; the order is
+certified (a Hamilton cycle whose chords do not cross) before it is used."""
 
 from __future__ import annotations
 
@@ -12,12 +13,11 @@ from dataclasses import dataclass
 from .graphs import (
     FiniteGraph,
     GraphError,
-    InvariantError,
     canon_edge,
     is_two_connected,
     vkey,
 )
-from .minors import apex_rotation, has_k23_minor
+from .minors import circle_order, has_k23_minor
 
 
 def two_contractible_edges(g: FiniteGraph) -> frozenset:
@@ -40,7 +40,7 @@ def _circle_order(g: FiniteGraph):
     starts at the least vertex and turns toward its lesser neighbour."""
     if not is_two_connected(g):
         raise GraphError("graph is not 2-connected")
-    order = apex_rotation(g)
+    order = circle_order(g)
     if order is None:
         raise GraphError("graph is not outerplanar")
     i = order.index(min(order, key=vkey))
@@ -48,8 +48,6 @@ def _circle_order(g: FiniteGraph):
     if vkey(order[-1]) < vkey(order[1]):
         order = order[:1] + order[:0:-1]
     cyc = frozenset(canon_edge(a, b) for a, b in zip(order, order[1:] + order[:1]))
-    if len(order) != len(g.vertices) or set(order) != g.vertices or not cyc <= g.edges:
-        raise InvariantError("the apex rotation is not a Hamilton cycle")
     return order, cyc
 
 
@@ -157,8 +155,8 @@ def chords_cross(order, e, f):
 
 def disk_layout(g: FiniteGraph) -> DiskLayout:
     """Place the unique Hamilton cycle on the unit circle at uniform
-    angles; all remaining edges become straight chords, asserted pairwise
-    non-crossing."""
+    angles; all remaining edges become straight chords, which do not cross
+    because ``minors.circle_order`` certified the order."""
     order, cyc = _circle_order(g)
     n = len(order)
     placements = tuple((v, 2 * math.pi * i / n) for i, v in enumerate(order))
@@ -166,14 +164,6 @@ def disk_layout(g: FiniteGraph) -> DiskLayout:
     chords = tuple(
         sorted(g.edges - cyc, key=lambda e: (vkey(e[0]), vkey(e[1])))
     )
-    pos = {v: i for i, v in enumerate(order)}
-    spans = [sorted((pos[a], pos[b])) for a, b in chords]
-    for i in range(len(chords)):
-        for j in range(i + 1, len(chords)):
-            if positions_cross(spans[i], spans[j]):
-                raise InvariantError(
-                    f"chords {chords[i]} and {chords[j]} cross in the layout"
-                )
     return DiskLayout(placements, boundary, chords)
 
 

@@ -6,11 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import networkx as nx
 import pytest
 
 import hamcircle
-from hamcircle import cli, corpus, jsonio, outerplanar
+from hamcircle import cli, corpus, jsonio, minors, outerplanar
 from hamcircle.cli import main
 from hamcircle.fragment import build_gn
 from hamcircle.graphs import FiniteGraph
@@ -206,8 +205,10 @@ def test_unique_circle_section5_past_the_level_cap_is_a_usage_error(capsys):
         (("ends", "--generator", "section5", "--radius", "8"), 512),
         (("verify-circle", "--generator", "section5", "--member", "viable-pattern",
           "--levels", "5"), None),
+        (("verify-circle", "--generator", "section5", "--member", "viable-pattern",
+          "--levels", "10"), None),
     ],
-    ids=["ends-radius-7", "ends-radius-8", "verify-circle-levels-5"],
+    ids=["ends-radius-7", "ends-radius-8", "verify-circle-levels-5", "verify-circle-levels-10"],
 )
 def test_section5_deep_requests_answer(capsys, argv, count):
     # the limit graph is read off the vertex ids, so depth is not capped
@@ -228,8 +229,9 @@ def test_section5_deep_requests_answer(capsys, argv, count):
     "argv",
     [
         ("ends", "--generator", "section5", "--radius", "13"),
+        # the circle's copies of depth <= 13 hold 212,980 vertices
         ("verify-circle", "--generator", "section5", "--member", "viable-pattern",
-         "--levels", "10"),
+         "--levels", "13"),
     ],
 )
 def test_section5_past_the_vertex_budget_is_a_budget_error(capsys, argv):
@@ -251,6 +253,8 @@ def test_section5_past_the_vertex_budget_is_a_budget_error(capsys, argv):
           "--levels", "0"), "no levels"),
         (("unique-circle", "--generator", "section5", "--levels", "-1"),
          "level must be nonnegative"),
+        (("unique-circle", "--generator", "double-ladder", "--levels", "0"),
+         "no levels to check"),
     ],
 )
 def test_requests_that_check_nothing_are_usage_errors(capsys, argv, message):
@@ -265,15 +269,14 @@ def test_outerplanar_layout_reads_the_cycle_off_one_embedding(tmp_path, monkeypa
     path = tmp_path / "g.json"
     path.write_text(json.dumps(jsonio.graph_to_obj(g)))
     calls = []
-    real = nx.check_planarity
-    monkeypatch.setattr(
-        nx, "check_planarity", lambda *a, **k: calls.append(1) or real(*a, **k)
-    )
+    real = minors.circle_order
+    for module in (minors, outerplanar):
+        monkeypatch.setattr(module, "circle_order", lambda h: calls.append(1) or real(h))
     svg = str(tmp_path / "g.svg")
     code, out, _ = run(capsys, "outerplanar", str(path), "--cycle", "--contractible",
                        "--layout", svg)
     assert code == 0
-    # one embedding for the verdict, one for the layout and its cycle
+    # one circle order for the verdict, one for the layout and its cycle
     assert len(calls) == 2
     cycle = json.loads(out)["hamilton_cycle"]
     assert cycle == sorted(

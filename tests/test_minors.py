@@ -1,7 +1,10 @@
 import itertools
+import random
 
+import networkx as nx
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     DIFF,
@@ -14,9 +17,16 @@ from conftest import (
     zigzag_triangulation,
 )
 from hamcircle import minors
-from hamcircle.corpus import connected_graphs_upto
-from hamcircle.graphs import FiniteGraph, GraphError, InvariantError
+from hamcircle.corpus import connected_graphs_upto, random_dissection
+from hamcircle.graphs import (
+    FiniteGraph,
+    GraphError,
+    InvariantError,
+    canon_edge,
+    is_two_connected,
+)
 from hamcircle.minors import (
+    circle_order,
     circular_ordering_oracle,
     find_k4_subgraph,
     find_minor,
@@ -27,6 +37,7 @@ from hamcircle.minors import (
     k4_minor_equals_subgraph,
     validate_witness,
 )
+from hamcircle.outerplanar import two_contractible_edges
 
 
 def k4_subdivided():
@@ -311,3 +322,84 @@ def test_invalid_witness_raises(monkeypatch):
     monkeypatch.setattr(minors, "_subdivision_witness", lambda *_: bad)
     with pytest.raises(InvariantError, match="witness is invalid"):
         find_minor(k23(), "K23")
+
+
+# differential checks of the degree-2 elimination against networkx's
+# planarity test, the independent oracle: g is outerplanar iff g plus a
+# vertex joined to every vertex is planar
+
+
+def outerplanar_by_apex_planarity(g):
+    h = nx.Graph(list(g.edges))
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from((("apex",), v) for v in g.vertices)
+    return nx.check_planarity(h)[0]
+
+
+def check_outerplanarity(g):
+    """The verdict matches the oracle; on a 2-connected g so does
+    ``circle_order``, and its cycle is the set of 2-contractible edges (a
+    triangle is its own cycle)."""
+    expect = outerplanar_by_apex_planarity(g)
+    assert is_outerplanar(g) == expect
+    if not is_two_connected(g):
+        return
+    order = circle_order(g)
+    assert (order is not None) == expect
+    if order is not None:
+        cyc = {canon_edge(a, b) for a, b in zip(order, order[1:] + order[:1])}
+        assert cyc == (g.edges if len(g.vertices) == 3 else two_contractible_edges(g))
+
+
+def test_outerplanarity_matches_apex_planarity_on_all_graphs_to_8_vertices():
+    for g in connected_graphs_upto(8):
+        check_outerplanarity(g)
+
+
+@DIFF
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
+def test_outerplanarity_matches_apex_planarity_on_perturbed_dissections(seed, adds, cuts):
+    rng = random.Random(seed)
+    g = random_dissection(rng, max_n=40)
+    edges = set(g.edges)
+    vs = g.sorted_vertices()
+    for _ in range(adds):
+        edges.add(canon_edge(*rng.sample(vs, 2)))
+    for _ in range(cuts):
+        edges.discard(rng.choice(sorted(edges)))
+    check_outerplanarity(FiniteGraph(g.vertices, frozenset(edges)))
+
+
+def polygon_edges(n):
+    names = [f"p{i:02d}" for i in range(n)]
+    return {canon_edge(names[i - 1], names[i]) for i in range(n)}
+
+
+@pytest.mark.parametrize(
+    "g, cycle",
+    [
+        (complete_graph(4), None),
+        (k23(), None),
+        (graph(k23().edges | {("a1", "a2")}), None),
+        (cycle_graph(3), cycle_graph(3).edges),
+        (zigzag_triangulation(1000), polygon_edges(1000)),
+        (graph(zigzag_triangulation(1000).edges | {("p00", "p500")}), None),
+    ],
+    ids=["K4", "K23", "K23-plus-a1a2", "triangle", "zigzag-1000", "zigzag-1000-crossed"],
+)
+def test_circle_order_named_cases(g, cycle):
+    outer = cycle is not None
+    assert is_outerplanar(g) == outerplanar_by_apex_planarity(g) == outer
+    assert has_k23_minor(g) == (not outer and len(g.vertices) > 4)
+    order = circle_order(g)
+    if outer:
+        assert {canon_edge(a, b) for a, b in zip(order, order[1:] + order[:1])} == cycle
+    else:
+        assert order is None
+
+
+def test_crossing_chords_fail_the_certificate(monkeypatch):
+    # a Hamilton cycle of K4 leaves its two diagonals crossing
+    monkeypatch.setattr(minors, "_eliminate", lambda g: ["v0", "v1", "v2", "v3"])
+    with pytest.raises(InvariantError, match="cross"):
+        circle_order(complete_graph(4))

@@ -16,7 +16,7 @@ from conftest import (
     two_connected_by_definition,
     zigzag_triangulation,
 )
-from hamcircle import cli, outerplanar
+from hamcircle import cli, minors
 from hamcircle.corpus import connected_graphs_upto, random_dissection, two_connected_outerplanar
 from hamcircle.graphs import (
     GraphError,
@@ -187,8 +187,8 @@ def twice_round(order):
 def test_rotation_that_is_no_hamilton_cycle_is_an_invariant_failure(
     monkeypatch, tmp_path, capsys, doctor
 ):
-    real = outerplanar.apex_rotation
-    monkeypatch.setattr(outerplanar, "apex_rotation", lambda g: doctor(real(g)))
+    real = minors._eliminate
+    monkeypatch.setattr(minors, "_eliminate", lambda g: doctor(real(g)))
     c5 = cycle_graph(5)
     for f in (unique_hamilton_cycle_outerplanar, disk_layout):
         with pytest.raises(InvariantError, match="not a Hamilton cycle"):
