@@ -301,62 +301,6 @@ def hamilton_cycle_of_square(t: FiniteGraph) -> frozenset:
     return frozenset(edges)
 
 
-def spanning_caterpillar_search(g: FiniteGraph):
-    """A spanning caterpillar of g, or None.
-
-    Searches over candidate spine paths; a path works when every other
-    vertex has a neighbor on it.  Backtracking, limited to 20 vertices.
-    """
-    if not g.is_connected():
-        raise GraphError("graph is not connected")
-    n = len(g.vertices)
-    if n > 20:
-        raise GraphError("spanning caterpillar search limited to 20 vertices")
-    if n == 1:
-        return g
-
-    def dominated(path_set):
-        return all(
-            v in path_set or g.adj[v] & path_set for v in g.vertices
-        )
-
-    def build(path):
-        path_set = set(path)
-        tree_edges = {canon_edge(a, b) for a, b in zip(path, path[1:])}
-        for v in g.sorted_vertices():
-            if v not in path_set:
-                attach = min(g.adj[v] & path_set, key=vkey)
-                tree_edges.add(canon_edge(v, attach))
-        return FiniteGraph(g.vertices, frozenset(tree_edges))
-
-    best = None
-
-    def dfs(path, used):
-        nonlocal best
-        if best is not None:
-            return
-        if dominated(used):
-            best = build(path)
-            return
-        for y in g.neighbors(path[-1]):
-            if y not in used:
-                path.append(y)
-                used.add(y)
-                dfs(path, used)
-                path.pop()
-                used.remove(y)
-                if best is not None:
-                    return
-
-    for s in g.sorted_vertices():
-        dfs([s], {s})
-        if best is not None:
-            break
-    if best is not None and is_caterpillar(best) is None:
-        raise InvariantError("constructed spanning tree is not a caterpillar")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # covers (finite truncation of the double-ray cover lemma)
 

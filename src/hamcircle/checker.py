@@ -21,9 +21,9 @@ from typing import Optional
 from .fragment import (
     ROLES,
     Fragment,
-    FragmentTree,
-    build_gn,
+    check_level,
     copy_paths,
+    level_edges,
     load_tutte_fragment,
 )
 from .graphs import (
@@ -32,7 +32,6 @@ from .graphs import (
     MultiGraph,
     canon_edge,
     enumerate_hamilton_cycles,
-    enumerate_hamilton_paths,
     vkey,
 )
 from .lazy import LazyGraph, _region, deep_components
@@ -70,9 +69,8 @@ def transfer_table(f: Fragment = None) -> TransferTable:
         f = load_tutte_fragment()
     pats = {}
     for missing in ("u", "l", "r"):
-        paths = enumerate_hamilton_paths(f.graph.without_vertex(f.roles[missing]))
         entries = []
-        for p in paths:
+        for p in f.hamilton_paths[missing]:
             others = {f.roles[m] for m in ("u", "l", "r") if m != missing}
             if {p[0], p[-1]} != others:
                 raise InvariantError("Hamilton path does not end at the contacts")
@@ -125,68 +123,67 @@ class QuotientVerdict:
     stable: Optional[bool]  # None when no previous level to compare against
 
 
-def persistent_edges(ft: FragmentTree) -> frozenset:
+def persistent_edges(f: Fragment, level: int) -> frozenset:
     """Edges of the level graph that survive into all later levels: all
-    but those touching a marked copy's c or v."""
-    dead = {ft.node_vertex(path, x) for path in ft.marked for x in ft.fragment.children}
-    return frozenset(e for e in ft.graph.edges if e[0] not in dead and e[1] not in dead)
+    but those touching a depth-`level` copy's c or v."""
+    dead = {
+        f.vertex(p, x) for p in copy_paths(f, level) if len(p) == level for x in f.children
+    }
+    return frozenset(
+        e for e in level_edges(f, level) if e[0] not in dead and e[1] not in dead
+    )
 
 
-def fragment_tree_dp(ft: FragmentTree, tt: TransferTable) -> QuotientVerdict:
+def fragment_tree_dp(
+    tt: TransferTable, level: int, persistent: frozenset
+) -> QuotientVerdict:
     """Count Hamilton cycles of the closed level graph by composing
     per-copy path patterns across the recursion tree, and compute the
-    edges common to all of them (restricted to persistent edges).  A
-    pattern's edges at c and v map through the children's pendants."""
-    level = ft.level
-    paths_by_depth = {}
-    for p in ft.nodes:
-        paths_by_depth.setdefault(len(p), []).append(p)
+    edges common to all of them (restricted to `persistent`, the level's
+    persistent edges).  A pattern's edges at c and v map through the
+    children's pendants."""
+    frag = tt.fragment
+    paths = copy_paths(frag, level)  # shallowest first
     # bottom-up counts f[node][missing]
     f = {}
-    for d in range(level, -1, -1):
-        for path in paths_by_depth.get(d, ()):
-            leaf = d == level
-            fm = {}
-            for m in ("u", "l", "r"):
-                total = 0
-                for pat in tt.patterns[m]:
-                    if leaf:
-                        total += 1
-                    else:
-                        total += (
-                            f[path + "c"][pat.c_child_missing]
-                            * f[path + "v"][pat.v_child_missing]
-                        )
-                fm[m] = total
-            f[path] = fm
-    count = sum(f[""][m] for m in ("u", "l", "r"))
+    for path in reversed(paths):
+        if len(path) == level:
+            f[path] = {m: len(tt.patterns[m]) for m in ROLES}
+        else:
+            f[path] = {
+                m: sum(
+                    f[path + "c"][pat.c_child_missing] * f[path + "v"][pat.v_child_missing]
+                    for pat in tt.patterns[m]
+                )
+                for m in ROLES
+            }
+    count = sum(f[""][m] for m in ROLES)
     # top-down reachability and forced-edge intersection
-    reachable = {"": {m for m in ("u", "l", "r") if f[""][m] > 0}}
+    reachable = {"": {m for m in ROLES if f[""][m] > 0}}
     forced = None
-    for d in range(0, level + 1):
-        for path in sorted(paths_by_depth.get(d, ())):
-            leaf = d == level
-            child_reach_c, child_reach_v = set(), set()
-            node_forced = None
-            for m in sorted(reachable.get(path, ())):
-                for pat in tt.patterns[m]:
-                    if not leaf:
-                        if (
-                            f[path + "c"][pat.c_child_missing] == 0
-                            or f[path + "v"][pat.v_child_missing] == 0
-                        ):
-                            continue
-                        child_reach_c.add(pat.c_child_missing)
-                        child_reach_v.add(pat.v_child_missing)
-                    ge = {ft.fragment.edge(path, a, b, level) for a, b in pat.edges}
-                    node_forced = ge if node_forced is None else node_forced & ge
-            if node_forced:
-                forced = node_forced if forced is None else forced | node_forced
-            if not leaf:
-                reachable[path + "c"] = child_reach_c
-                reachable[path + "v"] = child_reach_v
+    for path in paths:
+        leaf = len(path) == level
+        child_reach_c, child_reach_v = set(), set()
+        node_forced = None
+        for m in sorted(reachable[path]):
+            for pat in tt.patterns[m]:
+                if not leaf:
+                    if (
+                        f[path + "c"][pat.c_child_missing] == 0
+                        or f[path + "v"][pat.v_child_missing] == 0
+                    ):
+                        continue
+                    child_reach_c.add(pat.c_child_missing)
+                    child_reach_v.add(pat.v_child_missing)
+                ge = {frag.edge(path, a, b, level) for a, b in pat.edges}
+                node_forced = ge if node_forced is None else node_forced & ge
+        if node_forced:
+            forced = node_forced if forced is None else forced | node_forced
+        if not leaf:
+            reachable[path + "c"] = child_reach_c
+            reachable[path + "v"] = child_reach_v
     forced = frozenset(forced or ())
-    return QuotientVerdict(level, count, forced & persistent_edges(ft), None)
+    return QuotientVerdict(level, count, forced & persistent, None)
 
 
 def dp_series(max_level: int):
@@ -195,21 +192,17 @@ def dp_series(max_level: int):
     The stabilization window at level n is the persistent edge set two
     levels down (edges whose copies are fully settled at both compared
     levels); the flag says the forced set no longer changes there.  A
-    negative level or one past the build cap raises GraphError.
+    negative level raises GraphError, one past the build cap BudgetError.
     """
-    build_gn(max_level)  # the range check, before any DP runs
+    check_level(max_level)  # before any DP runs
     tt = transfer_table()
-    verdicts = []
-    trees = []
-    for n in range(max_level + 1):
-        _, ft = build_gn(n)
-        trees.append(ft)
-        verdicts.append(fragment_tree_dp(ft, tt))
+    persistent = [persistent_edges(tt.fragment, n) for n in range(max_level + 1)]
+    verdicts = [fragment_tree_dp(tt, n, persistent[n]) for n in range(max_level + 1)]
     out = []
     for n, v in enumerate(verdicts):
         stable = None
         if n >= 2:
-            window = persistent_edges(trees[n - 2])
+            window = persistent[n - 2]
             stable = (v.forced & window) == (verdicts[n - 1].forced & window)
         out.append(QuotientVerdict(v.level, v.count, v.forced, stable))
     return out

@@ -25,9 +25,7 @@ from .fragment import (
 from .graphs import (
     GraphError,
     InvariantError,
-    canon_edge,
     enumerate_hamilton_cycles,
-    enumerate_hamilton_paths,
     eulerian_v_splits,
     kth_power,
 )
@@ -154,26 +152,18 @@ def cmd_minor(args):
 
 
 def cmd_tutte_verify(args):
+    # loading validates the counts and the pendant edges; a fragment that
+    # fails is an input error
     f = load_tutte_fragment()
-    g = f.graph
-    mu = enumerate_hamilton_paths(g.without_vertex(f.roles["u"]))
-    mr = enumerate_hamilton_paths(g.without_vertex(f.roles["r"]))
-    pu, pl = f.pendant_edge("u"), f.pendant_edge("l")
-    pend_ok = all(
-        pu in {canon_edge(a, b) for a, b in zip(p, p[1:])}
-        and pl in {canon_edge(a, b) for a, b in zip(p, p[1:])}
-        for p in mr
-    )
     report = {
         "budgets": _budgets(args),
-        "t_minus_u": len(mu),
-        "t_minus_r": len(mr),
+        "t_minus_u": len(f.hamilton_paths["u"]),
+        "t_minus_r": len(f.hamilton_paths["r"]),
         "t_minus_l": fragment_t_minus_l_count(f),
-        "pendant_edges_used": pend_ok,
+        "pendant_edges_used": True,
     }
     _emit(args, report)
-    ok = len(mu) == 0 and len(mr) == 2 and pend_ok
-    return OK if ok else VIOLATED
+    return OK
 
 
 def cmd_construct_gn(args):

@@ -6,14 +6,14 @@ The gadget ("fragment") has pendant contacts u, l, r and two special
 interior vertices c and v.  Its defining property, validated by brute
 force every time it is loaded: the graph minus u has no Hamilton path
 while the graph minus r has exactly two, both using the pendant edges at
-u and l.  Expansion replaces each marked copy's c and v by fresh child
-copies, attached through the (u,l,r) -> (l,s,t) and (u,l,r) -> (w,x,y)
-identification.
+u and l.  A copy's c and v are replaced by child copies, attached through
+the (u,l,r) -> (l,s,t) and (u,l,r) -> (w,x,y) identification.
 
 A copy is named by its path ("" for the root, then "c" or "v" per step),
-its vertex x by ``F:<path>:<x>``, the root's closed contacts by ``Z``.  The
-finite builds and the limit graph both read their wiring off these ids:
-`Fragment.contact` and `Fragment.descend`.
+its vertex x by ``F:<path>:<x>``, the root's closed contacts by ``Z``.  One
+wiring rule reads every edge off these ids: `Fragment.contact`, `descend`
+and `edge`.  The level-n graph is the edges of all copies of depth <= n,
+the deepest keeping their c and v; the limit graph replaces every c and v.
 """
 
 from __future__ import annotations
@@ -44,14 +44,12 @@ class Fragment:
     graph: FiniteGraph
     roles: dict  # role name -> vertex id; "x" may coincide with "t"
 
-    @property
+    @cached_property
     def contacts(self):
         return (self.roles["u"], self.roles["l"], self.roles["r"])
 
     def pendant_edge(self, role):
-        v = self.roles[role]
-        (nbr,) = self.graph.adj[v]
-        return canon_edge(v, nbr)
+        return canon_edge(self.roles[role], self.pendants[role])
 
     @property
     def interior(self):
@@ -72,7 +70,18 @@ class Fragment:
     @cached_property
     def pendants(self):
         """Contact role -> the interior vertex its pendant edge meets."""
-        return _fragment_local_edges(self)[1]
+        out = {}
+        for m in ROLES:
+            (out[m],) = self.graph.adj[self.roles[m]]
+        return out
+
+    @cached_property
+    def hamilton_paths(self):
+        """Contact role -> the Hamilton paths of the gadget without it."""
+        return {
+            m: enumerate_hamilton_paths(self.graph.without_vertex(self.roles[m]))
+            for m in ROLES
+        }
 
     @cached_property
     def kept(self):
@@ -133,10 +142,9 @@ def _validate_fragment(f: Fragment):
         if g.adj[x] != set(nbrs):
             raise GraphError(f"{tag} must be adjacent to exactly {set(nbrs)}")
     # the Hamilton path counts that characterize the gadget
-    minus_u = enumerate_hamilton_paths(g.without_vertex(u))
+    minus_u, minus_r = f.hamilton_paths["u"], f.hamilton_paths["r"]
     if len(minus_u) != 0:
         raise GraphError(f"expected 0 Hamilton paths without u, got {len(minus_u)}")
-    minus_r = enumerate_hamilton_paths(g.without_vertex(r))
     if len(minus_r) != 2:
         raise GraphError(f"expected 2 Hamilton paths without r, got {len(minus_r)}")
     pu, pl = f.pendant_edge("u"), f.pendant_edge("l")
@@ -158,11 +166,24 @@ def load_tutte_fragment() -> Fragment:
 
 def fragment_t_minus_l_count(f: Fragment) -> int:
     """The (derived, never assumed) Hamilton path count without l."""
-    return len(enumerate_hamilton_paths(f.graph.without_vertex(f.roles["l"])))
+    return len(f.hamilton_paths["l"])
 
 
 # ---------------------------------------------------------------------------
-# the recursion tree
+# the level graphs
+
+
+def copy_paths(f: Fragment, depth: int):
+    """Paths of all copies of depth <= `depth`, shallowest first.  They and
+    Z hold 1 + |kept| * (2^(depth+1) - 1) vertices of the limit graph; past
+    the vertex budget this raises before building anything."""
+    size = 1 + len(f.kept) * ((1 << max(0, min(depth + 1, 64))) - 1)
+    if size > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(
+            f"the copies of depth <= {depth} hold {size} vertices, over the "
+            f"vertex budget {DEFAULT_VERTEX_BUDGET}"
+        )
+    return ["".join(p) for k in range(depth + 1) for p in product("cv", repeat=k)]
 
 
 @dataclass(frozen=True)
@@ -170,14 +191,12 @@ class FragmentTree:
     fragment: Fragment
     level: int
     graph: FiniteGraph
-    # node path ("" = root, then "c"/"v" per level) -> contact ids in the
-    # surrounding graph, as a dict {"u": id, "l": id, "r": id}
-    nodes: dict
-    marked: tuple  # node paths at depth == level
 
-    def node_vertex(self, path, local):
-        """Graph id of a copy's own interior vertex."""
-        return f"F:{path}:{local}"
+    @property
+    def marked(self):
+        """Paths of the copies of depth == level, sorted."""
+        paths = copy_paths(self.fragment, self.level)
+        return tuple(p for p in paths if len(p) == self.level)
 
     def cut_edges_of(self, path):
         """The three attachment edges of a marked copy."""
@@ -195,88 +214,29 @@ class FragmentTree:
         }
 
 
-def _fragment_local_edges(f: Fragment):
-    """Fragment edges with pendant contacts dropped, plus the pendant
-    records (role, interior endpoint)."""
-    u, l, r = f.contacts
-    contact_set = {u, l, r}
-    interior_edges = []
-    pendants = {}
-    for a, b in f.graph.sorted_edges():
-        if a in contact_set or b in contact_set:
-            contact = a if a in contact_set else b
-            inner = b if a in contact_set else a
-            role = {u: "u", l: "l", r: "r"}[contact]
-            pendants[role] = inner
-        else:
-            interior_edges.append((a, b))
-    return interior_edges, pendants
+def check_level(n: int):
+    """Raise unless level n can be built explicitly."""
+    if n < 0:
+        raise GraphError("level must be nonnegative")
+    if n > LEVEL_CAP:
+        raise BudgetError(f"level {n} exceeds the cap {LEVEL_CAP}")
 
 
-def _attach_copy(f, local, path, vertices, edges):
-    """Add the interior of a fresh copy at `path`, wired to its contacts,
-    and return those.  `local` is ``_fragment_local_edges(f)``, computed
-    once per build."""
-    interior_edges, pendants = local
-    contacts = {m: f.contact(path, m) for m in ROLES}
-
-    def gid(x):
-        return f"F:{path}:{x}"
-
-    for x in f.interior:
-        vertices.add(gid(x))
-    for a, b in interior_edges:
-        edges.add(canon_edge(gid(a), gid(b)))
-    for role, inner in pendants.items():
-        edges.add(canon_edge(contacts[role], gid(inner)))
-    return contacts
-
-
-def build_g0() -> FragmentTree:
-    """The closed base level: one copy with its three contacts merged."""
-    f = load_tutte_fragment()
-    vertices = {"Z"}
-    edges = set()
-    contacts = _attach_copy(f, _fragment_local_edges(f), "", vertices, edges)
-    g = FiniteGraph(frozenset(vertices), frozenset(edges))
-    return FragmentTree(f, 0, g, {"": contacts}, ("",))
-
-
-def expand(ft: FragmentTree) -> FragmentTree:
-    """One construction step: each marked copy loses its c and v and gains
-    a child copy in each one's place."""
-    f = ft.fragment
-    local = _fragment_local_edges(f)
-    adj = ft.graph.adj
-    vertices = set(ft.graph.vertices)
-    edges = set(ft.graph.edges)
-    nodes = dict(ft.nodes)
-    new_marked = []
-    for path in ft.marked:
-        for x, (tag, _) in f.children.items():
-            # children attach only to surviving vertices, so a dead vertex's
-            # edges are exactly its edges in the graph being expanded
-            dead = ft.node_vertex(path, x)
-            vertices.discard(dead)
-            for nbr in adj[dead]:
-                edges.discard(canon_edge(dead, nbr))
-            child = path + tag
-            nodes[child] = _attach_copy(f, local, child, vertices, edges)
-            new_marked.append(child)
-    g = FiniteGraph(frozenset(vertices), frozenset(edges))
-    return FragmentTree(f, ft.level + 1, g, nodes, tuple(sorted(new_marked)))
+def level_edges(f: Fragment, n: int) -> frozenset:
+    """The edges of the level-n graph: every copy of depth <= n stands for
+    its local edges, those at a replaced c or v handed on to the child."""
+    return frozenset(f.edge(p, a, b, n) for p in copy_paths(f, n) for a, b in f.graph.edges)
 
 
 @lru_cache(maxsize=None)
 def build_gn(n: int):
     """The level-n graph (contacts closed into one root vertex) and its
-    recursion tree: level n - 1 expanded once."""
-    if n < 0:
-        raise GraphError("level must be nonnegative")
-    if n > LEVEL_CAP:
-        raise GraphError(f"level {n} exceeds the cap {LEVEL_CAP}")
-    ft = build_g0() if n == 0 else expand(build_gn(n - 1)[1])
-    return ft.graph, ft
+    recursion tree."""
+    check_level(n)
+    f = load_tutte_fragment()
+    edges = level_edges(f, n)
+    g = FiniteGraph(frozenset(x for e in edges for x in e), edges)
+    return g, FragmentTree(f, n, g)
 
 
 def audit_tree(ft: FragmentTree):
@@ -308,19 +268,6 @@ def audit_tree(ft: FragmentTree):
 
 # ---------------------------------------------------------------------------
 # the limit graph as a lazy oracle
-
-
-def copy_paths(f: Fragment, depth: int):
-    """Paths of all copies of depth <= `depth`, shallowest first.  They and
-    Z hold 1 + |kept| * (2^(depth+1) - 1) vertices of the limit graph; past
-    the vertex budget this raises before building anything."""
-    size = 1 + len(f.kept) * ((1 << max(0, min(depth + 1, 64))) - 1)
-    if size > DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(
-            f"the copies of depth <= {depth} hold {size} vertices, over the "
-            f"vertex budget {DEFAULT_VERTEX_BUDGET}"
-        )
-    return ["".join(p) for k in range(depth + 1) for p in product("cv", repeat=k)]
 
 
 class _Section5Hint:
@@ -403,4 +350,4 @@ def section5_graph() -> LazyGraph:
     """
     oracle = _Section5Oracle(load_tutte_fragment())
     hint = _Section5Hint(oracle.fragment)
-    return LazyGraph("Z", oracle.neighbors, hint=hint, name="section5")
+    return LazyGraph("Z", oracle.neighbors, hint=hint)

@@ -24,11 +24,10 @@ class BudgetError(GraphError):
 class LazyGraph:
     """root vertex + pure neighbor oracle (+ optional exhaustion hint)."""
 
-    def __init__(self, root, neighbor_fn, hint=None, name=None):
+    def __init__(self, root, neighbor_fn, hint=None):
         self.root = root
         self._neighbor_fn = lru_cache(maxsize=None)(neighbor_fn)
         self.hint = hint
-        self.name = name
 
     def neighbors(self, v):
         return list(self._neighbor_fn(v))
@@ -46,7 +45,6 @@ class DeepComponent:
     radius: int
     comp_id: object
     fingers: frozenset  # component vertices adjacent to the region
-    representative: object
     cut_edges: tuple  # (region vertex, finger) pairs, one per cut edge
 
 
@@ -104,9 +102,7 @@ def deep_components(lg: LazyGraph, r: int, budget=DEFAULT_EXPLORE_BUDGET):
     if lg.hint is not None:
         out = []
         for comp_id, fingers, cut in lg.hint.components(r):
-            fingers = frozenset(fingers)
-            rep = min(fingers, key=vkey)
-            out.append(DeepComponent(r, comp_id, fingers, rep, tuple(cut)))
+            out.append(DeepComponent(r, comp_id, frozenset(fingers), tuple(cut)))
         out.sort(key=lambda c: str(c.comp_id))
         return out
     # collect cut edges
@@ -138,42 +134,17 @@ def deep_components(lg: LazyGraph, r: int, budget=DEFAULT_EXPLORE_BUDGET):
     return []
 
 
-def end_nesting(lg: LazyGraph, r1: int, r2: int, budget=DEFAULT_EXPLORE_BUDGET):
-    """Map each deep component at radius r2 to the one at r1 containing it."""
+def end_nesting(lg: LazyGraph, r1: int, r2: int):
+    """Map each deep component at radius r2 to the one at r1 containing it.
+
+    Deep components come only from a hint, so a graph without one maps
+    nothing (or raises while deciding a component's finiteness)."""
     if not r1 < r2:
         raise GraphError("need r1 < r2")
     shallow = deep_components(lg, r1)
     deep = deep_components(lg, r2)
-    if lg.hint is not None and hasattr(lg.hint, "nest"):
-        by_id = {c.comp_id: c for c in shallow}
-        return {c: by_id[lg.hint.nest(c.comp_id, r1)] for c in deep}
-    finger_owner = {}
-    for c in shallow:
-        for f in c.fingers:
-            finger_owner[f] = c
-    region1 = _region(lg, r1)
-    mapping = {}
-    for c in deep:
-        # BFS from the deep component stays inside its shallow component,
-        # so the first shallow finger reached identifies the container
-        seen = set(c.fingers)
-        stack = sorted(c.fingers, key=vkey)
-        owner = None
-        while stack and owner is None:
-            x = stack.pop(0)
-            if x in finger_owner:
-                owner = finger_owner[x]
-                break
-            for y in lg.neighbors(x):
-                if y not in region1 and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-                    if len(seen) > budget:
-                        raise BudgetError("nesting search exceeded budget")
-        if owner is None:
-            raise BudgetError("deep component not reachable from any finger")
-        mapping[c] = owner
-    return mapping
+    by_id = {c.comp_id: c for c in shallow}
+    return {c: by_id[lg.hint.nest(c.comp_id, r1)] for c in deep}
 
 
 def _explore_component(lg, region, comp: DeepComponent, depth: int):
@@ -269,7 +240,7 @@ def double_ladder() -> LazyGraph:
         out = [f"L:{i - 1}:{side}", f"L:{i + 1}:{side}", f"L:{i}:{other}"]
         return sorted(out)
 
-    return LazyGraph("L:0:top", nbr, hint=_LadderHint(), name="double-ladder")
+    return LazyGraph("L:0:top", nbr, hint=_LadderHint())
 
 
 def lazy_power(lg: LazyGraph, k: int) -> LazyGraph:
@@ -293,7 +264,7 @@ def lazy_power(lg: LazyGraph, k: int) -> LazyGraph:
         dist.pop(v)
         return sorted(dist, key=vkey)
 
-    return LazyGraph(lg.root, nbr, hint=None, name=None)
+    return LazyGraph(lg.root, nbr)
 
 
 def lazy_from_finite(g: FiniteGraph, root=None) -> LazyGraph:
@@ -303,4 +274,4 @@ def lazy_from_finite(g: FiniteGraph, root=None) -> LazyGraph:
     def nbr(v):
         return g.neighbors(v)
 
-    return LazyGraph(root, nbr, hint=None, name=None)
+    return LazyGraph(root, nbr)

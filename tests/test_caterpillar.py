@@ -9,7 +9,6 @@ from hamcircle.caterpillar import (
     hamilton_cycle_of_square,
     interval_path,
     is_caterpillar,
-    spanning_caterpillar_search,
     split_to_cycle,
     square_string,
 )
@@ -105,15 +104,6 @@ def test_square_of_sk13_not_hamiltonian():
     assert enumerate_hamilton_cycles(kth_power(sk13(), 2)) == []
     with pytest.raises(GraphError):
         hamilton_cycle_of_square(sk13())
-
-
-def test_spanning_caterpillar_search():
-    p = path_graph(5)
-    assert spanning_caterpillar_search(p).edges == p.edges
-    c6 = cycle_graph(6)
-    sc = spanning_caterpillar_search(c6)
-    assert sc is not None and len(sc.edges) == 5
-    assert spanning_caterpillar_search(sk13()) is None
 
 
 def test_decomp_covers_even_odd_and_equal():

@@ -6,7 +6,6 @@ import pytest
 from hamcircle.checker import (
     TransferTable,
     dp_series,
-    fragment_tree_dp,
     ladder_rails_member,
     limit_certificate,
     limit_circle_edges,
@@ -19,7 +18,7 @@ from hamcircle.checker import (
     verify_candidate_circle,
     viable_patterns,
 )
-from hamcircle.fragment import build_gn, section5_graph
+from hamcircle.fragment import LEVEL_CAP, build_gn, load_tutte_fragment, section5_graph
 from hamcircle.graphs import GraphError, canon_edge, enumerate_hamilton_cycles
 from hamcircle.lazy import BudgetError, double_ladder
 
@@ -77,10 +76,26 @@ def test_dp_counts_and_stabilization():
 
 def test_forced_set_monotone():
     series = dp_series(3)
-    trees = [build_gn(n)[1] for n in range(4)]
+    f = load_tutte_fragment()
     for n in range(1, 4):
-        window = persistent_edges(trees[n - 1])
+        window = persistent_edges(f, n - 1)
         assert series[n].forced & window >= series[n - 1].forced
+
+
+def test_persistent_edges_match_the_level_graphs():
+    # the level graph's edges but those at the deepest copies' c and v
+    f = load_tutte_fragment()
+    for n in range(LEVEL_CAP + 1):
+        g, ft = build_gn(n)
+        dead = {f"F:{p}:{f.roles[x]}" for p in ft.marked for x in ("c", "v")}
+        want = {e for e in g.edges if not dead & set(e)}
+        assert persistent_edges(f, n) == want
+
+
+def test_dp_series_builds_no_level_graph():
+    build_gn.cache_clear()
+    dp_series(6)
+    assert build_gn.cache_info().currsize == 0
 
 
 def test_engine_agreement_levels_0_to_2():
@@ -201,6 +216,6 @@ def test_verify_candidate_circle_needs_a_level():
 
 
 def test_dp_series_rejects_levels_outside_the_builds():
-    for bad, msg in ((-1, "nonnegative"), (9, "exceeds the cap 8")):
-        with pytest.raises(GraphError, match=msg):
+    for bad, error, msg in ((-1, GraphError, "nonnegative"), (9, BudgetError, "exceeds the cap 8")):
+        with pytest.raises(error, match=msg):
             dp_series(bad)

@@ -191,11 +191,19 @@ def test_unique_circle_section5_unstable_level_is_violation(capsys, monkeypatch)
     assert json.loads(out)["limit_claim"] == "open"
 
 
-def test_unique_circle_section5_past_the_level_cap_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "unique-circle", "--generator", "section5", "--levels", "9")
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("unique-circle", "--generator", "section5", "--levels", "9"),
+        ("construct-gn", "-n", "9"),
+    ],
+    ids=["unique-circle", "construct-gn"],
+)
+def test_section5_past_the_level_cap_is_a_budget_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.BUDGET == 3
     assert out == ""
-    assert "exceeds the cap 8" in err
+    assert "level 9 exceeds the cap 8" in err
 
 
 @pytest.mark.parametrize(
@@ -255,6 +263,7 @@ def test_section5_past_the_vertex_budget_is_a_budget_error(capsys, argv):
          "level must be nonnegative"),
         (("unique-circle", "--generator", "double-ladder", "--levels", "0"),
          "no levels to check"),
+        (("construct-gn", "-n", "-1"), "level must be nonnegative"),
     ],
 )
 def test_requests_that_check_nothing_are_usage_errors(capsys, argv, message):

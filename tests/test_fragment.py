@@ -1,13 +1,14 @@
+from functools import lru_cache
+
 import pytest
 
 from hamcircle.fragment import (
     LEVEL_CAP,
+    ROLES,
     FragmentTree,
-    _fragment_local_edges,
     audit_tree,
-    build_g0,
     build_gn,
-    expand,
+    copy_paths,
     fragment_t_minus_l_count,
     load_tutte_fragment,
     section5_graph,
@@ -74,8 +75,10 @@ def test_marked_subtree_cuts_are_three():
 
 def test_level_cap():
     for n in (LEVEL_CAP + 1, 99):
-        with pytest.raises(GraphError, match=f"level {n} exceeds the cap 8"):
+        with pytest.raises(BudgetError, match=f"level {n} exceeds the cap 8"):
             build_gn(n)
+    with pytest.raises(GraphError, match="level must be nonnegative"):
+        build_gn(-1)
 
 
 def test_limit_oracle_matches_finite_builds():
@@ -144,50 +147,62 @@ def test_limit_end_degree_bounds():
     assert end_degree_bound(lg, c, "edge", depth=6) == (3, 3)
 
 
-def reference_expand(ft):
-    """The expansion step with the whole-edge-set filter per dead vertex."""
-    f = ft.fragment
-    interior_edges, pendants = _fragment_local_edges(f)
-    vertices = set(ft.graph.vertices)
-    edges = set(ft.graph.edges)
-    nodes = dict(ft.nodes)
+def reference_attach(f, path, contacts, vertices, edges):
+    """Add the interior of a fresh copy at `path`, its pendant edges wired
+    to `contacts` (role -> id)."""
+    local = {a: f"F:{path}:{a}" for a in f.interior}
+    local.update(zip(f.contacts, (contacts[m] for m in ROLES)))
+    vertices |= {local[x] for x in f.interior}
+    edges |= {canon_edge(local[a], local[b]) for a, b in f.graph.edges}
+
+
+def reference_expand(f, level):
+    """One expansion step with the whole-edge-set filter per dead vertex,
+    on a level given as (vertices, edges, contacts per copy, marked)."""
+    vertices, edges, nodes, marked = level
+    vertices, edges, nodes = set(vertices), set(edges), dict(nodes)
     new_marked = []
-    for path in ft.marked:
+    for path in marked:
         for role in ("c", "v"):
-            dead = ft.node_vertex(path, f.roles[role])
+            dead = f"F:{path}:{f.roles[role]}"
             vertices.discard(dead)
             edges = {e for e in edges if dead not in e}
         c_contacts = {
-            "u": ft.nodes[path]["l"],
-            "l": ft.node_vertex(path, f.roles["s"]),
-            "r": ft.node_vertex(path, f.roles["t"]),
+            "u": nodes[path]["l"],
+            "l": f"F:{path}:{f.roles['s']}",
+            "r": f"F:{path}:{f.roles['t']}",
         }
-        v_contacts = {
-            "u": ft.node_vertex(path, f.roles["w"]),
-            "l": ft.node_vertex(path, f.roles["x"]),
-            "r": ft.node_vertex(path, f.roles["y"]),
-        }
+        v_contacts = {m: f"F:{path}:{f.roles[x]}" for m, x in zip(ROLES, "wxy")}
         for tag, contacts in (("c", c_contacts), ("v", v_contacts)):
             child = path + tag
-            vertices |= {f"F:{child}:{x}" for x in f.interior}
-            edges |= {canon_edge(f"F:{child}:{a}", f"F:{child}:{b}") for a, b in interior_edges}
-            edges |= {canon_edge(contacts[r], f"F:{child}:{x}") for r, x in pendants.items()}
+            reference_attach(f, child, contacts, vertices, edges)
             nodes[child] = contacts
             new_marked.append(child)
-    g = FiniteGraph(frozenset(vertices), frozenset(edges))
-    return FragmentTree(f, ft.level + 1, g, nodes, tuple(sorted(new_marked)))
+    return vertices, edges, nodes, tuple(sorted(new_marked))
 
 
-def test_expand_matches_reference_filter():
-    ft = build_g0()
-    for level in range(7):
-        new, old = expand(ft), reference_expand(ft)
-        assert new.level == old.level == level + 1
-        assert new.graph.vertices == old.graph.vertices
-        assert new.graph.edges == old.graph.edges
-        assert new.nodes == old.nodes
-        assert new.marked == old.marked
-        ft = new
+@lru_cache(maxsize=None)
+def reference_level(n):
+    """Level n of the construction by repeated expansion of the closed
+    base level: one copy with its three contacts merged into Z."""
+    f = load_tutte_fragment()
+    if n > 0:
+        return reference_expand(f, reference_level(n - 1))
+    vertices, edges, contacts = {"Z"}, set(), dict.fromkeys(ROLES, "Z")
+    reference_attach(f, "", contacts, vertices, edges)
+    return vertices, edges, {"": contacts}, ("",)
+
+
+def test_build_gn_matches_reference_expand():
+    f = load_tutte_fragment()
+    for n in range(LEVEL_CAP + 1):
+        vertices, edges, nodes, marked = reference_level(n)
+        g, ft = build_gn(n)
+        assert ft.level == n
+        assert g.vertices == vertices
+        assert g.edges == edges
+        assert ft.marked == marked
+        assert {p: {m: f.contact(p, m) for m in ROLES} for p in copy_paths(f, n)} == nodes
 
 
 def test_section5_regions_and_components_once_per_radius():
@@ -212,21 +227,21 @@ def test_section5_regions_and_components_once_per_radius():
 
 
 def reference_region_and_components(r):
-    """The level-r region and deep components scanned off the explicit
-    level-(r + 3) build."""
-    _, ft = build_gn(r + 3)
-    f = ft.fragment
-    region = frozenset(x for x in ft.graph.vertices if depth(x) <= r)
+    """The level-r region and deep components scanned off the reference
+    level-(r + 3) build: each copy of depth r + 1 roots a component, cut
+    off by the edges from its contacts into its subtree, in role order."""
+    vertices, edges, nodes, _ = reference_level(r + 3)
+    adj = FiniteGraph(frozenset(vertices), frozenset(edges)).adj
+    region = frozenset(x for x in vertices if depth(x) <= r)
     out = []
-    for path in sorted(p for p in ft.nodes if len(p) == r + 1):
+    for path in sorted(p for p in nodes if len(p) == r + 1):
         cut = []
-        for a, b in ft.cut_edges_of(path):
-            inside, outside = (a, b) if a in region else (b, a)
-            assert depth(outside) > r
-            # the pendant edge at l ends at the copy's c, which the next
-            # level replaces; the lasting edge goes to the c-child's u side
-            if outside == f"F:{path}:" + f.roles["c"]:
-                outside = f"F:{path}c:" + _fragment_local_edges(f)[1]["u"]
+        for m in ROLES:
+            inside = nodes[path][m]
+            assert inside in region
+            (outside,) = (
+                y for y in adj[inside] if depth(y) > r and y.split(":", 2)[1].startswith(path)
+            )
             cut.append((inside, outside))
         out.append((path, frozenset(x for _, x in cut), tuple(cut)))
     return region, tuple(out)
@@ -275,4 +290,4 @@ def test_audit_catches_a_changed_cut(pendant):
     bad = _swap_ends(g, e, _outside_edge(g, ft, e))
     assert all(bad.degree(x) == 3 for x in bad.vertices)
     with pytest.raises(InvariantError, match=expect):
-        audit_tree(FragmentTree(ft.fragment, ft.level, bad, ft.nodes, ft.marked))
+        audit_tree(FragmentTree(ft.fragment, ft.level, bad))

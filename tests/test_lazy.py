@@ -82,6 +82,14 @@ def test_hintless_finite_graph_has_no_deep_components():
     assert deep_components(lg, 1) == []
 
 
+def test_hintless_nesting_maps_nothing_or_raises():
+    # without a hint no component is certified infinite: a finite graph
+    # nests nothing, an infinite one fails while exploring
+    assert end_nesting(lazy_from_finite(cycle_graph(6)), 0, 1) == {}
+    with pytest.raises(BudgetError):
+        end_nesting(lazy_power(double_ladder(), 2), 1, 2)
+
+
 def test_lazy_from_finite_ball_matches():
     g = cycle_graph(8)
     lg = lazy_from_finite(g, "v0")
@@ -144,7 +152,7 @@ def outside_components(lg, r):
     for k, seen in enumerate(out):
         edges = tuple(e for e in cut if owner[e[1]] == k)
         fingers = frozenset(y for _, y in edges)
-        comps.append(DeepComponent(r, k, fingers, min(fingers), edges))
+        comps.append(DeepComponent(r, k, fingers, edges))
     return comps
 
 
