@@ -10,7 +10,6 @@ the constructive Hamilton-cycle routine and the cover lemma use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .graphs import (
     FiniteGraph,

@@ -8,9 +8,9 @@ the id so results are reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 def vkey(v):
@@ -279,23 +279,6 @@ def cut_edges(g: FiniteGraph, s) -> frozenset:
     return frozenset(e for e in g.edges if (e[0] in s) != (e[1] in s))
 
 
-def is_even_cut_parity(g: FiniteGraph, d) -> bool:
-    """True iff every vertex has even degree in the edge subset d.
-
-    For finite graphs this is equivalent to d meeting every cut in an even
-    number of edges (the tests exercise that equivalence by enumerating
-    cuts exhaustively on small instances).
-    """
-    d = frozenset(canon_edge(a, b) for a, b in d)
-    if not d <= g.edges:
-        raise GraphError("subset contains non-edges")
-    cnt = {v: 0 for v in g.vertices}
-    for a, b in d:
-        cnt[a] += 1
-        cnt[b] += 1
-    return all(c % 2 == 0 for c in cnt.values())
-
-
 def contract_subgraph(g: FiniteGraph, h) -> FiniteGraph:
     """Contract a connected vertex set to a single fresh vertex.
 
@@ -410,12 +393,27 @@ def augment_flow(cap: dict, source, sink, stop: int):
             capacity += (0, 0)
         capacity[a] = c
     out = [sorted(arcs.items()) for arcs in slot_to]  # [(head, slot)]
+    value, flow, used = _augment_indexed(
+        out, tail, capacity, number[source], number[sink], stop)
+    return value, {(names[tail[a]], names[tail[a ^ 1]]): flow[a] for a in used}
+
+
+def _augment_indexed(out, tail, capacity, s, t, stop: int):
+    """``augment_flow``'s search on nodes ``0..len(out)-1``, for callers
+    that number their own nodes (``lazy.end_degree_bound``).
+
+    ``out[u]`` lists ``(head, slot)`` for every residual arc leaving u, in
+    the order the search tries them.  Slots ``a`` and ``a ^ 1`` are the two
+    directions of one node pair: ``tail[a]`` is a's tail (so its head is
+    ``tail[a ^ 1]``) and ``capacity[a]`` its capacity.  Returns
+    ``(value, flow, used)``: the units pushed, the net flow on each slot,
+    and the slots whose flow changed, in the order of the first change.
+    """
     flow = [0] * len(tail)
-    used = {}  # slots whose flow changed, in the order of the first change
-    s, t = number[source], number[sink]
+    used = {}
     value = 0
     while value < stop:
-        via = [-1] * len(names)  # the slot that reached each node
+        via = [-1] * len(out)  # the slot that reached each node
         via[s] = len(tail)
         queue = [s]
         found = False
@@ -439,7 +437,7 @@ def augment_flow(cap: dict, source, sink, stop: int):
             flow[push] += 1 if push == a else -1
             v = tail[a]
         value += 1
-    return value, {(names[tail[a]], names[tail[a ^ 1]]): flow[a] for a in used}
+    return value, flow, used
 
 
 # ---------------------------------------------------------------------------

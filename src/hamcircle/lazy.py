@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import FiniteGraph, GraphError, augment_flow, canon_edge, vkey
+from .graphs import FiniteGraph, GraphError, _augment_indexed, canon_edge, vkey
 
 
 class BudgetError(GraphError):
@@ -147,22 +147,6 @@ def end_nesting(lg: LazyGraph, r1: int, r2: int):
     return {c: by_id[lg.hint.nest(c.comp_id, r1)] for c in deep}
 
 
-def _explore_component(lg, region, comp: DeepComponent, depth: int):
-    """Vertices of the component up to `depth` steps past the fingers,
-    with their exploration depth."""
-    dist = {f: 0 for f in comp.fingers}
-    frontier = sorted(comp.fingers, key=vkey)
-    for d in range(1, depth + 1):
-        nxt = []
-        for x in frontier:
-            for y in lg.neighbors(x):
-                if y not in region and y not in dist:
-                    dist[y] = d
-                    nxt.append(y)
-        frontier = nxt
-    return dist
-
-
 def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
     """(lower, upper) bounds on the end degree seen through this component.
 
@@ -175,35 +159,64 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
     if depth < 1:
         raise GraphError("depth must be positive")
     region = _region(lg, comp.radius)
-    upper = len(comp.fingers) if mode == "vertex" else len(comp.cut_edges)
-    dist = _explore_component(lg, region, comp, depth)
-    deep_set = {v for v, d in dist.items() if d >= depth}
-    if not deep_set:
-        raise BudgetError("component exhausted before the depth budget")
-    # unit-capacity flow: source -> fingers (per cut edge or per finger),
-    # through the explored part, sink at the depth frontier.  The k-th
-    # explored vertex splits into in-node 2k + 2 and out-node 2k + 3:
-    # integers are cheap to hash and order, and the value of a maximum
-    # flow does not depend on how its nodes are named
+    split = mode == "vertex"
+    upper = len(comp.fingers) if split else len(comp.cut_edges)
+    # The unit-capacity flow network is built while a BFS from the fingers
+    # explores the component: node 0 is the source, node 1 the sink, and
+    # every arc gets its own slot pair (see graphs._augment_indexed).  In
+    # vertex mode an explored vertex splits into an in-node and the next
+    # node, its out-node, joined by an arc of capacity 1; in edge mode it is
+    # one node, since the source arcs total `upper` and no vertex can carry
+    # more.  A vertex at depth `depth` drains straight to the sink and gets
+    # no out-arcs: a flow path through it can stop there.  None of this
+    # changes the value of a maximum flow.
     SRC, SNK = 0, 1
-    node = {v: 2 * k + 2 for k, v in enumerate(dist)}
-    cap = {}
-    for a, b in comp.cut_edges:
-        if mode == "edge":
-            cap[(SRC, node[b])] = cap.get((SRC, node[b]), 0) + 1
-        else:
-            cap[(SRC, node[b])] = 1
-    for v, i in node.items():
-        cap[(i, i + 1)] = (1 if mode == "vertex" else upper + 1)
-        if v in deep_set:
-            cap[(i + 1, SNK)] = upper + 1
-    for v, i in node.items():
-        for y in lg.neighbors(v):
-            if y in node:
-                cap[(i + 1, node[y])] = 1
-    value, _ = augment_flow(cap, SRC, SNK, upper + 1)
-    lower = min(value, upper)
-    return lower, upper
+    out = [[], []]
+    tail = []
+    capacity = []
+    node = {}  # explored vertex -> the node its in-arcs enter
+
+    def add_arc(u, v, c):
+        a = len(tail)
+        out[u].append((v, a))
+        out[v].append((u, a + 1))
+        tail.extend((u, v))
+        capacity.extend((c, 0))
+
+    def add_vertex(v, deep):
+        i = node[v] = len(out)
+        out.append([])
+        if deep:
+            add_arc(i, SNK, 1 if split else upper)
+        elif split:
+            out.append([])
+            add_arc(i, i + 1, 1)
+        return i
+
+    level = sorted(comp.fingers, key=vkey)
+    for f in level:
+        add_vertex(f, False)
+    for f in level if split else [f for _, f in comp.cut_edges]:
+        add_arc(SRC, node[f], 1)
+    for d in range(1, depth + 1):
+        deep = d == depth
+        nxt = []
+        for x in level:
+            u = node[x] + split  # x's out-node
+            for y in lg.neighbors(x):
+                j = node.get(y)
+                if j is None:
+                    if y in region:
+                        continue
+                    j = add_vertex(y, deep)
+                    nxt.append(y)
+                add_arc(u, j, 1)
+        if not nxt:
+            raise BudgetError("component exhausted before the depth budget")
+        level = nxt
+    # the source arcs hold `upper` units, so the flow stops there
+    value, _, _ = _augment_indexed(out, tail, capacity, SRC, SNK, upper)
+    return value, upper
 
 
 # ---------------------------------------------------------------------------

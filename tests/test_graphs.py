@@ -30,7 +30,6 @@ from hamcircle.graphs import (
     enumerate_hamilton_paths,
     eulerian_v_splits,
     is_eulerian,
-    is_even_cut_parity,
     is_two_connected,
     kth_power,
     v_split,
@@ -95,9 +94,6 @@ def test_cut_edges_and_parity():
     s = {"v0", "v1", "v2"}
     cut = cut_edges(c6, s)
     assert len(cut) == 2
-    # a spanning cycle meets every cut evenly
-    assert is_even_cut_parity(c6, c6.edges)
-    assert not is_even_cut_parity(c6, {canon_edge("v0", "v1")})
 
 
 def test_contract_subgraph():

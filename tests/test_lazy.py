@@ -1,14 +1,14 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import DIFF, cycle_graph, graph, simple_graphs
 from hamcircle import lazy
-from hamcircle.graphs import GraphError, augment_flow, canon_edge
+from hamcircle.fragment import section5_graph
+from hamcircle.graphs import GraphError, augment_flow, vkey
 from hamcircle.lazy import (
     BudgetError,
     DeepComponent,
-    LazyGraph,
     ball,
     deep_components,
     double_ladder,
@@ -104,11 +104,28 @@ def test_ball_budget():
         ball(lad, 100, max_vertices=50)
 
 
+def explore_component(lg, region, comp, depth):
+    """Vertices of the component up to `depth` steps past the fingers,
+    with their exploration depth."""
+    dist = {f: 0 for f in comp.fingers}
+    frontier = sorted(comp.fingers, key=vkey)
+    for d in range(1, depth + 1):
+        nxt = []
+        for x in frontier:
+            for y in lg.neighbors(x):
+                if y not in region and y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
 def reference_end_degree_bound(lg, comp, mode, depth):
-    """The packing with tuple-named flow nodes ("i", v) and ("o", v)."""
+    """The packing on the full split network, with tuple-named flow nodes
+    ("i", v) and ("o", v), through the dict front end of augment_flow."""
     region = lazy._region(lg, comp.radius)
     upper = len(comp.fingers) if mode == "vertex" else len(comp.cut_edges)
-    dist = lazy._explore_component(lg, region, comp, depth)
+    dist = explore_component(lg, region, comp, depth)
     deep_set = {v for v, d in dist.items() if d >= depth}
     if not deep_set:
         raise BudgetError("component exhausted before the depth budget")
@@ -156,19 +173,43 @@ def outside_components(lg, r):
     return comps
 
 
-def test_end_degree_bound_sees_a_bottleneck():
-    # three fingers that all pass through x: one vertex-disjoint path and
-    # one edge-disjoint path reach the depth frontier
+@pytest.mark.parametrize("depth, vertex, edge", [(3, (1, 3), (1, 3)),
+                                                 (1, (1, 3), (3, 3))],
+                         ids=["depth-3", "depth-1"])
+def test_end_degree_bound_sees_a_bottleneck(depth, vertex, edge):
+    # three fingers that all pass through x: at depth 3 one vertex-disjoint
+    # path and one edge-disjoint path reach the depth frontier; at depth 1
+    # x is itself on the frontier, so the three edges into it all count
     g = graph([("r", "a"), ("r", "b"), ("r", "c"), ("a", "x"), ("b", "x"),
                ("c", "x"), ("x", "p1"), ("p1", "p2"), ("p2", "p3")])
     lg = lazy_from_finite(g, "r")
     (c,) = outside_components(lg, 0)
-    assert end_degree_bound(lg, c, "vertex", depth=3) == (1, 3)
-    assert end_degree_bound(lg, c, "edge", depth=3) == (1, 3)
+    assert end_degree_bound(lg, c, "vertex", depth=depth) == vertex
+    assert end_degree_bound(lg, c, "edge", depth=depth) == edge
+
+
+@pytest.mark.parametrize("make", [section5_graph, double_ladder],
+                         ids=["section5", "double-ladder"])
+def test_end_degree_bound_matches_reference_on_generators(make):
+    # every deep component, in both modes, at the CLI's default depth
+    lg = make()
+    for r in (1, 2, 3):
+        for c in deep_components(lg, r):
+            for mode in ("vertex", "edge"):
+                want = reference_end_degree_bound(lg, c, mode, 8)
+                assert end_degree_bound(lg, c, mode, 8) == want
+
+
+# Random graphs this small seldom make vertex capacities bind, so one is
+# given outright: two fingers share the hub x, which fans out into two arms.
+# A vertex-disjoint packing finds one path, an edge-disjoint one two.
+FAN = graph([("a", "b"), ("a", "c"), ("b", "x"), ("c", "x"), ("x", "p1"),
+             ("p1", "p2"), ("p2", "p3"), ("x", "q1"), ("q1", "q2"), ("q2", "q3")])
 
 
 @DIFF
-@given(simple_graphs(max_n=12), st.integers(0, 1), st.integers(1, 2))
+@given(simple_graphs(max_n=12), st.integers(0, 1), st.integers(1, 4))
+@example(FAN, 0, 3)
 def test_end_degree_bound_matches_reference(g, r, depth):
     lg = lazy_from_finite(g)
     for c in outside_components(lg, r):
