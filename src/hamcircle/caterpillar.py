@@ -2,9 +2,9 @@
 
 A caterpillar is a tree that leaves only a path when its leaves are
 removed.  The partition machinery below orders the vertex set into
-consecutive classes along the spine; squares of caterpillars are then
-covered by "square strings" sweeping classes of one parity, which is what
-the constructive Hamilton-cycle routine and the cover lemma use.
+consecutive classes along the spine; the constructive Hamilton-cycle
+routine for the square sweeps out over the even classes with a "square
+string" and back over the odd ones.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .graphs import (
     GraphError,
     InvariantError,
     MultiGraph,
-    _apex_paths,
     canon_edge,
     eulerian_v_splits,
     is_eulerian,
@@ -245,8 +244,8 @@ def _assert_square_path(part, path):
     if len(set(path)) != len(path):
         raise InvariantError("square string repeats a vertex")
     for a, b in zip(path, path[1:]):
-        d = t.distances_from(a, limit=2).get(b)
-        if d is None or d > 2:
+        # within distance 2: adjacent or with a common neighbour
+        if b not in t.adj[a] and not t.adj[a] & t.adj[b]:
             raise InvariantError(f"{a}-{b} not an edge of the square")
 
 
@@ -261,18 +260,13 @@ def hamilton_cycle_of_square(t: FiniteGraph) -> frozenset:
     if m == 1:
         seq = [jumping[0]] + sorted(classes[1], key=vkey)
     else:
-        seq = [jumping[0]]
-        top_even = m if m % 2 == 0 else m - 1
-        for i in range(2, top_even + 1, 2):
-            j = jumping[i]
-            members = classes[i]
-            if i == m:
-                # the turn happens here; the exit edge lands on the next
-                # jumping vertex, so any end of the class traversal works
-                seq += _clique_path(members, min(members, key=vkey), max(members, key=vkey))
-            else:
-                entry = min((x for x in members if x != j), key=vkey, default=j)
-                seq += _clique_path(members, entry, j)
+        if m % 2 == 0:
+            # the turn happens in the last class; the exit edge lands on the
+            # next jumping vertex, so any end of the class traversal works
+            w = max(classes[m], key=vkey)
+        else:
+            w = jumping[m - 1]
+        seq = square_string(part, SquareStringSpec(jumping[0], w, False, True))
         if m % 2 == 1:
             seq += sorted(classes[m], key=vkey)
             start_odd = m - 2
@@ -298,154 +292,6 @@ def hamilton_cycle_of_square(t: FiniteGraph) -> frozenset:
     if not FiniteGraph(t.vertices, frozenset(edges)).is_connected():
         raise InvariantError("cycle is not connected")
     return frozenset(edges)
-
-
-# ---------------------------------------------------------------------------
-# covers (finite truncation of the double-ray cover lemma)
-
-
-def _ham_path_from(g: FiniteGraph, start):
-    """A spanning path of g starting at `start`, or None."""
-    if start not in g.vertices:
-        return None
-    paths = _apex_paths(g, start=start, limit=1)
-    return list(paths[0]) if paths else None
-
-
-def _two_ray_cover(square, universe, v, w, allowed_v, allowed_w):
-    """Split `universe` into S ∋ v and its complement ∋ w such that the
-    square induces a spanning path from v on S and from w on the rest,
-    respecting the allowed regions.  Returns (path_v, path_w) or None."""
-    import itertools
-
-    must_v = universe - allowed_w
-    must_w = universe - allowed_v
-    if v in must_w or w in must_v or (must_v & must_w):
-        return None
-    free = sorted(universe - must_v - must_w - {v, w}, key=vkey)
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        sv = set(must_v) | {v} | {f for f, b in zip(free, bits) if b == 0}
-        sw = universe - sv
-        if v == w:
-            # rays from a common start share exactly that vertex
-            sw = sw | {v}
-        pv = _ham_path_from(square.subgraph(sv), v)
-        if pv is None:
-            continue
-        pw = _ham_path_from(square.subgraph(sw), w)
-        if pw is not None:
-            return pv, pw
-    return None
-
-
-def decomp_covers(t: FiniteGraph, part: OrderedCaterpillarPartition, v, w):
-    """Two vertex covers of a finite caterpillar by paths of its square.
-
-    Even distance between v and w: a v-w path P plus a disjoint path D
-    covering the rest, and a pair of paths from v and w partitioning the
-    vertex set with the lemma's class-avoidance constraints.  Odd
-    distance: two such pairs with mirrored avoidance.
-    """
-    idx = part.index_of
-    if idx[v] > idx[w]:
-        raise GraphError("v must not come after w in the class order")
-    iv, iw = idx[v], idx[w]
-    square = kth_power(t, 2)
-    universe = set(t.vertices)
-    lower = {x for x in universe if idx[x] < iv}
-    upper = {x for x in universe if idx[x] > iw}
-    dist_even = t.distances_from(v).get(w, 0) % 2 == 0
-    report = {"parity": "even" if dist_even else "odd"}
-    if dist_even:
-        jv = part.jumping[iv] == v
-        jw = part.jumping[iw] == w
-        p = square_string(
-            part, SquareStringSpec(v, w, left_closed=not jv, right_closed=jw)
-        )
-        rest = universe - set(p)
-        if rest:
-            d = None
-            for s in sorted(rest, key=vkey):
-                d = _ham_path_from(square.subgraph(rest), s)
-                if d is not None:
-                    break
-            if d is None:
-                raise InvariantError("no covering path for the complement of P")
-        else:
-            d = []
-        pair = _two_ray_cover(
-            square, universe, v, w, universe - upper, universe - lower
-        )
-        if pair is None:
-            raise InvariantError("no two-ray cover found")
-        report.update({"P": p, "D": d, "R_v": pair[0], "R_w": pair[1]})
-        _check_cover(universe, p, d, disjoint=True)
-        _check_cover(universe, pair[0], pair[1], disjoint=v != w)
-        if set(pair[0]) & upper or set(pair[1]) & lower:
-            raise InvariantError("two-ray cover enters a forbidden side")
-    else:
-        pair1 = _two_ray_cover(
-            square, universe, v, w, universe - upper, universe - lower
-        )
-        pair2 = _two_ray_cover(
-            square, universe, v, w, universe - lower, universe - upper
-        )
-        if pair1 is None or pair2 is None:
-            raise InvariantError("no two-ray cover found")
-        report.update(
-            {
-                "R_v": pair1[0],
-                "R_w": pair1[1],
-                "R_v_prime": pair2[0],
-                "R_w_prime": pair2[1],
-            }
-        )
-        _check_cover(universe, pair1[0], pair1[1], disjoint=v != w)
-        _check_cover(universe, pair2[0], pair2[1], disjoint=v != w)
-        if set(pair1[0]) & upper or set(pair1[1]) & lower:
-            raise InvariantError("two-ray cover enters a forbidden side")
-        if set(pair2[0]) & lower or set(pair2[1]) & upper:
-            raise InvariantError("two-ray cover enters a forbidden side")
-    return report
-
-
-def _check_cover(universe, p1, p2, disjoint):
-    s1, s2 = set(p1), set(p2)
-    if s1 | s2 != universe:
-        raise InvariantError("cover misses vertices")
-    if disjoint and s1 & s2:
-        raise InvariantError("cover paths overlap")
-
-
-def interval_path(
-    g: FiniteGraph, part: OrderedCaterpillarPartition, x, y, v, w
-):
-    """A path from x to y inside the union of partition classes between
-    those of v and w (inclusive), found by BFS."""
-    idx = part.index_of
-    iv, iw = idx[v], idx[w]
-    if iv > iw:
-        raise GraphError("v must not come after w in the class order")
-    interval = {z for z in g.vertices if z in idx and iv <= idx[z] <= iw}
-    if x not in interval or y not in interval:
-        raise GraphError("endpoint outside the class interval")
-    sub = g.subgraph(interval)
-    prev = {x: None}
-    queue = [x]
-    while queue and y not in prev:
-        nxt = []
-        for u in queue:
-            for z in sub.neighbors(u):
-                if z not in prev:
-                    prev[z] = u
-                    nxt.append(z)
-        queue = nxt
-    if y not in prev:
-        raise InvariantError("no path inside the interval")
-    path = [y]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return list(reversed(path))
 
 
 def split_to_cycle(m: MultiGraph):

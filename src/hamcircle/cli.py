@@ -25,13 +25,13 @@ from .fragment import (
 from .graphs import (
     GraphError,
     InvariantError,
+    MultiGraph,
     enumerate_hamilton_cycles,
     eulerian_v_splits,
     kth_power,
 )
 from .lazy import (
     BudgetError,
-    DEFAULT_EXPLORE_BUDGET,
     DEFAULT_VERTEX_BUDGET,
     deep_components,
     double_ladder,
@@ -41,12 +41,8 @@ from .lazy import (
 OK, VIOLATED, USAGE, BUDGET, INVARIANT = 0, 1, 2, 3, 4
 
 
-def _budgets(args):
-    return {
-        "max_vertices": getattr(args, "max_vertices", DEFAULT_VERTEX_BUDGET),
-        "max_radius": getattr(args, "max_radius", None),
-        "explore_budget": DEFAULT_EXPLORE_BUDGET,
-    }
+def _budgets():
+    return {"max_vertices": DEFAULT_VERTEX_BUDGET}
 
 
 def _emit(args, obj):
@@ -59,10 +55,15 @@ def _emit(args, obj):
 
 
 def _load(path):
+    """A simple graph from a JSON file; every subcommand that reads one
+    works on simple graphs only."""
     try:
-        return jsonio.load_graph(path)
+        g = jsonio.load_graph(path)
     except (OSError, ValueError, GraphError) as e:
         raise SystemExit_(USAGE, f"cannot read graph: {e}")
+    if isinstance(g, MultiGraph):
+        raise SystemExit_(USAGE, "cannot read graph: multigraphs are not supported here")
+    return g
 
 
 class SystemExit_(Exception):
@@ -88,7 +89,7 @@ def cmd_power(args):
 
 def cmd_outerplanar(args):
     g = _load(args.graph)
-    report = {"budgets": _budgets(args)}
+    report = {"budgets": _budgets()}
     outer = minors.is_outerplanar(g)
     report["outerplanar"] = outer
     if not outer:
@@ -123,7 +124,7 @@ def cmd_outerplanar(args):
 
 def cmd_caterpillar(args):
     g = _load(args.graph)
-    report = {"budgets": _budgets(args)}
+    report = {"budgets": _budgets()}
     spine = cat.is_caterpillar(g)
     report["caterpillar"] = spine is not None
     if spine is None:
@@ -144,7 +145,7 @@ def cmd_minor(args):
     g = _load(args.graph)
     pattern = args.pattern.upper()
     w = minors.find_minor(g, pattern)
-    report = {"budgets": _budgets(args), "pattern": pattern, "found": w is not None}
+    report = {"budgets": _budgets(), "pattern": pattern, "found": w is not None}
     if w is not None:
         report["witness"] = w.to_obj()
     _emit(args, report)
@@ -156,7 +157,7 @@ def cmd_tutte_verify(args):
     # fails is an input error
     f = load_tutte_fragment()
     report = {
-        "budgets": _budgets(args),
+        "budgets": _budgets(),
         "t_minus_u": len(f.hamilton_paths["u"]),
         "t_minus_r": len(f.hamilton_paths["r"]),
         "t_minus_l": fragment_t_minus_l_count(f),
@@ -182,7 +183,7 @@ def cmd_construct_gn(args):
 def cmd_ends(args):
     lg = _generator(args.generator)
     comps = deep_components(lg, args.radius)
-    report = {"budgets": _budgets(args), "radius": args.radius, "components": []}
+    report = {"budgets": _budgets(), "radius": args.radius, "components": []}
     for c in comps:
         lo, hi = end_degree_bound(lg, c, args.mode, depth=args.depth)
         report["components"].append(
@@ -233,7 +234,7 @@ def cmd_unique_circle(args):
         claim = (
             "unique at tested levels (level-bounded)" if all_one else "not unique"
         )
-    report = {"budgets": _budgets(args), "levels": levels, "limit_claim": claim}
+    report = {"budgets": _budgets(), "levels": levels, "limit_claim": claim}
     _emit(args, report)
     return OK if all_one else VIOLATED
 
@@ -256,7 +257,7 @@ def cmd_verify_circle(args):
     _emit(
         args,
         {
-            "budgets": _budgets(args),
+            "budgets": _budgets(),
             "member": args.member,
             "levels": list(levels),
             "verified": ok,
@@ -357,7 +358,7 @@ def cmd_corpus(args):
 
         run("quotient", quo)
     total = sum(r["violations"] for r in results.values())
-    _emit(args, {"budgets": _budgets(args), "seed": args.seed, "suites": results})
+    _emit(args, {"budgets": _budgets(), "seed": args.seed, "suites": results})
     return OK if total == 0 else VIOLATED
 
 

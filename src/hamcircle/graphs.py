@@ -157,12 +157,6 @@ class MultiGraph:
         es.sort(key=lambda t: t[0])
         return MultiGraph(vs, tuple(es))
 
-    @staticmethod
-    def from_simple(g: FiniteGraph) -> "MultiGraph":
-        return MultiGraph.build(
-            g.vertices, [(i, a, b) for i, (a, b) in enumerate(g.sorted_edges())]
-        )
-
     @cached_property
     def incidence(self) -> dict:
         inc = {v: [] for v in self.vertices}
@@ -674,12 +668,14 @@ def enumerate_hamilton_cycles(g, forced_in=(), forced_out=(), limit=None):
     ]
 
 
-def _apex_paths(g: FiniteGraph, start=None, limit=None):
-    """Hamilton paths of g as vertex tuples, read off the Hamilton cycles of
-    g plus an apex joined to every vertex: a path's ends are the apex's two
-    neighbours on the cycle.  With `start` the apex edge to it is forced and
-    every path begins there; otherwise every path begins at its end that
-    comes first in vertex order."""
+def enumerate_hamilton_paths(g: FiniteGraph):
+    """All spanning paths, each once (a path equals its reverse).
+
+    They are read off the Hamilton cycles of g plus an apex joined to every
+    vertex: a path's ends are the apex's two neighbours on the cycle, and it
+    begins at the one that comes first in vertex order."""
+    if not g.vertices:
+        raise GraphError("empty graph")
     vs = g.sorted_vertices()
     n = len(vs)
     if n == 1:
@@ -688,18 +684,14 @@ def _apex_paths(g: FiniteGraph, start=None, limit=None):
     ends = [(index[a], index[b]) for a, b in g.sorted_edges()]
     m = len(ends)
     ends += [(i, n) for i in range(n)]  # apex edge m + i joins vertex i
-    forced = [m + index[start]] if start is not None else []
     paths = []
-    for cycle in _CycleSearch(n + 1, ends, limit).run(forced):
+    for cycle in _CycleSearch(n + 1, ends).run():
         nbr = [[] for _ in range(n)]
         for e in cycle[:-2]:
             a, b = ends[e]
             nbr[a].append(b)
             nbr[b].append(a)
-        s, t = cycle[-2] - m, cycle[-1] - m
-        if start is not None and t == index[start]:
-            s = t
-        seq = [s]
+        seq = [cycle[-2] - m]
         prev = -1
         while len(seq) < n:
             here = seq[-1]
@@ -707,11 +699,4 @@ def _apex_paths(g: FiniteGraph, start=None, limit=None):
             prev = here
             seq.append(step)
         paths.append(tuple(vs[i] for i in seq))
-    return paths
-
-
-def enumerate_hamilton_paths(g: FiniteGraph):
-    """All spanning paths, each once (a path equals its reverse)."""
-    if not g.vertices:
-        raise GraphError("empty graph")
-    return sorted(_apex_paths(g), key=lambda p: [vkey(v) for v in p])
+    return sorted(paths, key=lambda p: [vkey(v) for v in p])

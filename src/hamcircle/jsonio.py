@@ -5,8 +5,9 @@ Simple graphs::
     {"multi": false, "vertices": ["a", "b"], "edges": [["a", "b"]]}
 
 Multigraphs set ``"multi": true`` and each edge is ``[id, "a", "b"]`` with a
-unique integer id.  Unknown top-level fields are rejected so that typos fail
-loudly instead of being ignored.
+unique integer id.  Vertex ids are JSON strings or numbers.  Unknown
+top-level fields are rejected so that typos fail loudly instead of being
+ignored.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ import json
 from .graphs import FiniteGraph, GraphError, MultiGraph
 
 _ALLOWED = {"multi", "vertices", "edges"}
+
+
+def _vertex_id(x):
+    # JSON strings and numbers only: anything else is unhashable or, like
+    # true and false (of type bool), aliases a number
+    if type(x) not in (str, int, float):
+        raise GraphError(f"vertex id must be a string or a number: {x!r}")
+    return x
 
 
 def graph_from_obj(obj):
@@ -31,18 +40,21 @@ def graph_from_obj(obj):
     edges = obj.get("edges")
     if not isinstance(verts, list) or not isinstance(edges, list):
         raise GraphError('"vertices" and "edges" must be lists')
+    verts = [_vertex_id(v) for v in verts]
     if multi:
         recs = []
         for e in edges:
             if not isinstance(e, list) or len(e) != 3:
                 raise GraphError(f"multigraph edge must be [id, a, b]: {e!r}")
-            recs.append((e[0], e[1], e[2]))
+            if type(e[0]) is not int:
+                raise GraphError(f"multigraph edge id must be an integer: {e!r}")
+            recs.append((e[0], _vertex_id(e[1]), _vertex_id(e[2])))
         return MultiGraph.build(verts, recs)
     pairs = []
     for e in edges:
         if not isinstance(e, list) or len(e) != 2:
             raise GraphError(f"edge must be [a, b]: {e!r}")
-        pairs.append((e[0], e[1]))
+        pairs.append((_vertex_id(e[0]), _vertex_id(e[1])))
     return FiniteGraph.build(verts, pairs)
 
 

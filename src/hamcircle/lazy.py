@@ -4,9 +4,10 @@ A LazyGraph never materializes the whole graph: it exposes a root and a
 pure neighbor function.  Ends are approximated by "deep components": the
 infinite components left after removing a finite region around the root.
 Built-in generators attach an exhaustion hint that names those regions and
-certifies which components are infinite; hint-less graphs fall back to
-balls and exhaustive exploration with a hard budget error when a
-component's finiteness cannot be decided.
+certifies which components are infinite.  Deep components come only from
+such a hint: without one they are refused with a GraphError, since a finite
+exploration can never certify that a component is infinite.  Regions of
+hint-less graphs are balls.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class DeepComponent:
 
 
 DEFAULT_VERTEX_BUDGET = 200_000
-DEFAULT_EXPLORE_BUDGET = 5_000
 
 
 def _check_radius(r):
@@ -91,54 +91,25 @@ def _region(lg: LazyGraph, r: int):
     return ball(lg, r).graph.vertices
 
 
-def deep_components(lg: LazyGraph, r: int, budget=DEFAULT_EXPLORE_BUDGET):
-    """The infinite components of the graph minus the level-r region.
-
-    With a generator hint the components come certified; without one, each
-    component is explored exhaustively and a component that neither
-    exhausts nor is certified raises a budget error.
-    """
-    region = _region(lg, r)
-    if lg.hint is not None:
-        out = []
-        for comp_id, fingers, cut in lg.hint.components(r):
-            out.append(DeepComponent(r, comp_id, frozenset(fingers), tuple(cut)))
-        out.sort(key=lambda c: str(c.comp_id))
-        return out
-    # collect cut edges
-    cut = []
-    for v in sorted(region, key=vkey):
-        for y in lg.neighbors(v):
-            if y not in region:
-                cut.append((v, y))
-    # without a hint we can only rule components out by exhausting them
-    explored = set()
-    for _, f in cut:
-        if f in explored:
-            continue
-        seen = {f}
-        stack = [f]
-        while stack:
-            x = stack.pop()
-            for y in lg.neighbors(x):
-                if y not in region and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-                    if len(seen) > budget:
-                        raise BudgetError(
-                            "cannot decide finiteness of a component "
-                            "within the exploration budget"
-                        )
-        # fully explored: the component is finite, hence not a deep one
-        explored |= seen
-    return []
+def deep_components(lg: LazyGraph, r: int):
+    """The infinite components of the graph minus the level-r region, as
+    certified by the generator's exhaustion hint; a graph without a hint
+    is an error."""
+    _check_radius(r)
+    if lg.hint is None:
+        raise GraphError("no exhaustion hint: deep components cannot be certified")
+    out = []
+    for comp_id, fingers, cut in lg.hint.components(r):
+        out.append(DeepComponent(r, comp_id, frozenset(fingers), tuple(cut)))
+    out.sort(key=lambda c: str(c.comp_id))
+    return out
 
 
 def end_nesting(lg: LazyGraph, r1: int, r2: int):
     """Map each deep component at radius r2 to the one at r1 containing it.
 
-    Deep components come only from a hint, so a graph without one maps
-    nothing (or raises while deciding a component's finiteness)."""
+    Deep components come only from a hint, so a graph without one is an
+    error."""
     if not r1 < r2:
         raise GraphError("need r1 < r2")
     shallow = deep_components(lg, r1)

@@ -3,16 +3,21 @@ import pytest
 from conftest import cycle_graph, graph, multigraph, path_graph
 from hamcircle.caterpillar import (
     SquareStringSpec,
+    _assert_square_path,
     caterpillar_partition,
-    decomp_covers,
     find_s_k13,
     hamilton_cycle_of_square,
-    interval_path,
     is_caterpillar,
     split_to_cycle,
     square_string,
 )
-from hamcircle.graphs import GraphError, enumerate_hamilton_cycles, is_eulerian, kth_power
+from hamcircle.graphs import (
+    GraphError,
+    InvariantError,
+    enumerate_hamilton_cycles,
+    is_eulerian,
+    kth_power,
+)
 
 
 def sk13():
@@ -81,6 +86,15 @@ def test_square_string_parity_error():
         square_string(part, SquareStringSpec(members[0], members[1], True, True))
 
 
+def test_square_path_check():
+    # the check inside every square string: distance 1 or 2, no repeats
+    part = caterpillar_partition(path_graph(6))
+    _assert_square_path(part, ["v1", "v2", "v4", "v3"])
+    for bad in (["v1", "v4"], ["v1", "v3", "v1"]):
+        with pytest.raises(InvariantError):
+            _assert_square_path(part, bad)
+
+
 def test_square_cycle_p3_triangle():
     c = hamilton_cycle_of_square(path_graph(3))
     assert len(c) == 3
@@ -106,27 +120,32 @@ def test_square_of_sk13_not_hamiltonian():
         hamilton_cycle_of_square(sk13())
 
 
-def test_decomp_covers_even_odd_and_equal():
-    p6 = path_graph(6)
-    part = caterpillar_partition(p6)
-    even = decomp_covers(p6, part, "v1", "v3")
-    assert even["parity"] == "even"
-    odd = decomp_covers(p6, part, "v1", "v4")
-    assert odd["parity"] == "odd"
-    same = decomp_covers(p6, part, "v1", "v1")
-    assert set(same["P"]) | set(same["D"]) == set(p6.vertices)
-
-
-def test_interval_path():
-    p6 = path_graph(6)
-    part = caterpillar_partition(p6)
-    idx = part.index_of
-    lo = min(idx, key=lambda v: (idx[v], v))
-    hi = max(idx, key=lambda v: (idx[v], v))
-    path = interval_path(p6, part, lo, hi, lo, hi)
-    assert path[0] == lo and path[-1] == hi
-    with pytest.raises(GraphError):
-        interval_path(p6, part, lo, hi, hi, hi)
+@pytest.mark.parametrize(
+    "edges, m, cycle",
+    [
+        (
+            [("v1", "v2"), ("v2", "v3"), ("v1", "a"), ("v2", "b"), ("v2", "c"),
+             ("v3", "d"), ("v3", "e")],
+            3,
+            [["a", "v1"], ["a", "v2"], ["b", "c"], ["b", "v1"], ["c", "v3"],
+             ["d", "e"], ["d", "v3"], ["e", "v2"]],
+        ),
+        (
+            [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "a"), ("v2", "b"),
+             ("v2", "c"), ("v3", "d"), ("v4", "e"), ("v4", "f")],
+            4,
+            [["a", "v1"], ["a", "v2"], ["b", "c"], ["b", "v1"], ["c", "v3"],
+             ["d", "v2"], ["d", "v4"], ["e", "f"], ["e", "v3"], ["f", "v4"]],
+        ),
+    ],
+    ids=["odd-last-class", "even-last-class"],
+)
+def test_square_cycle_is_pinned(edges, m, cycle):
+    # the exact cycle is part of the CLI's output: the outward sweep over
+    # the even classes and the return over the odd ones must not change it
+    t = graph(edges)
+    assert len(caterpillar_partition(t).classes) - 1 == m
+    assert sorted(sorted(e) for e in hamilton_cycle_of_square(t)) == cycle
 
 
 def _bowtie_multigraph():

@@ -143,6 +143,20 @@ def test_bad_input_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["power"], ["outerplanar"], ["caterpillar"],
+                                  ["minor", "--pattern", "k23"]],
+                         ids=["power", "outerplanar", "caterpillar", "minor"])
+def test_multigraph_input_is_usage_error(tmp_path, capsys, argv):
+    # the finite-graph subcommands read simple graphs only; a digon must not
+    # crash (power, minor) or pass as outerplanar
+    p = write_graph(tmp_path, "digon.json",
+                    {"multi": True, "vertices": ["a", "b"], "edges": [[0, "a", "b"], [1, "a", "b"]]})
+    code, out, err = run(capsys, argv[0], p, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "multigraph" in err
+
+
 def test_determinism(tmp_path, capsys):
     f = diamond_file(tmp_path)
     _, out1, _ = run(capsys, "outerplanar", f, "--cycle")
@@ -312,13 +326,14 @@ def test_invariant_checks_survive_optimize():
     # under -O bare asserts vanish; these checks are explicit raises
     script = (
         "import dataclasses\n"
-        "from hamcircle.caterpillar import _check_cover\n"
+        "from hamcircle.caterpillar import _assert_partition_properties, caterpillar_partition\n"
         "from hamcircle.fragment import audit_tree, build_gn\n"
         "from hamcircle.graphs import FiniteGraph, InvariantError\n"
         "assert False, 'asserts are stripped under -O'\n"
         "caught = []\n"
+        "part = caterpillar_partition(FiniteGraph.build('abc', [('a', 'b'), ('b', 'c')]))\n"
         "try:\n"
-        "    _check_cover({1, 2, 3}, [1], [2], disjoint=True)\n"
+        "    _assert_partition_properties(dataclasses.replace(part, classes=part.classes[:-1]))\n"
         "except InvariantError as e:\n"
         "    caught.append(str(e))\n"
         "g, ft = build_gn(1)\n"
@@ -336,4 +351,4 @@ def test_invariant_checks_survive_optimize():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().split(maxsplit=2) == ["False", "2", "cover misses vertices"]
+    assert proc.stdout.strip().split(maxsplit=2) == ["False", "2", "classes do not partition the vertex set"]

@@ -35,3 +35,17 @@ def test_obj_is_deterministic():
     g = cycle_graph(4)
     assert graph_to_obj(g) == graph_to_obj(g)
     assert graph_to_obj(g)["vertices"] == sorted(graph_to_obj(g)["vertices"])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"vertices": [[1]], "edges": []},
+        {"vertices": ["a", "b"], "edges": [["a", ["b"]]]},
+        {"multi": True, "vertices": ["a", "b"], "edges": [[0, "a", "b"], ["x", "a", "b"]]},
+    ],
+    ids=["unhashable-vertex", "list-endpoint", "string-edge-id"],
+)
+def test_malformed_ids_rejected(obj):
+    with pytest.raises(GraphError):
+        graph_from_obj(obj)

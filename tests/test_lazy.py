@@ -69,25 +69,19 @@ def test_lazy_power_neighbors():
     assert "L:2:top" in n2 and "L:1:bot" in n2
 
 
-def test_hintless_infinite_component_raises():
-    # the square of the ladder has no exhaustion hint: deciding that a
-    # component is infinite must fail loudly
-    sq = lazy_power(double_ladder(), 2)
-    with pytest.raises(BudgetError):
-        deep_components(sq, 2, budget=500)
-
-
-def test_hintless_finite_graph_has_no_deep_components():
-    lg = lazy_from_finite(cycle_graph(6))
-    assert deep_components(lg, 1) == []
-
-
-def test_hintless_nesting_maps_nothing_or_raises():
-    # without a hint no component is certified infinite: a finite graph
-    # nests nothing, an infinite one fails while exploring
-    assert end_nesting(lazy_from_finite(cycle_graph(6)), 0, 1) == {}
-    with pytest.raises(BudgetError):
-        end_nesting(lazy_power(double_ladder(), 2), 1, 2)
+@pytest.mark.parametrize(
+    "make",
+    [lambda: lazy_power(double_ladder(), 2), lambda: lazy_from_finite(cycle_graph(6))],
+    ids=["ladder-square", "finite-cycle"],
+)
+def test_hintless_graphs_have_no_deep_components(make):
+    # no finite exploration certifies a component infinite: without an
+    # exhaustion hint, deep components are refused outright
+    lg = make()
+    with pytest.raises(GraphError, match="no exhaustion hint"):
+        deep_components(lg, 1)
+    with pytest.raises(GraphError, match="no exhaustion hint"):
+        end_nesting(lg, 0, 1)
 
 
 def test_lazy_from_finite_ball_matches():
