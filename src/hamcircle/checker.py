@@ -1,15 +1,19 @@
 """Certification of unique Hamilton circles through finite quotients.
 
-Two engines:
+The finite window at level r is the quotient of a hinted lazy graph
+(`lazy.quotient_multigraph`): the region plus one surrogate vertex per
+deep component.  Two engines:
 
 * a transfer-table dynamic program over the fragment recursion tree
   (exact per level, and exact in the limit via the 3-edge-cut
   factorization: every Hamilton circle crosses each fragment boundary
   exactly twice and therefore induces a Hamilton path missing one
-  contact in every copy);
-* a generic quotient enumerator that contracts the deep components of a
-  lazy graph to surrogate vertices and runs the multigraph Hamilton
-  search (used for the double ladder, and to cross-check the DP).
+  contact in every copy); it names edges by the limit graph's wiring
+  and keeps those inside the level's region;
+* a generic quotient enumerator that runs the multigraph Hamilton search
+  on the window (used for the double ladder, and to cross-check the DP).
+
+The candidate-circle check reads its member edges off the same window.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .fragment import (
     Fragment,
     check_level,
     copy_paths,
-    level_edges,
     load_tutte_fragment,
+    section5_graph,
 )
 from .graphs import (
     GraphError,
@@ -32,9 +36,8 @@ from .graphs import (
     MultiGraph,
     canon_edge,
     enumerate_hamilton_cycles,
-    vkey,
 )
-from .lazy import LazyGraph, _region, deep_components
+from .lazy import LazyGraph, quotient_multigraph, quotient_window
 
 
 @dataclass(frozen=True)
@@ -119,29 +122,20 @@ def stabilized_viable(tt: TransferTable, depth_bound: int = 10):
 class QuotientVerdict:
     level: int
     count: int
-    forced: frozenset  # forced edges, restricted to persistent edges
+    forced: frozenset  # forced edges with both ends in the level's region
     stable: Optional[bool]  # None when no previous level to compare against
 
 
-def persistent_edges(f: Fragment, level: int) -> frozenset:
-    """Edges of the level graph that survive into all later levels: all
-    but those touching a depth-`level` copy's c or v."""
-    dead = {
-        f.vertex(p, x) for p in copy_paths(f, level) if len(p) == level for x in f.children
-    }
-    return frozenset(
-        e for e in level_edges(f, level) if e[0] not in dead and e[1] not in dead
-    )
+def _inside(edges, region) -> frozenset:
+    """The edges with both ends in `region`."""
+    return frozenset(e for e in edges if e[0] in region and e[1] in region)
 
 
-def fragment_tree_dp(
-    tt: TransferTable, level: int, persistent: frozenset
-) -> QuotientVerdict:
+def fragment_tree_dp(tt: TransferTable, level: int, region: frozenset) -> QuotientVerdict:
     """Count Hamilton cycles of the closed level graph by composing
     per-copy path patterns across the recursion tree, and compute the
-    edges common to all of them (restricted to `persistent`, the level's
-    persistent edges).  A pattern's edges at c and v map through the
-    children's pendants."""
+    edges common to all of them: limit edges (those at c and v map through
+    the children's pendants) with both ends in the level's `region`."""
     frag = tt.fragment
     paths = copy_paths(frag, level)  # shallowest first
     # bottom-up counts f[node][missing]
@@ -175,35 +169,34 @@ def fragment_tree_dp(
                         continue
                     child_reach_c.add(pat.c_child_missing)
                     child_reach_v.add(pat.v_child_missing)
-                ge = {frag.edge(path, a, b, level) for a, b in pat.edges}
+                ge = {frag.edge(path, a, b) for a, b in pat.edges}
                 node_forced = ge if node_forced is None else node_forced & ge
         if node_forced:
             forced = node_forced if forced is None else forced | node_forced
         if not leaf:
             reachable[path + "c"] = child_reach_c
             reachable[path + "v"] = child_reach_v
-    forced = frozenset(forced or ())
-    return QuotientVerdict(level, count, forced & persistent, None)
+    return QuotientVerdict(level, count, _inside(forced or (), region), None)
 
 
 def dp_series(max_level: int):
     """Verdicts for levels 0..max_level with stabilization flags.
 
-    The stabilization window at level n is the persistent edge set two
-    levels down (edges whose copies are fully settled at both compared
-    levels); the flag says the forced set no longer changes there.  A
-    negative level raises GraphError, one past the build cap BudgetError.
+    The stabilization window at level n is the region two levels down
+    (edges whose copies are fully settled at both compared levels); the
+    flag says the forced set no longer changes there.  A negative level
+    raises GraphError, one past the build cap BudgetError.
     """
     check_level(max_level)  # before any DP runs
     tt = transfer_table()
-    persistent = [persistent_edges(tt.fragment, n) for n in range(max_level + 1)]
-    verdicts = [fragment_tree_dp(tt, n, persistent[n]) for n in range(max_level + 1)]
+    hint = section5_graph().hint
+    verdicts = [fragment_tree_dp(tt, n, hint.region(n)) for n in range(max_level + 1)]
     out = []
     for n, v in enumerate(verdicts):
         stable = None
         if n >= 2:
-            window = persistent[n - 2]
-            stable = (v.forced & window) == (verdicts[n - 1].forced & window)
+            window = hint.region(n - 2)
+            stable = _inside(v.forced, window) == _inside(verdicts[n - 1].forced, window)
         out.append(QuotientVerdict(v.level, v.count, v.forced, stable))
     return out
 
@@ -228,25 +221,6 @@ def limit_certificate(tt: TransferTable = None):
 # generic quotient engine
 
 
-def quotient_multigraph(lg: LazyGraph, r: int):
-    """Region plus one surrogate vertex per deep component; parallel cut
-    edges preserved."""
-    region = _region(lg, r)
-    comps = deep_components(lg, r)
-    records = []
-    for v in sorted(region, key=vkey):
-        for y in lg.neighbors(v):
-            if y in region and vkey(v) < vkey(y):
-                records.append((v, y))
-    for comp in comps:
-        surrogate = f"end:{comp.comp_id}"
-        for inside, _finger in sorted(comp.cut_edges, key=lambda e: (vkey(e[0]), vkey(e[1]))):
-            records.append((inside, surrogate))
-    vertices = set(region) | {f"end:{c.comp_id}" for c in comps}
-    edges = [(i, a, b) for i, (a, b) in enumerate(records)]
-    return MultiGraph.build(vertices, edges)
-
-
 def quotient_hamilton(lg: LazyGraph, r: int):
     """All Hamilton cycles of the level-r quotient (edge-id sets), with the
     quotient multigraph itself."""
@@ -256,51 +230,25 @@ def quotient_hamilton(lg: LazyGraph, r: int):
 
 
 def verify_candidate_circle(lg: LazyGraph, member, levels) -> bool:
-    """Necessary finite-level checks for a candidate Hamilton circle given
-    as an edge membership predicate: degree two at every region vertex,
-    even crossing count (at least 2) of every deep-component cut, and
-    connectivity of the member set on the quotient; no levels is an error."""
+    """Necessary finite-level checks on each level's quotient for a
+    candidate Hamilton circle given as an edge membership predicate:
+    degree two at every region vertex, an even crossing count (at least 2)
+    at every surrogate, and the member edges connected.  This relies on
+    the hint listing every edge that leaves the region as a cut edge, as
+    the quotient does.  No levels is an error."""
     levels = list(levels)
     if not levels:
         raise GraphError("no levels to check")
     for r in levels:
-        region = _region(lg, r)
-        comps = deep_components(lg, r)
-        used = {}
-        for v in sorted(region, key=vkey):
-            cnt = 0
-            for y in lg.neighbors(v):
-                if member(canon_edge(v, y)):
-                    cnt += 1
-            if cnt != 2:
+        region, vertices, records = quotient_window(lg, r)
+        m = MultiGraph.build(
+            vertices, [(i, a, b) for i, (a, b, e) in enumerate(records) if member(e)]
+        )
+        for v in vertices:
+            k = m.degree(v)
+            if (k != 2) if v in region else (k % 2 != 0 or k < 2):
                 return False
-        # cut parity and connectivity on the quotient
-        qverts = set(region) | {f"end:{c.comp_id}" for c in comps}
-        qadj = {v: set() for v in qverts}
-        for v in region:
-            for y in lg.neighbors(v):
-                if y in region and member(canon_edge(v, y)):
-                    qadj[v].add(y)
-                    qadj[y].add(v)
-        for c in comps:
-            surrogate = f"end:{c.comp_id}"
-            crossing = [e for e in c.cut_edges if member(canon_edge(*e))]
-            k = len(crossing)
-            if k % 2 != 0 or k < 2 or k > len(c.cut_edges):
-                return False
-            for inside, _ in crossing:
-                qadj[inside].add(surrogate)
-                qadj[surrogate].add(inside)
-        start = min(qverts, key=vkey)
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in qadj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != qverts:
+        if not m.is_connected_on_support():
             return False
     return True
 

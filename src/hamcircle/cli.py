@@ -26,6 +26,8 @@ from .graphs import (
     GraphError,
     InvariantError,
     MultiGraph,
+    canon_edge,
+    ekey,
     enumerate_hamilton_cycles,
     eulerian_v_splits,
     kth_power,
@@ -43,6 +45,12 @@ OK, VIOLATED, USAGE, BUDGET, INVARIANT = 0, 1, 2, 3, 4
 
 def _budgets():
     return {"max_vertices": DEFAULT_VERTEX_BUDGET}
+
+
+def _edge_list(edges):
+    """Edges as [a, b] pairs, ordered as the library orders them: each
+    pair and the list by the ids' `str` forms."""
+    return [list(canon_edge(*e)) for e in sorted(edges, key=ekey)]
 
 
 def _emit(args, obj):
@@ -105,19 +113,17 @@ def cmd_outerplanar(args):
             _emit(args, report)
             return VIOLATED
         if args.contractible:
-            report["two_contractible"] = sorted(
-                sorted(e) for e in outerplanar.two_contractible_edges(g)
-            )
+            report["two_contractible"] = _edge_list(outerplanar.two_contractible_edges(g))
         if args.layout:
             layout = outerplanar.disk_layout(g)
             with open(args.layout, "w") as fh:
                 fh.write(outerplanar.layout_to_svg(layout))
             report["layout"] = args.layout
             # the layout's boundary is the cycle: one circle order serves both
-            report["hamilton_cycle"] = sorted(sorted(e) for e in layout.boundary)
+            report["hamilton_cycle"] = _edge_list(layout.boundary)
         elif args.cycle:
             cyc = outerplanar.unique_hamilton_cycle_outerplanar(g)
-            report["hamilton_cycle"] = sorted(sorted(e) for e in cyc)
+            report["hamilton_cycle"] = _edge_list(cyc)
     _emit(args, report)
     return OK
 
@@ -130,13 +136,13 @@ def cmd_caterpillar(args):
     if spine is None:
         witness = cat.find_s_k13(g)
         if witness is not None:
-            report["subdivided_star"] = sorted(witness)
+            report["subdivided_star"] = _edge_list(witness.edges)
         _emit(args, report)
         return VIOLATED
     report["spine"] = list(spine)
     if args.square_cycle:
         cycle = cat.hamilton_cycle_of_square(g)
-        report["square_cycle"] = sorted(sorted(e) for e in cycle)
+        report["square_cycle"] = _edge_list(cycle)
     _emit(args, report)
     return OK
 

@@ -11,9 +11,11 @@ the (u,l,r) -> (l,s,t) and (u,l,r) -> (w,x,y) identification.
 
 A copy is named by its path ("" for the root, then "c" or "v" per step),
 its vertex x by ``F:<path>:<x>``, the root's closed contacts by ``Z``.  One
-wiring rule reads every edge off these ids: `Fragment.contact`, `descend`
-and `edge`.  The level-n graph is the edges of all copies of depth <= n,
-the deepest keeping their c and v; the limit graph replaces every c and v.
+wiring rule reads every edge of the limit graph, where every c and v is
+replaced, off these ids: `Fragment.contact`, `descend` and `edge`.  The
+level-n graph is the limit graph's level-n quotient
+(`lazy.quotient_multigraph`): the copies of depth <= n, each deeper
+subtree contracted to the c or v vertex that its root copy replaces.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .graphs import (
     enumerate_hamilton_paths,
 )
 from .jsonio import graph_from_obj
-from .lazy import DEFAULT_VERTEX_BUDGET, BudgetError, LazyGraph
+from .lazy import DEFAULT_VERTEX_BUDGET, BudgetError, LazyGraph, quotient_multigraph
 
 LEVEL_CAP = 8  # cap for explicit level builds
 ROLES = ("u", "l", "r")  # a copy's contacts, in this order
@@ -103,29 +105,25 @@ class Fragment:
             return self.contact(path, ROLES[self.contacts.index(x)])
         return f"F:{path}:{x}"
 
-    def descend(self, path, x, via, level=None):
-        """Where the copy's local edge via-x ends at x, as (copy path, local
-        vertex): a replaced c or v hands the edge on to its child's pendant.
-        In the limit (level None) every c and v is replaced, at level n
-        those of copies of depth below n."""
-        while x in self.children and (level is None or len(path) < level):
+    def descend(self, path, x, via):
+        """Where the copy's local edge via-x ends at x in the limit graph, as
+        (copy path, local vertex): a c or v hands the edge on to its child's
+        pendant."""
+        while x in self.children:
             tag, nbrs = self.children[x]
             role = ROLES[nbrs.index(via)]
             path, via, x = path + tag, self.roles[role], self.pendants[role]
         return path, x
 
-    def land(self, path, role, level=None):
-        """Graph id where the copy's pendant edge at `role` lands (in the
-        limit, the l pendant on ``F:<path>c:p1``)."""
-        return self.vertex(
-            *self.descend(path, self.pendants[role], self.roles[role], level)
-        )
+    def land(self, path, role):
+        """Graph id where the copy's pendant edge at `role` lands (the l
+        pendant on ``F:<path>c:p1``)."""
+        return self.vertex(*self.descend(path, self.pendants[role], self.roles[role]))
 
-    def edge(self, path, a, b, level=None):
-        """The graph edge that the copy's local edge a-b stands for."""
+    def edge(self, path, a, b):
+        """The limit graph's edge that the copy's local edge a-b stands for."""
         return canon_edge(
-            self.vertex(*self.descend(path, a, b, level)),
-            self.vertex(*self.descend(path, b, a, level)),
+            self.vertex(*self.descend(path, a, b)), self.vertex(*self.descend(path, b, a))
         )
 
 
@@ -199,9 +197,9 @@ class FragmentTree:
         return tuple(p for p in paths if len(p) == self.level)
 
     def cut_edges_of(self, path):
-        """The three attachment edges of a marked copy."""
+        """The three attachment edges of a marked copy: its pendant edges."""
         f = self.fragment
-        return [canon_edge(f.contact(path, m), f.land(path, m, self.level)) for m in ROLES]
+        return [canon_edge(f.contact(path, m), f.vertex(path, f.pendants[m])) for m in ROLES]
 
     def subtree_vertices(self, path):
         """All interior vertices of the copy at `path` and its descendants.
@@ -222,20 +220,22 @@ def check_level(n: int):
         raise BudgetError(f"level {n} exceeds the cap {LEVEL_CAP}")
 
 
-def level_edges(f: Fragment, n: int) -> frozenset:
-    """The edges of the level-n graph: every copy of depth <= n stands for
-    its local edges, those at a replaced c or v handed on to the child."""
-    return frozenset(f.edge(p, a, b, n) for p in copy_paths(f, n) for a, b in f.graph.edges)
-
-
 @lru_cache(maxsize=None)
 def build_gn(n: int):
     """The level-n graph (contacts closed into one root vertex) and its
-    recursion tree."""
+    recursion tree: the limit graph's level-n quotient, each surrogate
+    ``end:<p><t>`` named for the vertex ``F:<p>:<c or v>`` it stands for."""
     check_level(n)
     f = load_tutte_fragment()
-    edges = level_edges(f, n)
-    g = FiniteGraph(frozenset(x for e in edges for x in e), edges)
+    m = quotient_multigraph(section5_graph(), n)
+
+    def name(x):
+        return f"F:{x[4:-1]}:{f.roles[x[-1]]}" if x.startswith("end:") else x
+
+    g = FiniteGraph(
+        frozenset(map(name, m.vertices)),
+        frozenset(canon_edge(name(a), name(b)) for _, a, b in m.edges),
+    )
     return g, FragmentTree(f, n, g)
 
 

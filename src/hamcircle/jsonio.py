@@ -5,7 +5,8 @@ Simple graphs::
     {"multi": false, "vertices": ["a", "b"], "edges": [["a", "b"]]}
 
 Multigraphs set ``"multi": true`` and each edge is ``[id, "a", "b"]`` with a
-unique integer id.  Vertex ids are JSON strings or numbers.  Unknown
+unique integer id.  Vertex ids are JSON strings or numbers, no two of them
+alike as strings: the library orders and names vertices by ``str``.  Unknown
 top-level fields are rejected so that typos fail loudly instead of being
 ignored.
 """
@@ -41,6 +42,11 @@ def graph_from_obj(obj):
     if not isinstance(verts, list) or not isinstance(edges, list):
         raise GraphError('"vertices" and "edges" must be lists')
     verts = [_vertex_id(v) for v in verts]
+    alike = {}
+    for v in verts:
+        w = alike.setdefault(str(v), v)
+        if w is not v and w != v:
+            raise GraphError(f"vertex ids {w!r} and {v!r} are alike as strings")
     if multi:
         recs = []
         for e in edges:

@@ -7,7 +7,9 @@ Built-in generators attach an exhaustion hint that names those regions and
 certifies which components are infinite.  Deep components come only from
 such a hint: without one they are refused with a GraphError, since a finite
 exploration can never certify that a component is infinite.  Regions of
-hint-less graphs are balls.
+hint-less graphs are balls.  The level-r quotient, the region plus one
+surrogate vertex per deep component, is the one finite window that the
+level graphs, the quotient search and the circle check read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import FiniteGraph, GraphError, _augment_indexed, canon_edge, vkey
+from .graphs import FiniteGraph, GraphError, MultiGraph, _augment_indexed, canon_edge, vkey
 
 
 class BudgetError(GraphError):
@@ -103,6 +105,35 @@ def deep_components(lg: LazyGraph, r: int):
         out.append(DeepComponent(r, comp_id, frozenset(fingers), tuple(cut)))
     out.sort(key=lambda c: str(c.comp_id))
     return out
+
+
+def quotient_window(lg: LazyGraph, r: int):
+    """The level-r window as (region, its vertices, edge records): the
+    vertices are the region's plus one surrogate ``end:<id>`` per deep
+    component, and each quotient edge is one record (a, b, edge of lg).
+    Region edges come first, in `vkey` order; then each component's cut
+    edges, with the surrogate in place of the finger."""
+    region = _region(lg, r)
+    comps = deep_components(lg, r)
+    records = []
+    for v in sorted(region, key=vkey):
+        kv = vkey(v)
+        for y in lg.neighbors(v):
+            if y in region and kv < vkey(y):
+                records.append((v, y, (v, y)))
+    for comp in comps:
+        surrogate = f"end:{comp.comp_id}"
+        for inside, finger in sorted(comp.cut_edges, key=lambda e: (vkey(e[0]), vkey(e[1]))):
+            records.append((inside, surrogate, canon_edge(inside, finger)))
+    vertices = region | {f"end:{c.comp_id}" for c in comps}
+    return region, vertices, records
+
+
+def quotient_multigraph(lg: LazyGraph, r: int) -> MultiGraph:
+    """Region plus one surrogate vertex per deep component; parallel cut
+    edges preserved, edge ids in record order."""
+    _, vertices, records = quotient_window(lg, r)
+    return MultiGraph.build(vertices, [(i, a, b) for i, (a, b, _) in enumerate(records)])
 
 
 def end_nesting(lg: LazyGraph, r1: int, r2: int):

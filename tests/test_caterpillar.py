@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import cycle_graph, graph, multigraph, path_graph
+from hamcircle import caterpillar as cat
 from hamcircle.caterpillar import (
     SquareStringSpec,
     _assert_square_path,
@@ -112,6 +113,20 @@ def test_square_cycle_on_all_small_paths():
         sq = kth_power(t, 2)
         assert cyc <= sq.edges
         assert len(cyc) == n
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [(lambda seq: seq[:-1], "every vertex once"), (lambda seq: seq[::-1], "not an edge")],
+    ids=["drops-a-vertex", "reversed-sweep"],
+)
+def test_square_cycle_certificate_catches_a_bad_sweep(monkeypatch, doctor, message):
+    # the cycle is certified as a permutation of the vertices whose
+    # cyclically consecutive pairs lie within distance 2
+    real = cat.square_string
+    monkeypatch.setattr(cat, "square_string", lambda part, spec: doctor(real(part, spec)))
+    with pytest.raises(InvariantError, match=message):
+        hamilton_cycle_of_square(path_graph(7))
 
 
 def test_square_of_sk13_not_hamiltonian():

@@ -110,6 +110,39 @@ def test_caterpillar_square_cycle(tmp_path, capsys):
     assert len(report["square_cycle"]) == 4
 
 
+def test_caterpillar_reports_the_subdivided_star(tmp_path, capsys):
+    # a spider with three legs of length two is no caterpillar
+    legs = [("a1", "a2"), ("b1", "b2"), ("d1", "d2")]
+    p = write_graph(
+        tmp_path,
+        "spider.json",
+        {
+            "multi": False,
+            "vertices": ["c"] + [x for leg in legs for x in leg],
+            "edges": [e for x, y in legs for e in (["c", x], [x, y])],
+        },
+    )
+    code, out, _ = run(capsys, "caterpillar", p)
+    assert code == 1
+    report = json.loads(out)
+    assert report["caterpillar"] is False
+    assert report["subdivided_star"] == [
+        ["a1", "a2"], ["a1", "c"], ["b1", "b2"], ["b1", "c"], ["c", "d1"], ["d1", "d2"]
+    ]
+
+
+def test_outerplanar_cycle_with_mixed_id_types(tmp_path, capsys):
+    p = write_graph(
+        tmp_path,
+        "mixed.json",
+        {"multi": False, "vertices": [1, "a", "b"], "edges": [[1, "a"], ["a", "b"], ["b", 1]]},
+    )
+    code, out, _ = run(capsys, "outerplanar", p, "--cycle")
+    assert code == 0
+    # pairs and list in the ids' str order, as the library orders edges
+    assert json.loads(out)["hamilton_cycle"] == [[1, "a"], [1, "b"], ["a", "b"]]
+
+
 def test_power_roundtrip(tmp_path, capsys):
     p = write_graph(
         tmp_path,

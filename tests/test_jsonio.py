@@ -43,8 +43,9 @@ def test_obj_is_deterministic():
         {"vertices": [[1]], "edges": []},
         {"vertices": ["a", "b"], "edges": [["a", ["b"]]]},
         {"multi": True, "vertices": ["a", "b"], "edges": [[0, "a", "b"], ["x", "a", "b"]]},
+        {"vertices": [1, "1", "x"], "edges": [[1, "x"], ["1", "x"], [1, "1"]]},
     ],
-    ids=["unhashable-vertex", "list-endpoint", "string-edge-id"],
+    ids=["unhashable-vertex", "list-endpoint", "string-edge-id", "ids-alike-as-strings"],
 )
 def test_malformed_ids_rejected(obj):
     with pytest.raises(GraphError):

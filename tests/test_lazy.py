@@ -38,6 +38,16 @@ def test_ladder_deep_components():
         assert len(c.fingers) == 2
 
 
+def test_ladder_cuts_are_the_edges_leaving_the_region():
+    # the quotient window holds every edge of the graph at the region only
+    # if the hint's cut edges are all of them
+    lad = double_ladder()
+    for r in range(6):
+        region = lad.hint.region(r)
+        cut = {(v, y) for v in region for y in lad.neighbors(v) if y not in region}
+        assert {e for _, _, es in lad.hint.components(r) for e in es} == cut
+
+
 def test_ladder_nesting():
     lad = double_ladder()
     mapping = end_nesting(lad, 1, 3)
