@@ -4,12 +4,14 @@ The finite window at level r is the quotient of a hinted lazy graph
 (`lazy.quotient_multigraph`): the region plus one surrogate vertex per
 deep component.  Two engines:
 
-* a transfer-table dynamic program over the fragment recursion tree
-  (exact per level, and exact in the limit via the 3-edge-cut
+* a transfer-table dynamic program on one per-depth table f[d][m], the
+  number of compositions of a copy with d levels below it that miss
+  contact m (exact per level, and exact in the limit via the 3-edge-cut
   factorization: every Hamilton circle crosses each fragment boundary
   exactly twice and therefore induces a Hamilton path missing one
-  contact in every copy); it names edges by the limit graph's wiring
-  and keeps those inside the level's region;
+  contact in every copy).  The counts, the viability fixed point and the
+  forced edges all read off its rows; edges are named by the limit
+  graph's wiring and kept inside the level's region;
 * a generic quotient enumerator that runs the multigraph Hamilton search
   on the window (used for the double ladder, and to cross-check the DP).
 
@@ -67,9 +69,8 @@ def _annotate(f: Fragment, missing, path):
     return PathPattern(missing, es, *child_missing)
 
 
-def transfer_table(f: Fragment = None) -> TransferTable:
-    if f is None:
-        f = load_tutte_fragment()
+def transfer_table() -> TransferTable:
+    f = load_tutte_fragment()
     pats = {}
     for missing in ("u", "l", "r"):
         entries = []
@@ -84,29 +85,43 @@ def transfer_table(f: Fragment = None) -> TransferTable:
     return TransferTable(f, pats)
 
 
-def viable_patterns(tt: TransferTable, depth: int):
-    """Patterns that survive `depth` rounds of child-compatibility pruning."""
-    cur = {m: list(tt.patterns[m]) for m in ("u", "l", "r")}
+def _ways(below, p: PathPattern) -> int:
+    """Compositions of p's two children, from their depth's row."""
+    return below[p.c_child_missing] * below[p.v_child_missing]
+
+
+def _rows(tt: TransferTable, depth: int):
+    """The per-depth table f[d][m], d = 0..depth: the number of compositions
+    of a copy with d levels of copies below it that miss contact m.  Every
+    copy of one depth composes alike."""
+    rows = [{m: len(tt.patterns[m]) for m in ROLES}]
     for _ in range(depth):
-        nxt = {
-            m: [
-                p
-                for p in cur[m]
-                if cur[p.c_child_missing] and cur[p.v_child_missing]
-            ]
-            for m in cur
-        }
-        cur = nxt
-    return cur
+        below = rows[-1]
+        rows.append({m: sum(_ways(below, p) for p in tt.patterns[m]) for m in ROLES})
+    return rows
 
 
-def stabilized_viable(tt: TransferTable, depth_bound: int = 10):
-    """The fixed point of the viability pruning, its depth, and the unique
-    surviving missing-r pattern."""
-    prev = viable_patterns(tt, 0)
-    for d in range(1, depth_bound + 1):
-        cur = viable_patterns(tt, d)
-        if all(cur[m] == prev[m] for m in cur):
+def _live(tt: TransferTable, rows, d: int, m: str):
+    """The patterns missing m that a copy with d levels below it can use:
+    all at d = 0, else those whose children count above zero at d - 1."""
+    return [p for p in tt.patterns[m] if d == 0 or _ways(rows[d - 1], p)]
+
+
+STABILIZATION_BOUND = 10  # rounds of viability pruning tried for a fixed point
+
+
+def stabilized_viable(tt: TransferTable):
+    """The fixed point of the child-compatibility pruning, its depth, and
+    the unique surviving missing-r pattern.
+
+    A pattern survives d rounds of pruning iff both its child states count
+    above zero at depth d - 1 (by induction on d, as f[d][m] > 0 implies
+    f[d-1][m] > 0), so round d reads off row d - 1 of the DP's table."""
+    rows = _rows(tt, STABILIZATION_BOUND - 1)
+    prev = {m: _live(tt, rows, 0, m) for m in ROLES}
+    for d in range(1, STABILIZATION_BOUND + 1):
+        cur = {m: _live(tt, rows, d, m) for m in ROLES}
+        if cur == prev:
             if all(not cur[m] for m in cur):
                 raise InvariantError("viability fixed point is empty: no circle")
             if len(cur["r"]) != 1:
@@ -115,7 +130,7 @@ def stabilized_viable(tt: TransferTable, depth_bound: int = 10):
                 )
             return cur, d - 1
         prev = cur
-    raise InvariantError(f"viability did not stabilize within depth {depth_bound}")
+    raise InvariantError(f"viability did not stabilize within depth {STABILIZATION_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -132,51 +147,26 @@ def _inside(edges, region) -> frozenset:
 
 
 def fragment_tree_dp(tt: TransferTable, level: int, region: frozenset) -> QuotientVerdict:
-    """Count Hamilton cycles of the closed level graph by composing
-    per-copy path patterns across the recursion tree, and compute the
-    edges common to all of them: limit edges (those at c and v map through
-    the children's pendants) with both ends in the level's `region`."""
+    """Count Hamilton cycles of the closed level graph from the per-depth
+    table, and compute the edges common to all of them: limit edges (those
+    at c and v map through the children's pendants) with both ends in the
+    level's `region`.  Top-down, a copy's reachable contacts give its live
+    patterns and those its children's; `Fragment.edge` is injective on one
+    copy's local edges, so their common edges are named once."""
     frag = tt.fragment
-    paths = copy_paths(frag, level)  # shallowest first
-    # bottom-up counts f[node][missing]
-    f = {}
-    for path in reversed(paths):
-        if len(path) == level:
-            f[path] = {m: len(tt.patterns[m]) for m in ROLES}
-        else:
-            f[path] = {
-                m: sum(
-                    f[path + "c"][pat.c_child_missing] * f[path + "v"][pat.v_child_missing]
-                    for pat in tt.patterns[m]
-                )
-                for m in ROLES
-            }
-    count = sum(f[""][m] for m in ROLES)
-    # top-down reachability and forced-edge intersection
-    reachable = {"": {m for m in ROLES if f[""][m] > 0}}
-    forced = None
-    for path in paths:
-        leaf = len(path) == level
-        child_reach_c, child_reach_v = set(), set()
-        node_forced = None
-        for m in sorted(reachable[path]):
-            for pat in tt.patterns[m]:
-                if not leaf:
-                    if (
-                        f[path + "c"][pat.c_child_missing] == 0
-                        or f[path + "v"][pat.v_child_missing] == 0
-                    ):
-                        continue
-                    child_reach_c.add(pat.c_child_missing)
-                    child_reach_v.add(pat.v_child_missing)
-                ge = {frag.edge(path, a, b) for a, b in pat.edges}
-                node_forced = ge if node_forced is None else node_forced & ge
-        if node_forced:
-            forced = node_forced if forced is None else forced | node_forced
-        if not leaf:
-            reachable[path + "c"] = child_reach_c
-            reachable[path + "v"] = child_reach_v
-    return QuotientVerdict(level, count, _inside(forced or (), region), None)
+    rows = _rows(tt, level)
+    reach = {"": {m for m in ROLES if rows[level][m]}}
+    forced = set()
+    for path in copy_paths(frag, level):  # shallowest first
+        d = level - len(path)
+        live = [p for m in reach.pop(path) for p in _live(tt, rows, d, m)]
+        if d:
+            reach[path + "c"] = {p.c_child_missing for p in live}
+            reach[path + "v"] = {p.v_child_missing for p in live}
+        if live:
+            common = frozenset.intersection(*(p.edges for p in live))
+            forced.update(frag.edge(path, a, b) for a, b in common)
+    return QuotientVerdict(level, sum(rows[level].values()), _inside(forced, region), None)
 
 
 def dp_series(max_level: int):

@@ -18,7 +18,6 @@ from . import checker, corpus, jsonio, minors, outerplanar
 from .fragment import (
     build_gn,
     audit_tree,
-    fragment_t_minus_l_count,
     load_tutte_fragment,
     section5_graph,
 )
@@ -56,10 +55,19 @@ def _edge_list(edges):
 def _emit(args, obj):
     text = json.dumps(obj, indent=1, sort_keys=True)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
     else:
         print(text)
+
+
+def _write(path, text):
+    """Write an output file; a path that cannot be written is a usage
+    error, not a verdict."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise SystemExit_(USAGE, f"cannot write {path}: {e.strerror or e}")
 
 
 def _load(path):
@@ -116,8 +124,7 @@ def cmd_outerplanar(args):
             report["two_contractible"] = _edge_list(outerplanar.two_contractible_edges(g))
         if args.layout:
             layout = outerplanar.disk_layout(g)
-            with open(args.layout, "w") as fh:
-                fh.write(outerplanar.layout_to_svg(layout))
+            _write(args.layout, outerplanar.layout_to_svg(layout))
             report["layout"] = args.layout
             # the layout's boundary is the cycle: one circle order serves both
             report["hamilton_cycle"] = _edge_list(layout.boundary)
@@ -166,7 +173,7 @@ def cmd_tutte_verify(args):
         "budgets": _budgets(),
         "t_minus_u": len(f.hamilton_paths["u"]),
         "t_minus_r": len(f.hamilton_paths["r"]),
-        "t_minus_l": fragment_t_minus_l_count(f),
+        "t_minus_l": len(f.hamilton_paths["l"]),
         "pendant_edges_used": True,
     }
     _emit(args, report)

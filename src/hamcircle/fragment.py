@@ -162,11 +162,6 @@ def load_tutte_fragment() -> Fragment:
     return f
 
 
-def fragment_t_minus_l_count(f: Fragment) -> int:
-    """The (derived, never assumed) Hamilton path count without l."""
-    return len(f.hamilton_paths["l"])
-
-
 # ---------------------------------------------------------------------------
 # the level graphs
 

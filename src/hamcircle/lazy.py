@@ -154,7 +154,8 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
 
     upper: the finger cut size.  lower: a max-flow packing of disjoint
     paths from the region boundary through the component to exploration
-    depth `depth`.
+    depth `depth`.  Exploring more than `DEFAULT_VERTEX_BUDGET` vertices
+    raises `BudgetError`.
     """
     if mode not in ("vertex", "edge"):
         raise GraphError("mode must be 'vertex' or 'edge'")
@@ -186,6 +187,11 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
         capacity.extend((c, 0))
 
     def add_vertex(v, deep):
+        if len(node) >= DEFAULT_VERTEX_BUDGET:  # read at call time
+            raise BudgetError(
+                f"the exploration to depth {depth} passes {DEFAULT_VERTEX_BUDGET} "
+                "vertices, over the vertex budget"
+            )
         i = node[v] = len(out)
         out.append([])
         if deep:

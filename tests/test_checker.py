@@ -1,11 +1,19 @@
 import dataclasses
+import re
+from functools import lru_cache
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import DIFF
 from hamcircle.checker import (
+    PathPattern,
+    QuotientVerdict,
     TransferTable,
     dp_series,
+    fragment_tree_dp,
     ladder_rails_member,
     limit_certificate,
     limit_circle_edges,
@@ -15,10 +23,16 @@ from hamcircle.checker import (
     stabilized_viable,
     transfer_table,
     verify_candidate_circle,
-    viable_patterns,
 )
-from hamcircle.fragment import LEVEL_CAP, build_gn, load_tutte_fragment, section5_graph
-from hamcircle.graphs import GraphError, canon_edge
+from hamcircle.fragment import (
+    LEVEL_CAP,
+    ROLES,
+    build_gn,
+    copy_paths,
+    load_tutte_fragment,
+    section5_graph,
+)
+from hamcircle.graphs import GraphError, InvariantError, canon_edge
 from hamcircle.lazy import BudgetError, double_ladder
 
 
@@ -35,8 +49,6 @@ def test_transfer_table_shape():
 
 def test_viability_prunes_to_one_pattern():
     tt = transfer_table()
-    depth0 = viable_patterns(tt, 0)
-    assert len(depth0["r"]) == 2
     fixed, depth = stabilized_viable(tt)
     assert depth <= 3
     assert len(fixed["r"]) == 1
@@ -68,9 +80,127 @@ def test_limit_certificate_counts_the_fixed_point():
 
 
 def test_dp_counts_and_stabilization():
-    series = dp_series(4)
-    assert [v.count for v in series] == [6, 4, 16, 256, 65536]
-    assert [v.stable for v in series] == [None, None, True, True, True]
+    series = dp_series(8)
+    assert [v.count for v in series] == [6, 4] + [2 ** (2**n) for n in range(2, 9)]
+    assert [len(v.forced) for v in series] == [2, 30, 72, 156, 324, 660, 1332, 2676, 5364]
+    assert [v.stable for v in series] == [None, None] + [True] * 7
+
+
+# References for the per-depth table: round-by-round pruning of pattern
+# lists, and a DP with one count table per copy that intersects the limit
+# images of each copy's live patterns.
+
+
+def reference_viable(tt, depth):
+    """Patterns that survive `depth` rounds of child-compatibility pruning."""
+    cur = {m: list(tt.patterns[m]) for m in ROLES}
+    for _ in range(depth):
+        cur = {
+            m: [p for p in cur[m] if cur[p.c_child_missing] and cur[p.v_child_missing]]
+            for m in cur
+        }
+    return cur
+
+
+def reference_stabilized(tt):
+    prev = reference_viable(tt, 0)
+    for d in range(1, 11):
+        cur = reference_viable(tt, d)
+        if cur == prev:
+            if all(not cur[m] for m in cur):
+                raise InvariantError("viability fixed point is empty: no circle")
+            if len(cur["r"]) != 1:
+                raise InvariantError(
+                    "stabilized missing-r list does not have exactly one entry"
+                )
+            return cur, d - 1
+        prev = cur
+    raise InvariantError("viability did not stabilize within depth 10")
+
+
+def reference_tree_dp(tt, level, region):
+    frag = tt.fragment
+    paths = copy_paths(frag, level)
+    f = {}
+    for path in reversed(paths):
+        if len(path) == level:
+            f[path] = {m: len(tt.patterns[m]) for m in ROLES}
+        else:
+            f[path] = {
+                m: sum(
+                    f[path + "c"][p.c_child_missing] * f[path + "v"][p.v_child_missing]
+                    for p in tt.patterns[m]
+                )
+                for m in ROLES
+            }
+    reachable = {"": {m for m in ROLES if f[""][m] > 0}}
+    forced = set()
+    for path in paths:
+        leaf = len(path) == level
+        reach_c, reach_v = set(), set()
+        node_forced = None
+        for m in reachable[path]:
+            for p in tt.patterns[m]:
+                if not leaf:
+                    if (
+                        f[path + "c"][p.c_child_missing] == 0
+                        or f[path + "v"][p.v_child_missing] == 0
+                    ):
+                        continue
+                    reach_c.add(p.c_child_missing)
+                    reach_v.add(p.v_child_missing)
+                images = {frag.edge(path, a, b) for a, b in p.edges}
+                node_forced = images if node_forced is None else node_forced & images
+        forced |= node_forced or set()
+        if not leaf:
+            reachable[path + "c"], reachable[path + "v"] = reach_c, reach_v
+    inside = frozenset(e for e in forced if set(e) <= region)
+    return QuotientVerdict(level, sum(f[""].values()), inside, None)
+
+
+@lru_cache(maxsize=None)
+def section5_region(level):
+    return section5_graph().hint.region(level)
+
+
+@st.composite
+def transfer_tables(draw):
+    """Up to three patterns per missing contact, each with random child
+    states and a random subset of the fragment's real edges."""
+    frag = load_tutte_fragment()
+    edges = frag.graph.sorted_edges()
+    states = st.sampled_from(ROLES)
+    patterns = {
+        m: tuple(
+            PathPattern(m, frozenset(draw(st.sets(st.sampled_from(edges)))),
+                        draw(states), draw(states))
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        for m in ROLES
+    }
+    return TransferTable(frag, patterns)
+
+
+@DIFF
+@given(transfer_tables(), st.integers(0, 4))
+def test_per_depth_table_matches_the_per_copy_reference(tt, level):
+    region = section5_region(level)
+    got, want = fragment_tree_dp(tt, level, region), reference_tree_dp(tt, level, region)
+    assert (got.count, got.forced) == (want.count, want.forced)
+    try:
+        fixed, depth = reference_stabilized(tt)
+    except InvariantError as e:
+        for run in (stabilized_viable, limit_certificate):
+            with pytest.raises(InvariantError, match=re.escape(str(e))):
+                run(tt)
+    else:
+        assert stabilized_viable(tt) == (fixed, depth)
+        counts = {m: len(fixed[m]) for m in ROLES}
+        assert limit_certificate(tt) == {
+            "limit_count": sum(counts.values()),
+            "stabilization_depth": depth,
+            "pattern_counts": counts,
+        }
 
 
 def test_forced_set_monotone():

@@ -53,6 +53,20 @@ def test_tutte_verify(capsys):
     assert report["t_minus_r"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("tutte-verify", "--out", "x.json"),
+    ("outerplanar", "GRAPH", "--layout", "g.svg"),
+], ids=["tutte-verify-out", "outerplanar-layout"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    # the output goes into a directory that does not exist
+    target = str(tmp_path / "missing" / argv[-1])
+    argv = [diamond_file(tmp_path) if a == "GRAPH" else a for a in argv[:-1]] + [target]
+    code, out, err = run(capsys, *argv)
+    assert code == cli.USAGE == 2
+    assert out == ""
+    assert err == f"cannot write {target}: No such file or directory\n"
+
+
 def test_outerplanar_rejects_k4(tmp_path, capsys):
     code, out, _ = run(capsys, "outerplanar", k4_file(tmp_path))
     assert code == 1

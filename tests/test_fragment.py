@@ -9,7 +9,6 @@ from hamcircle.fragment import (
     audit_tree,
     build_gn,
     copy_paths,
-    fragment_t_minus_l_count,
     load_tutte_fragment,
     section5_graph,
 )
@@ -50,7 +49,7 @@ def test_fragment_defining_counts():
 
 def test_missing_l_count_is_computed():
     # this count is derived, never hard-wired into the logic
-    assert fragment_t_minus_l_count(load_tutte_fragment()) == 4
+    assert len(load_tutte_fragment().hamilton_paths["l"]) == 4
 
 
 def test_level_sizes_and_audits():

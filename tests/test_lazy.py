@@ -108,6 +108,18 @@ def test_ball_budget():
         ball(lad, 100, max_vertices=50)
 
 
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_end_degree_bound_stops_at_the_vertex_budget(monkeypatch, mode):
+    # a section5 component at radius 1 explores 28 vertices to depth 3
+    lg = section5_graph()
+    comp = deep_components(lg, 1)[0]
+    monkeypatch.setattr(lazy, "DEFAULT_VERTEX_BUDGET", 28)
+    assert end_degree_bound(lg, comp, mode, depth=3) == (3, 3)
+    monkeypatch.setattr(lazy, "DEFAULT_VERTEX_BUDGET", 27)
+    with pytest.raises(BudgetError, match="over the vertex budget"):
+        end_degree_bound(lg, comp, mode, depth=3)
+
+
 def explore_component(lg, region, comp, depth):
     """Vertices of the component up to `depth` steps past the fingers,
     with their exploration depth."""
