@@ -27,7 +27,6 @@ from typing import Optional
 from .fragment import (
     ROLES,
     Fragment,
-    check_level,
     copy_paths,
     load_tutte_fragment,
     section5_graph,
@@ -174,12 +173,12 @@ def dp_series(max_level: int):
 
     The stabilization window at level n is the region two levels down
     (edges whose copies are fully settled at both compared levels); the
-    flag says the forced set no longer changes there.  A negative level
-    raises GraphError, one past the build cap BudgetError.
+    flag says the forced set no longer changes there.  The deepest region
+    is built first, so `copy_paths` rejects a level before any DP runs.
     """
-    check_level(max_level)  # before any DP runs
-    tt = transfer_table()
     hint = section5_graph().hint
+    hint.region(max_level)
+    tt = transfer_table()
     verdicts = [fragment_tree_dp(tt, n, hint.region(n)) for n in range(max_level + 1)]
     out = []
     for n, v in enumerate(verdicts):

@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import caterpillar as cat
-from . import checker, corpus, jsonio, minors, outerplanar
+from . import checker, corpus, jsonio, lazy, minors, outerplanar
 from .fragment import (
     build_gn,
     audit_tree,
@@ -33,7 +33,6 @@ from .graphs import (
 )
 from .lazy import (
     BudgetError,
-    DEFAULT_VERTEX_BUDGET,
     deep_components,
     double_ladder,
     end_degree_bound,
@@ -43,7 +42,7 @@ OK, VIOLATED, USAGE, BUDGET, INVARIANT = 0, 1, 2, 3, 4
 
 
 def _budgets():
-    return {"max_vertices": DEFAULT_VERTEX_BUDGET}
+    return {"max_vertices": lazy.DEFAULT_VERTEX_BUDGET}
 
 
 def _edge_list(edges):

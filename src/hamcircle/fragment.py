@@ -35,9 +35,9 @@ from .graphs import (
     enumerate_hamilton_paths,
 )
 from .jsonio import graph_from_obj
-from .lazy import DEFAULT_VERTEX_BUDGET, BudgetError, LazyGraph, quotient_multigraph
+from . import lazy
+from .lazy import BudgetError, LazyGraph, quotient_multigraph
 
-LEVEL_CAP = 8  # cap for explicit level builds
 ROLES = ("u", "l", "r")  # a copy's contacts, in this order
 
 
@@ -167,14 +167,17 @@ def load_tutte_fragment() -> Fragment:
 
 
 def copy_paths(f: Fragment, depth: int):
-    """Paths of all copies of depth <= `depth`, shallowest first.  They and
-    Z hold 1 + |kept| * (2^(depth+1) - 1) vertices of the limit graph; past
-    the vertex budget this raises before building anything."""
-    size = 1 + len(f.kept) * ((1 << max(0, min(depth + 1, 64))) - 1)
-    if size > DEFAULT_VERTEX_BUDGET:
+    """Paths of all copies of depth <= `depth`, shallowest first: the one
+    gate on Section-5 depth.  They and Z hold 1 + |kept| * (2^(depth+1) - 1)
+    vertices of the limit graph; a negative depth raises GraphError and a
+    size over the vertex budget BudgetError, before anything is built."""
+    if depth < 0:
+        raise GraphError("level must be nonnegative")
+    size = 1 + len(f.kept) * ((1 << min(depth + 1, 64)) - 1)
+    if size > lazy.DEFAULT_VERTEX_BUDGET:
         raise BudgetError(
             f"the copies of depth <= {depth} hold {size} vertices, over the "
-            f"vertex budget {DEFAULT_VERTEX_BUDGET}"
+            f"vertex budget {lazy.DEFAULT_VERTEX_BUDGET}"
         )
     return ["".join(p) for k in range(depth + 1) for p in product("cv", repeat=k)]
 
@@ -207,20 +210,12 @@ class FragmentTree:
         }
 
 
-def check_level(n: int):
-    """Raise unless level n can be built explicitly."""
-    if n < 0:
-        raise GraphError("level must be nonnegative")
-    if n > LEVEL_CAP:
-        raise BudgetError(f"level {n} exceeds the cap {LEVEL_CAP}")
-
-
 @lru_cache(maxsize=None)
 def build_gn(n: int):
     """The level-n graph (contacts closed into one root vertex) and its
     recursion tree: the limit graph's level-n quotient, each surrogate
-    ``end:<p><t>`` named for the vertex ``F:<p>:<c or v>`` it stands for."""
-    check_level(n)
+    ``end:<p><t>`` named for the vertex ``F:<p>:<c or v>`` it stands for.
+    A negative level or one over the vertex budget fails in `copy_paths`."""
     f = load_tutte_fragment()
     m = quotient_multigraph(section5_graph(), n)
 

@@ -51,7 +51,7 @@ class DeepComponent:
     cut_edges: tuple  # (region vertex, finger) pairs, one per cut edge
 
 
-DEFAULT_VERTEX_BUDGET = 200_000
+DEFAULT_VERTEX_BUDGET = 200_000  # the one bound on exploration; read at call time
 
 
 def _check_radius(r):
@@ -59,8 +59,9 @@ def _check_radius(r):
         raise GraphError("radius must be nonnegative")
 
 
-def ball(lg: LazyGraph, r: int, max_vertices=DEFAULT_VERTEX_BUDGET) -> BallView:
-    """Exact induced subgraph on all vertices within distance r of the root."""
+def ball(lg: LazyGraph, r: int) -> BallView:
+    """Exact induced subgraph on all vertices within distance r of the root;
+    more vertices than the vertex budget raise `BudgetError`."""
     _check_radius(r)
     dist = {lg.root: 0}
     order = [lg.root]
@@ -73,7 +74,7 @@ def ball(lg: LazyGraph, r: int, max_vertices=DEFAULT_VERTEX_BUDGET) -> BallView:
                     dist[y] = d
                     order.append(y)
                     nxt.append(y)
-                    if len(order) > max_vertices:
+                    if len(order) > DEFAULT_VERTEX_BUDGET:
                         raise BudgetError("ball exceeds the vertex budget")
         frontier = nxt
     vs = frozenset(order)
@@ -87,7 +88,8 @@ def ball(lg: LazyGraph, r: int, max_vertices=DEFAULT_VERTEX_BUDGET) -> BallView:
 
 
 def _region(lg: LazyGraph, r: int):
-    _check_radius(r)
+    """The hint's level-r region, else the ball.  Each caller's r also goes
+    through `deep_components`, which refuses a negative r."""
     if lg.hint is not None:
         return frozenset(lg.hint.region(r))
     return ball(lg, r).graph.vertices
@@ -154,8 +156,8 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
 
     upper: the finger cut size.  lower: a max-flow packing of disjoint
     paths from the region boundary through the component to exploration
-    depth `depth`.  Exploring more than `DEFAULT_VERTEX_BUDGET` vertices
-    raises `BudgetError`.
+    depth `depth`.  Exploring more vertices than the vertex budget raises
+    `BudgetError`.
     """
     if mode not in ("vertex", "edge"):
         raise GraphError("mode must be 'vertex' or 'edge'")
@@ -187,7 +189,7 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
         capacity.extend((c, 0))
 
     def add_vertex(v, deep):
-        if len(node) >= DEFAULT_VERTEX_BUDGET:  # read at call time
+        if len(node) >= DEFAULT_VERTEX_BUDGET:
             raise BudgetError(
                 f"the exploration to depth {depth} passes {DEFAULT_VERTEX_BUDGET} "
                 "vertices, over the vertex budget"

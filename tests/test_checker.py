@@ -25,7 +25,6 @@ from hamcircle.checker import (
     verify_candidate_circle,
 )
 from hamcircle.fragment import (
-    LEVEL_CAP,
     ROLES,
     build_gn,
     copy_paths,
@@ -216,7 +215,7 @@ def test_region_edges_match_the_level_graphs():
     # graph's edges but those at the deepest copies' c and v
     f = load_tutte_fragment()
     lg = section5_graph()
-    for n in range(LEVEL_CAP + 1):
+    for n in range(9):
         g, ft = build_gn(n)
         dead = {f"F:{p}:{f.roles[x]}" for p in ft.marked for x in ("c", "v")}
         region = lg.hint.region(n)
@@ -348,6 +347,17 @@ def test_verify_candidate_circle_needs_a_level():
 
 
 def test_dp_series_rejects_levels_outside_the_builds():
-    for bad, error, msg in ((-1, GraphError, "nonnegative"), (9, BudgetError, "exceeds the cap 8")):
+    # level 13's copies hold 212,980 vertices, over the 200,000 budget
+    for bad, error, msg in ((-1, GraphError, "nonnegative"),
+                            (13, BudgetError, "over the vertex budget")):
         with pytest.raises(error, match=msg):
             dp_series(bad)
+
+
+def test_negative_depth_is_an_error():
+    # copy_paths is the one gate on depth; nothing answers empty below zero
+    f = load_tutte_fragment()
+    for read in (lambda: copy_paths(f, -3), lambda: limit_circle_edges(-1),
+                 lambda: build_gn(-1), lambda: section5_graph().hint.region(-1)):
+        with pytest.raises(GraphError, match="level must be nonnegative"):
+            read()

@@ -252,46 +252,53 @@ def test_unique_circle_section5_unstable_level_is_violation(capsys, monkeypatch)
     assert json.loads(out)["limit_claim"] == "open"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("unique-circle", "--generator", "section5", "--levels", "9"),
-        ("construct-gn", "-n", "9"),
-    ],
-    ids=["unique-circle", "construct-gn"],
-)
-def test_section5_past_the_level_cap_is_a_budget_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == cli.BUDGET == 3
-    assert out == ""
-    assert "level 9 exceeds the cap 8" in err
-
-
-@pytest.mark.parametrize(
-    "argv, count",
-    [
-        (("ends", "--generator", "section5", "--radius", "7"), 256),
-        (("ends", "--generator", "section5", "--radius", "8"), 512),
-        (("verify-circle", "--generator", "section5", "--member", "viable-pattern",
-          "--levels", "5"), None),
-        (("verify-circle", "--generator", "section5", "--member", "viable-pattern",
-          "--levels", "10"), None),
-    ],
-    ids=["ends-radius-7", "ends-radius-8", "verify-circle-levels-5", "verify-circle-levels-10"],
-)
-def test_section5_deep_requests_answer(capsys, argv, count):
-    # the limit graph is read off the vertex ids, so depth is not capped
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    report = json.loads(out)
-    if count is None:
-        assert report["verified"] is True
-    else:
+def _components(count):
+    def check(report):
         assert len(report["components"]) == count
         assert {
             (c["degree_lower"], c["degree_upper"], c["cut_size"])
             for c in report["components"]
         } == {(3, 3, 3)}
+
+    return check
+
+
+def _verified(report):
+    assert report["verified"] is True
+
+
+def _level_12_series(report):
+    levels = report["levels"]
+    assert [x["count"] for x in levels] == [6, 4] + [2 ** 2 ** n for n in range(2, 13)]
+    assert levels[-1]["forced"] == 86_004
+    assert [x["stable"] for x in levels] == [None, None] + [True] * 11
+
+
+def _level_9_graph(report):
+    assert len(report["vertices"]) == 14_324
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (("ends", "--generator", "section5", "--radius", "7"), _components(256)),
+        (("ends", "--generator", "section5", "--radius", "8"), _components(512)),
+        (("verify-circle", "--generator", "section5", "--member", "viable-pattern",
+          "--levels", "5"), _verified),
+        (("verify-circle", "--generator", "section5", "--member", "viable-pattern",
+          "--levels", "10"), _verified),
+        (("unique-circle", "--generator", "section5", "--levels", "12"), _level_12_series),
+        (("construct-gn", "-n", "9"), _level_9_graph),
+    ],
+    ids=["ends-radius-7", "ends-radius-8", "verify-circle-levels-5", "verify-circle-levels-10",
+         "unique-circle-levels-12", "construct-gn-9"],
+)
+def test_section5_deep_requests_answer(capsys, argv, check):
+    # the limit graph is read off the vertex ids, so only the vertex
+    # budget bounds depth
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    check(json.loads(out))
 
 
 @pytest.mark.parametrize(
@@ -301,6 +308,8 @@ def test_section5_deep_requests_answer(capsys, argv, count):
         # the circle's copies of depth <= 13 hold 212,980 vertices
         ("verify-circle", "--generator", "section5", "--member", "viable-pattern",
          "--levels", "13"),
+        ("unique-circle", "--generator", "section5", "--levels", "13"),
+        ("construct-gn", "-n", "13"),
     ],
 )
 def test_section5_past_the_vertex_budget_is_a_budget_error(capsys, argv):
@@ -354,7 +363,7 @@ def test_outerplanar_layout_reads_the_cycle_off_one_embedding(tmp_path, monkeypa
     )
 
 
-def _doctored_level_1(level, cap=None):
+def _doctored_level_1(level):
     # level 1 with one edge removed: two vertices of degree 2
     g, ft = build_gn(level)
     cut = FiniteGraph(g.vertices, g.edges - {g.sorted_edges()[0]})

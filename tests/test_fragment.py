@@ -3,7 +3,6 @@ from functools import lru_cache
 import pytest
 
 from hamcircle.fragment import (
-    LEVEL_CAP,
     ROLES,
     FragmentTree,
     audit_tree,
@@ -53,8 +52,9 @@ def test_missing_l_count_is_computed():
 
 
 def test_level_sizes_and_audits():
-    expected = {0: 16, 1: 44, 2: 100, 3: 212, 4: 436, 5: 884, 6: 1780, 7: 3572, 8: 7156}
-    assert max(expected) == LEVEL_CAP
+    expected = {
+        0: 16, 1: 44, 2: 100, 3: 212, 4: 436, 5: 884, 6: 1780, 7: 3572, 8: 7156, 9: 14324
+    }
     for n, size in expected.items():
         g, ft = build_gn(n)
         assert len(g.vertices) == size
@@ -72,19 +72,11 @@ def test_marked_subtree_cuts_are_three():
         assert len(cut_edges(g, ft.subtree_vertices(path))) == 3
 
 
-def test_level_cap():
-    for n in (LEVEL_CAP + 1, 99):
-        with pytest.raises(BudgetError, match=f"level {n} exceeds the cap 8"):
-            build_gn(n)
-    with pytest.raises(GraphError, match="level must be nonnegative"):
-        build_gn(-1)
-
-
 def test_limit_oracle_matches_finite_builds():
     # a copy of depth d has its children's children from level d + 2 on,
     # so its vertices' adjacency in every such build is the limit's
     lg = section5_graph()
-    for n in range(LEVEL_CAP + 1):
+    for n in range(9):
         g, _ = build_gn(n)
         for v in g.vertices:
             if depth(v) <= n - 2:
@@ -194,7 +186,7 @@ def reference_level(n):
 
 def test_build_gn_matches_reference_expand():
     f = load_tutte_fragment()
-    for n in range(LEVEL_CAP + 1):
+    for n in range(9):
         vertices, edges, nodes, marked = reference_level(n)
         g, ft = build_gn(n)
         assert ft.level == n

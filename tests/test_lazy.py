@@ -1,10 +1,12 @@
+import json
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import DIFF, cycle_graph, graph, simple_graphs
-from hamcircle import lazy
-from hamcircle.fragment import section5_graph
+from hamcircle import cli, lazy
+from hamcircle.fragment import copy_paths, load_tutte_fragment, section5_graph
 from hamcircle.graphs import GraphError, augment_flow, vkey
 from hamcircle.lazy import (
     BudgetError,
@@ -102,10 +104,26 @@ def test_lazy_from_finite_ball_matches():
     assert b.graph.edges == g.edges
 
 
-def test_ball_budget():
+def test_ball_budget(monkeypatch):
     lad = double_ladder()
+    monkeypatch.setattr(lazy, "DEFAULT_VERTEX_BUDGET", 50)
     with pytest.raises(BudgetError):
-        ball(lad, 100, max_vertices=50)
+        ball(lad, 100)
+
+
+def test_one_budget_bounds_every_reader(monkeypatch, capsys):
+    # every reader looks the budget up when called, so one lowered value
+    # bounds them all; none of these requests fits in 27 vertices
+    monkeypatch.setattr(lazy, "DEFAULT_VERTEX_BUDGET", 27)
+    with pytest.raises(BudgetError, match="over the vertex budget 27"):
+        copy_paths(load_tutte_fragment(), 5)
+    with pytest.raises(BudgetError):
+        ball(double_ladder(), 30)
+    lg = section5_graph()
+    with pytest.raises(BudgetError, match="over the vertex budget"):
+        end_degree_bound(lg, deep_components(lg, 1)[0], "vertex", depth=3)
+    assert cli.main(["tutte-verify"]) == cli.OK
+    assert json.loads(capsys.readouterr().out)["budgets"] == {"max_vertices": 27}
 
 
 @pytest.mark.parametrize("mode", ["vertex", "edge"])
@@ -113,6 +131,7 @@ def test_end_degree_bound_stops_at_the_vertex_budget(monkeypatch, mode):
     # a section5 component at radius 1 explores 28 vertices to depth 3
     lg = section5_graph()
     comp = deep_components(lg, 1)[0]
+    lg.hint.region(1)  # its 40 vertices are kept, built under the full budget
     monkeypatch.setattr(lazy, "DEFAULT_VERTEX_BUDGET", 28)
     assert end_degree_bound(lg, comp, mode, depth=3) == (3, 3)
     monkeypatch.setattr(lazy, "DEFAULT_VERTEX_BUDGET", 27)
