@@ -96,7 +96,6 @@ def find_s_k13(t: FiniteGraph):
 @dataclass(frozen=True)
 class OrderedCaterpillarPartition:
     tree: FiniteGraph
-    spine: tuple  # oriented spine sequence (may be a convention choice)
     classes: tuple  # frozensets in ascending class order
     jumping: tuple  # per-class jumping vertex; None for the final
     # all-leaf class when it has no non-leaf member
@@ -139,7 +138,7 @@ def caterpillar_partition(t: FiniteGraph) -> OrderedCaterpillarPartition:
     if tail:
         classes.append(tail)
         jumping.append(None)
-    part = OrderedCaterpillarPartition(t, tuple(spine), tuple(classes), tuple(jumping))
+    part = OrderedCaterpillarPartition(t, tuple(classes), tuple(jumping))
     _assert_partition_properties(part)
     return part
 

@@ -43,7 +43,6 @@ from .lazy import LazyGraph, quotient_multigraph, quotient_window
 
 @dataclass(frozen=True)
 class PathPattern:
-    missing: str  # which contact the path avoids
     edges: frozenset  # fragment edges (endpoint pairs)
     c_child_missing: str  # missing contact induced on the c-child
     v_child_missing: str  # ... and on the v-child
@@ -55,7 +54,7 @@ class TransferTable:
     patterns: dict  # missing contact -> tuple of PathPattern
 
 
-def _annotate(f: Fragment, missing, path):
+def _annotate(f: Fragment, path):
     es = frozenset(canon_edge(a, b) for a, b in zip(path, path[1:]))
     # the child replacing c (then v) misses the contact wired to the
     # neighbour whose edge the path leaves unused
@@ -65,7 +64,7 @@ def _annotate(f: Fragment, missing, path):
         if len(unused) != 1:
             raise InvariantError(f"expected exactly one unused edge at {center}")
         child_missing.append(ROLES[nbrs.index(unused[0])])
-    return PathPattern(missing, es, *child_missing)
+    return PathPattern(es, *child_missing)
 
 
 def transfer_table() -> TransferTable:
@@ -77,7 +76,7 @@ def transfer_table() -> TransferTable:
             others = {f.roles[m] for m in ("u", "l", "r") if m != missing}
             if {p[0], p[-1]} != others:
                 raise InvariantError("Hamilton path does not end at the contacts")
-            entries.append(_annotate(f, missing, p))
+            entries.append(_annotate(f, p))
         pats[missing] = tuple(entries)
     if len(pats["u"]) != 0 or len(pats["r"]) != 2:
         raise InvariantError("transfer table counts contradict the fragment lemma")

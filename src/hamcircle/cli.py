@@ -87,12 +87,7 @@ class SystemExit_(Exception):
         self.message = message
 
 
-def _generator(name):
-    if name == "double-ladder":
-        return double_ladder()
-    if name == "section5":
-        return section5_graph()
-    raise SystemExit_(USAGE, f"unknown generator {name!r}")
+GENERATORS = {"double-ladder": double_ladder, "section5": section5_graph}
 
 
 def cmd_power(args):
@@ -193,7 +188,7 @@ def cmd_construct_gn(args):
 
 
 def cmd_ends(args):
-    lg = _generator(args.generator)
+    lg = GENERATORS[args.generator]()
     comps = deep_components(lg, args.radius)
     report = {"budgets": _budgets(), "radius": args.radius, "components": []}
     for c in comps:
@@ -211,7 +206,7 @@ def cmd_ends(args):
 
 
 def cmd_unique_circle(args):
-    lg = _generator(args.generator)
+    lg = GENERATORS[args.generator]()
     levels = []
     all_one = True
     if args.generator == "section5":
@@ -252,19 +247,17 @@ def cmd_unique_circle(args):
 
 
 def cmd_verify_circle(args):
-    lg = _generator(args.generator)
+    lg = GENERATORS[args.generator]()
     if args.member == "rails":
         if args.generator != "double-ladder":
             raise SystemExit_(USAGE, "member 'rails' needs the double ladder")
         member = checker.ladder_rails_member()
         levels = range(1, args.levels + 1)
-    elif args.member == "viable-pattern":
+    else:
         if args.generator != "section5":
             raise SystemExit_(USAGE, "member 'viable-pattern' needs section5")
         member = checker.section5_circle_member(args.levels)
         levels = range(0, args.levels + 1)
-    else:
-        raise SystemExit_(USAGE, f"unknown member set {args.member!r}")
     ok = checker.verify_candidate_circle(lg, member, levels)
     _emit(
         args,
@@ -412,18 +405,18 @@ def build_parser():
     sp.add_argument("-n", "--level", type=int, default=2)
 
     sp = add("ends", cmd_ends, help="deep components and end degree bounds")
-    sp.add_argument("--generator", required=True)
+    sp.add_argument("--generator", required=True, choices=GENERATORS)
     sp.add_argument("--radius", type=int, default=2)
     sp.add_argument("--mode", choices=["vertex", "edge"], default="vertex")
     sp.add_argument("--depth", type=int, default=8)
 
     sp = add("unique-circle", cmd_unique_circle, help="quotient uniqueness report")
-    sp.add_argument("--generator", required=True)
+    sp.add_argument("--generator", required=True, choices=GENERATORS)
     sp.add_argument("--levels", type=int, default=3)
 
     sp = add("verify-circle", cmd_verify_circle, help="check a candidate circle")
-    sp.add_argument("--generator", required=True)
-    sp.add_argument("--member", required=True)
+    sp.add_argument("--generator", required=True, choices=GENERATORS)
+    sp.add_argument("--member", required=True, choices=["rails", "viable-pattern"])
     sp.add_argument("--levels", type=int, default=3)
 
     sp = add("corpus", cmd_corpus, help="run the exhaustive property suites")

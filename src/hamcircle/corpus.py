@@ -2,8 +2,8 @@
 
 Deterministic sources:
 
-* all connected graphs on up to 8 vertices (atlas for <= 7, a cached
-  canonical augmentation for 8);
+* all connected graphs on up to 8 vertices (atlas for <= 7, the shipped
+  ``data/connected8.g6`` for 8);
 * all 2-connected outerplanar graphs on 4..9 vertices, as polygon
   dissections up to isomorphism;
 * all trees on a vertex range.
@@ -54,13 +54,6 @@ def _names(nodes) -> dict:
     return {v: f"v{i}" for i, v in enumerate(sorted(nodes, key=str))}
 
 
-def _to_nx(g: FiniteGraph):
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
-    return h
-
-
 def _atlas_by_order(n_min: int, n_max: int) -> dict:
     """The connected atlas graphs on n_min..n_max vertices, keyed by vertex
     count, from one read of the atlas.  The atlas lists graphs by vertex
@@ -80,57 +73,12 @@ def _atlas_by_order(n_min: int, n_max: int) -> dict:
     return out
 
 
-def connected_atlas(n: int):
-    """All connected graphs on exactly n <= 7 vertices (networkx atlas)."""
-    return _atlas_by_order(n, n)[n]
-
-
-def _dedup_iso(graphs):
-    """Isomorphism-reduce a list of networkx graphs (invariant buckets + VF2),
-    keeping the first of each class.  Used only to regenerate the 8-vertex
-    cache.
-
-    The bucket key is the sorted multiset of (degree, sorted neighbour
-    degrees); VF2 decides isomorphism within a bucket.
-    """
-    buckets = {}
-    out = []
-    for g in graphs:
-        deg = dict(g.degree())
-        key = tuple(sorted((deg[v], tuple(sorted(deg[u] for u in g[v]))) for v in g))
-        bucket = buckets.setdefault(key, [])
-        if any(nx.is_isomorphic(g, h) for h in bucket):
-            continue
-        bucket.append(g)
-        out.append(g)
-    return out
-
-
-def _generate_connected8():
-    """Every connected 8-vertex graph is a connected 7-vertex graph plus a
-    new vertex joined to a nonempty subset (remove any non-cutvertex)."""
-    seven = [_to_nx(g) for g in connected_atlas(7)]
-    candidates = []
-    for g in seven:
-        nodes = sorted(g.nodes())
-        for mask in range(1, 1 << 7):
-            h = g.copy()
-            h.add_node("new")
-            for i in range(7):
-                if mask >> i & 1:
-                    h.add_edge("new", nodes[i])
-            candidates.append(nx.convert_node_labels_to_integers(h))
-    result = _dedup_iso(candidates)
-    if len(result) != CONNECTED_COUNTS[8]:
-        raise InvariantError(f"connected-8 generation found {len(result)} graphs")
-    return result
-
-
 _connected8_cache = None
 
 
 def connected_graphs_8():
-    """All 11117 connected graphs on 8 vertices, from the shipped cache."""
+    """All 11117 connected graphs on 8 vertices, from the shipped data file;
+    a missing or corrupt file is an `InvariantError`."""
     global _connected8_cache
     if _connected8_cache is not None:
         return _connected8_cache
@@ -138,11 +86,10 @@ def connected_graphs_8():
     try:
         text = path.read_bytes()
     except FileNotFoundError:
-        graphs = [_from_nx(g) for g in _generate_connected8()]
-    else:
-        graphs = _read_graph6(text, 8)
-        if len(graphs) != CONNECTED_COUNTS[8]:
-            raise InvariantError("connected-8 cache is corrupt")
+        raise InvariantError("connected-8 cache is missing") from None
+    graphs = _read_graph6(text, 8)
+    if len(graphs) != CONNECTED_COUNTS[8]:
+        raise InvariantError("connected-8 cache is corrupt")
     _connected8_cache = graphs
     return graphs
 
@@ -182,13 +129,6 @@ def connected_graphs_upto(n: int):
     if n == 8:
         out.extend(connected_graphs_8())
     return out
-
-
-def write_connected8_cache(path):
-    graphs = _generate_connected8()
-    with open(path, "wb") as fh:
-        for g in graphs:
-            fh.write(nx.to_graph6_bytes(g, header=False))
 
 
 # ---------------------------------------------------------------------------

@@ -199,16 +199,6 @@ class FragmentTree:
         f = self.fragment
         return [canon_edge(f.contact(path, m), f.vertex(path, f.pendants[m])) for m in ROLES]
 
-    def subtree_vertices(self, path):
-        """All interior vertices of the copy at `path` and its descendants.
-
-        Vertex ids encode the tree path, so a prefix test suffices."""
-        return {
-            x
-            for x in self.graph.vertices
-            if x.startswith("F:") and x.split(":", 2)[1].startswith(path)
-        }
-
 
 @lru_cache(maxsize=None)
 def build_gn(n: int):

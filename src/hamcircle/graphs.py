@@ -193,8 +193,6 @@ class VSplitResult:
     multigraph: MultiGraph
     v1: object
     v2: object
-    e1: frozenset  # edge ids routed to v1
-    e2: frozenset
 
 
 # ---------------------------------------------------------------------------
@@ -273,32 +271,6 @@ def cut_edges(g: FiniteGraph, s) -> frozenset:
     return frozenset(e for e in g.edges if (e[0] in s) != (e[1] in s))
 
 
-def contract_subgraph(g: FiniteGraph, h) -> FiniteGraph:
-    """Contract a connected vertex set to a single fresh vertex.
-
-    The fresh vertex is named ``comp:<m>`` where m is the canonically
-    smallest member of h.
-    """
-    h = frozenset(h)
-    if not h:
-        raise GraphError("empty contraction set")
-    if not h <= g.vertices:
-        raise GraphError("contraction set contains non-vertices")
-    if not g.subgraph(h).is_connected():
-        raise GraphError("contraction set induces a disconnected subgraph")
-    z = "comp:" + vkey(min(h, key=vkey))
-    if z in g.vertices:
-        raise GraphError(f"fresh vertex name {z!r} collides")
-    vs = (g.vertices - h) | {z}
-    es = set()
-    for a, b in g.edges:
-        aa = z if a in h else a
-        bb = z if b in h else b
-        if aa != bb:
-            es.add(canon_edge(aa, bb))
-    return FiniteGraph(vs, frozenset(es))
-
-
 def is_eulerian(m: MultiGraph) -> bool:
     if any(m.degree(v) % 2 for v in m.vertices):
         return False
@@ -330,7 +302,7 @@ def v_split(m: MultiGraph, v, e1_ids, e2_ids) -> VSplitResult:
         elif eid in e2_ids:
             a, b = (v2 if a == v else a), (v2 if b == v else b)
         es.append((eid, a, b))
-    return VSplitResult(MultiGraph.build(vs, es), v1, v2, e1_ids, e2_ids)
+    return VSplitResult(MultiGraph.build(vs, es), v1, v2)
 
 
 def eulerian_v_splits(m: MultiGraph, v):

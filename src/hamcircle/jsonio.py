@@ -83,9 +83,3 @@ def graph_to_obj(g):
 def load_graph(path):
     with open(path) as fh:
         return graph_from_obj(json.load(fh))
-
-
-def dump_graph(g, path):
-    with open(path, "w") as fh:
-        json.dump(graph_to_obj(g), fh, indent=1)
-        fh.write("\n")

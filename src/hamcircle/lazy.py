@@ -6,10 +6,10 @@ infinite components left after removing a finite region around the root.
 Built-in generators attach an exhaustion hint that names those regions and
 certifies which components are infinite.  Deep components come only from
 such a hint: without one they are refused with a GraphError, since a finite
-exploration can never certify that a component is infinite.  Regions of
-hint-less graphs are balls.  The level-r quotient, the region plus one
-surrogate vertex per deep component, is the one finite window that the
-level graphs, the quotient search and the circle check read.
+exploration can never certify that a component is infinite.  The level-r
+quotient, the region plus one surrogate vertex per deep component, is the
+one finite window that the level graphs, the quotient search and the
+circle check read.
 """
 
 from __future__ import annotations
@@ -87,12 +87,11 @@ def ball(lg: LazyGraph, r: int) -> BallView:
     return BallView(r, g, frozenset(v for v, d in dist.items() if d == r))
 
 
-def _region(lg: LazyGraph, r: int):
-    """The hint's level-r region, else the ball.  Each caller's r also goes
-    through `deep_components`, which refuses a negative r."""
-    if lg.hint is not None:
-        return frozenset(lg.hint.region(r))
-    return ball(lg, r).graph.vertices
+def _hint(lg: LazyGraph):
+    """The graph's exhaustion hint; a graph without one is an error."""
+    if lg.hint is None:
+        raise GraphError("no exhaustion hint: deep components cannot be certified")
+    return lg.hint
 
 
 def deep_components(lg: LazyGraph, r: int):
@@ -100,10 +99,8 @@ def deep_components(lg: LazyGraph, r: int):
     certified by the generator's exhaustion hint; a graph without a hint
     is an error."""
     _check_radius(r)
-    if lg.hint is None:
-        raise GraphError("no exhaustion hint: deep components cannot be certified")
     out = []
-    for comp_id, fingers, cut in lg.hint.components(r):
+    for comp_id, fingers, cut in _hint(lg).components(r):
         out.append(DeepComponent(r, comp_id, frozenset(fingers), tuple(cut)))
     out.sort(key=lambda c: str(c.comp_id))
     return out
@@ -114,8 +111,9 @@ def quotient_window(lg: LazyGraph, r: int):
     vertices are the region's plus one surrogate ``end:<id>`` per deep
     component, and each quotient edge is one record (a, b, edge of lg).
     Region edges come first, in `vkey` order; then each component's cut
-    edges, with the surrogate in place of the finger."""
-    region = _region(lg, r)
+    edges, with the surrogate in place of the finger.  A graph without a
+    hint is refused before its oracle is called."""
+    region = frozenset(_hint(lg).region(r))
     comps = deep_components(lg, r)
     records = []
     for v in sorted(region, key=vkey):
@@ -157,13 +155,13 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
     upper: the finger cut size.  lower: a max-flow packing of disjoint
     paths from the region boundary through the component to exploration
     depth `depth`.  Exploring more vertices than the vertex budget raises
-    `BudgetError`.
+    `BudgetError`; a graph without a hint is an error.
     """
     if mode not in ("vertex", "edge"):
         raise GraphError("mode must be 'vertex' or 'edge'")
     if depth < 1:
         raise GraphError("depth must be positive")
-    region = _region(lg, comp.radius)
+    region = frozenset(_hint(lg).region(comp.radius))
     split = mode == "vertex"
     upper = len(comp.fingers) if split else len(comp.cut_edges)
     # The unit-capacity flow network is built while a BFS from the fingers
@@ -288,13 +286,3 @@ def lazy_power(lg: LazyGraph, k: int) -> LazyGraph:
         return sorted(dist, key=vkey)
 
     return LazyGraph(lg.root, nbr)
-
-
-def lazy_from_finite(g: FiniteGraph, root=None) -> LazyGraph:
-    if root is None:
-        root = min(g.vertices, key=vkey)
-
-    def nbr(v):
-        return g.neighbors(v)
-
-    return LazyGraph(root, nbr)

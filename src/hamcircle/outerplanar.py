@@ -132,13 +132,6 @@ class DiskLayout:
     boundary: tuple  # edges drawn as circle arcs
     chords: tuple  # edges drawn as straight segments
 
-    def to_obj(self):
-        return {
-            "placements": [[v, a] for v, a in self.placements],
-            "boundary": [list(e) for e in self.boundary],
-            "chords": [list(e) for e in self.chords],
-        }
-
 
 def positions_cross(p, q):
     """True iff two chords of a circle cross, each given by the positions
@@ -146,11 +139,6 @@ def positions_cross(p, q):
     end do not cross."""
     (a, b), (c, d) = p, q
     return (a < c < b < d) or (c < a < d < b)
-
-
-def chords_cross(order, e, f):
-    pos = {v: i for i, v in enumerate(order)}
-    return positions_cross(*(sorted((pos[a], pos[b])) for a, b in (e, f)))
 
 
 def disk_layout(g: FiniteGraph) -> DiskLayout:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from hamcircle.graphs import FiniteGraph, MultiGraph
+from hamcircle.graphs import FiniteGraph, MultiGraph, canon_edge, vkey
 
 
 def graph(edges, extra_vertices=()):
@@ -51,6 +51,27 @@ def two_connected_by_definition(g):
     if len(g.vertices) < 3 or not g.is_connected():
         return False
     return all(g.without_vertex(v).is_connected() for v in g.vertices)
+
+
+def contract_subgraph(g, h):
+    """g with the connected vertex set h contracted to one fresh vertex,
+    named ``comp:<m>`` for the least member m of h: the contraction in the
+    definition of a 2-contractible edge."""
+    z = "comp:" + vkey(min(h, key=vkey))
+    ends = [[z if x in h else x for x in e] for e in g.edges]
+    edges = frozenset(canon_edge(a, b) for a, b in ends if a != b)
+    return FiniteGraph((g.vertices - set(h)) | {z}, edges)
+
+
+def subtree_vertices(ft, path):
+    """The interior vertices of a fragment tree's copy at `path` and of its
+    descendants, read off the vertex ids (``F:<path>:<x>``) by a prefix
+    test; an oracle independent of the tree's own cut bookkeeping."""
+    return {
+        x
+        for x in ft.graph.vertices
+        if x.startswith("F:") and x.split(":", 2)[1].startswith(path)
+    }
 
 
 # differential tests of a fast path against its reference: reproducible runs

@@ -8,6 +8,7 @@ import random
 import sys
 import time
 
+from conftest import subtree_vertices
 from hamcircle import caterpillar as cat
 from hamcircle import checker, corpus, minors, outerplanar
 from hamcircle.fragment import (
@@ -55,7 +56,7 @@ def test_criterion_02_caterpillar_equivalence():
     for t in corpus.trees_range(3, 10):
         is_cat = cat.is_caterpillar(t) is not None
         no_star = cat.find_s_k13(t) is None
-        square_ham = len(enumerate_hamilton_cycles(kth_power(t, 2))) > 0
+        square_ham = len(enumerate_hamilton_cycles(kth_power(t, 2), limit=1)) > 0
         assert is_cat == no_star == square_ham
         if is_cat:
             cycle = cat.hamilton_cycle_of_square(t)
@@ -133,7 +134,7 @@ def test_criterion_08_level_graphs_and_end_degrees():
         audit_tree(ft)
         assert all(g.degree(v) == 3 for v in g.vertices)
         for path in ft.marked:
-            assert len(cut_edges(g, ft.subtree_vertices(path))) == 3
+            assert len(cut_edges(g, subtree_vertices(ft, path))) == 3
     lg = section5_graph()
     for c in deep_components(lg, 1):
         assert end_degree_bound(lg, c, "vertex", depth=6) == (3, 3)
@@ -181,8 +182,9 @@ def test_criterion_10_disk_layouts_crossing_free():
     t0 = time.time()
     for g in corpus.two_connected_outerplanar(4, 9):
         layout = outerplanar.disk_layout(g)
-        order = [v for v, _ in layout.placements]
-        for i, e in enumerate(layout.chords):
-            for f in layout.chords[i + 1 :]:
-                assert not outerplanar.chords_cross(order, e, f)
+        pos = {v: i for i, (v, _) in enumerate(layout.placements)}
+        spans = [sorted((pos[a], pos[b])) for a, b in layout.chords]
+        for i, p in enumerate(spans):
+            for q in spans[i + 1 :]:
+                assert not outerplanar.positions_cross(p, q)
     report(10, "crossing-free disk layouts, n<=9", time.time() - t0)

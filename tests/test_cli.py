@@ -334,6 +334,10 @@ def test_section5_past_the_vertex_budget_is_a_budget_error(capsys, argv):
         (("unique-circle", "--generator", "double-ladder", "--levels", "0"),
          "no levels to check"),
         (("construct-gn", "-n", "-1"), "level must be nonnegative"),
+        (("ends", "--generator", "bogus"), "invalid choice: 'bogus'"),
+        (("unique-circle", "--generator", "bogus"), "invalid choice: 'bogus'"),
+        (("verify-circle", "--generator", "double-ladder", "--member", "bogus"),
+         "invalid choice: 'bogus'"),
     ],
 )
 def test_requests_that_check_nothing_are_usage_errors(capsys, argv, message):

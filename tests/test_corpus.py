@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from importlib import resources
 
 import networkx as nx
@@ -7,7 +8,6 @@ import pytest
 from hamcircle import corpus
 from hamcircle.corpus import (
     CONNECTED_COUNTS,
-    connected_atlas,
     connected_graphs_8,
     connected_graphs_upto,
     random_connected_subset,
@@ -117,19 +117,31 @@ def test_graph6_names_vertices_as_networkx_does():
 @pytest.mark.parametrize("n", [0, 8])
 def test_atlas_range_is_checked(n):
     with pytest.raises(GraphError):
-        connected_atlas(n)
+        corpus._atlas_by_order(n, n)
 
 
 def test_atlas_counts():
-    for n in (4, 5, 6, 7):
-        assert len(connected_atlas(n)) == CONNECTED_COUNTS[n]
+    for n, graphs in corpus._atlas_by_order(4, 7).items():
+        assert len(graphs) == CONNECTED_COUNTS[n]
 
 
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")
 def test_connected8_cache():
+    # 11,117 connected 8-vertex graphs (OEIS A001349), pairwise
+    # non-isomorphic: so the shipped file holds each of them exactly once.
+    # Isomorphic graphs share a Weisfeiler-Lehman hash, so VF2 only has to
+    # compare graphs within one hash bucket.
     graphs = connected_graphs_8()
     assert len(graphs) == CONNECTED_COUNTS[8]
-    assert all(len(g.vertices) == 8 for g in graphs[:50])
-    assert all(g.is_connected() for g in graphs[:50])
+    buckets = defaultdict(list)
+    for g in graphs:
+        assert len(g.vertices) == 8 and g.is_connected()
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges)
+        bucket = buckets[nx.weisfeiler_lehman_graph_hash(h)]
+        assert not any(nx.is_isomorphic(h, other) for other in bucket)
+        bucket.append(h)
 
 
 def test_two_connected_outerplanar_corpus():

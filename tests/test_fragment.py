@@ -2,6 +2,8 @@ from functools import lru_cache
 
 import pytest
 
+from conftest import subtree_vertices
+
 from hamcircle.fragment import (
     ROLES,
     FragmentTree,
@@ -69,7 +71,7 @@ def test_all_degrees_three():
 def test_marked_subtree_cuts_are_three():
     g, ft = build_gn(2)
     for path in ft.marked:
-        assert len(cut_edges(g, ft.subtree_vertices(path))) == 3
+        assert len(cut_edges(g, subtree_vertices(ft, path))) == 3
 
 
 def test_limit_oracle_matches_finite_builds():
@@ -257,7 +259,7 @@ def _swap_ends(g, e, f):
 def _outside_edge(g, ft, avoid):
     """An edge with no end in a marked subtree, disjoint from `avoid` and
     from their neighbours."""
-    inside = set().union(*(ft.subtree_vertices(p) for p in ft.marked))
+    inside = set().union(*(subtree_vertices(ft, p) for p in ft.marked))
     near = set(avoid).union(*(g.adj[x] for x in avoid))
     return next(
         e for e in g.sorted_edges() if not set(e) & inside and not set(e) & near
@@ -268,7 +270,7 @@ def _outside_edge(g, ft, avoid):
 def test_audit_catches_a_changed_cut(pendant):
     g, ft = build_gn(2)
     first = ft.marked[0]
-    sub = ft.subtree_vertices(first)
+    sub = subtree_vertices(ft, first)
     if pendant:
         # move the copy's first pendant edge onto another outside vertex:
         # still three cut edges, but not the pendant ones

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     DIFF,
     complete_graph,
+    contract_subgraph,
     cycle_graph,
     graph,
     multigraph,
@@ -23,7 +24,6 @@ from hamcircle.graphs import (
     MultiGraph,
     blocks,
     canon_edge,
-    contract_subgraph,
     cut_edges,
     enumerate_hamilton_cycles,
     enumerate_hamilton_paths,

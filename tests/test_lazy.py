@@ -10,15 +10,55 @@ from hamcircle.fragment import copy_paths, load_tutte_fragment, section5_graph
 from hamcircle.graphs import GraphError, augment_flow, vkey
 from hamcircle.lazy import (
     BudgetError,
-    DeepComponent,
+    LazyGraph,
     ball,
     deep_components,
     double_ladder,
     end_degree_bound,
     end_nesting,
-    lazy_from_finite,
     lazy_power,
+    quotient_multigraph,
 )
+
+
+class FiniteHint:
+    """An exhaustion hint for a finite graph: regions are balls about the
+    root, and the components are all those of the graph minus the ball,
+    finite ones included, to exercise the packing."""
+
+    def __init__(self, lg):
+        self.lg = lg
+
+    def region(self, r):
+        return ball(self.lg, r).graph.vertices
+
+    def components(self, r):
+        lg, region = self.lg, self.region(r)
+        cut = [(v, y) for v in sorted(region) for y in lg.neighbors(v) if y not in region]
+        out, owner = [], {}
+        for _, f in cut:
+            if f in owner:
+                continue
+            seen, stack = {f}, [f]
+            while stack:
+                for y in lg.neighbors(stack.pop()):
+                    if y not in region and y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            owner.update(dict.fromkeys(seen, len(out)))
+            out.append(seen)
+        comps = []
+        for k in range(len(out)):
+            edges = tuple(e for e in cut if owner[e[1]] == k)
+            comps.append((k, frozenset(y for _, y in edges), edges))
+        return comps
+
+
+def lazy_from_finite(g, root=None):
+    """A finite graph as a lazy graph with a `FiniteHint`."""
+    lg = LazyGraph(min(g.vertices, key=vkey) if root is None else root, g.neighbors)
+    lg.hint = FiniteHint(lg)
+    return lg
 
 
 def test_ladder_ball_sizes():
@@ -83,7 +123,7 @@ def test_lazy_power_neighbors():
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: lazy_power(double_ladder(), 2), lambda: lazy_from_finite(cycle_graph(6))],
+    [lambda: lazy_power(double_ladder(), 2), lambda: LazyGraph("v0", cycle_graph(6).neighbors)],
     ids=["ladder-square", "finite-cycle"],
 )
 def test_hintless_graphs_have_no_deep_components(make):
@@ -94,6 +134,24 @@ def test_hintless_graphs_have_no_deep_components(make):
         deep_components(lg, 1)
     with pytest.raises(GraphError, match="no exhaustion hint"):
         end_nesting(lg, 0, 1)
+
+
+def test_hintless_quotient_is_refused_before_the_oracle_is_called():
+    # no radius, however large, starts an exploration that could only end
+    # at the vertex budget
+    square = lazy_power(double_ladder(), 2)
+    calls = []
+    lg = LazyGraph(square.root, lambda v: calls.append(v) or square.neighbors(v))
+    with pytest.raises(GraphError, match="no exhaustion hint"):
+        quotient_multigraph(lg, 10**6)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_end_degree_bound_needs_a_hint(mode):
+    comp = deep_components(double_ladder(), 1)[1]
+    with pytest.raises(GraphError, match="no exhaustion hint"):
+        end_degree_bound(lazy_power(double_ladder(), 2), comp, mode)
 
 
 def test_lazy_from_finite_ball_matches():
@@ -158,7 +216,7 @@ def explore_component(lg, region, comp, depth):
 def reference_end_degree_bound(lg, comp, mode, depth):
     """The packing on the full split network, with tuple-named flow nodes
     ("i", v) and ("o", v), through the dict front end of augment_flow."""
-    region = lazy._region(lg, comp.radius)
+    region = lg.hint.region(comp.radius)
     upper = len(comp.fingers) if mode == "vertex" else len(comp.cut_edges)
     dist = explore_component(lg, region, comp, depth)
     deep_set = {v for v, d in dist.items() if d >= depth}
@@ -183,31 +241,6 @@ def reference_end_degree_bound(lg, comp, mode, depth):
     return min(value, upper), upper
 
 
-def outside_components(lg, r):
-    """Each component of a finite graph minus the radius-r ball, as a
-    DeepComponent (finite ones included, to exercise the packing)."""
-    region = lazy._region(lg, r)
-    cut = [(v, y) for v in sorted(region) for y in lg.neighbors(v) if y not in region]
-    out, owner = [], {}
-    for _, f in cut:
-        if f in owner:
-            continue
-        seen, stack = {f}, [f]
-        while stack:
-            for y in lg.neighbors(stack.pop()):
-                if y not in region and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        owner.update(dict.fromkeys(seen, len(out)))
-        out.append(seen)
-    comps = []
-    for k, seen in enumerate(out):
-        edges = tuple(e for e in cut if owner[e[1]] == k)
-        fingers = frozenset(y for _, y in edges)
-        comps.append(DeepComponent(r, k, fingers, edges))
-    return comps
-
-
 @pytest.mark.parametrize("depth, vertex, edge", [(3, (1, 3), (1, 3)),
                                                  (1, (1, 3), (3, 3))],
                          ids=["depth-3", "depth-1"])
@@ -218,7 +251,7 @@ def test_end_degree_bound_sees_a_bottleneck(depth, vertex, edge):
     g = graph([("r", "a"), ("r", "b"), ("r", "c"), ("a", "x"), ("b", "x"),
                ("c", "x"), ("x", "p1"), ("p1", "p2"), ("p2", "p3")])
     lg = lazy_from_finite(g, "r")
-    (c,) = outside_components(lg, 0)
+    (c,) = deep_components(lg, 0)
     assert end_degree_bound(lg, c, "vertex", depth=depth) == vertex
     assert end_degree_bound(lg, c, "edge", depth=depth) == edge
 
@@ -247,7 +280,7 @@ FAN = graph([("a", "b"), ("a", "c"), ("b", "x"), ("c", "x"), ("x", "p1"),
 @example(FAN, 0, 3)
 def test_end_degree_bound_matches_reference(g, r, depth):
     lg = lazy_from_finite(g)
-    for c in outside_components(lg, r):
+    for c in deep_components(lg, r):
         for mode in ("vertex", "edge"):
             try:
                 want = reference_end_degree_bound(lg, c, mode, depth)

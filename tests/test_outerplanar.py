@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     DIFF,
     complete_graph,
+    contract_subgraph,
     cycle_graph,
     graph,
     k23,
@@ -22,20 +24,19 @@ from hamcircle.graphs import (
     GraphError,
     InvariantError,
     canon_edge,
-    contract_subgraph,
     ekey,
     enumerate_hamilton_cycles,
     vkey,
 )
-from hamcircle.jsonio import dump_graph
+from hamcircle.jsonio import graph_to_obj
 from hamcircle.outerplanar import (
     DiskLayout,
     check_quotient_two_connected,
     check_struct1,
-    chords_cross,
     contraction_quotient,
     disk_layout,
     layout_to_svg,
+    positions_cross,
     two_contractible_edges,
     unique_hamilton_cycle_outerplanar,
 )
@@ -193,9 +194,9 @@ def test_rotation_that_is_no_hamilton_cycle_is_an_invariant_failure(
     for f in (unique_hamilton_cycle_outerplanar, disk_layout):
         with pytest.raises(InvariantError, match="not a Hamilton cycle"):
             f(c5)
-    path = str(tmp_path / "c5.json")
-    dump_graph(c5, path)
-    code = cli.main(["outerplanar", path, "--cycle"])
+    path = tmp_path / "c5.json"
+    path.write_text(json.dumps(graph_to_obj(c5)))
+    code = cli.main(["outerplanar", str(path), "--cycle"])
     captured = capsys.readouterr()
     assert code == cli.INVARIANT == 4
     assert captured.out == ""
@@ -248,10 +249,11 @@ def test_disk_layout_diamond_and_fan():
 
 def test_chords_do_not_cross():
     lay = disk_layout(fan5())
-    order = [v for v, _ in lay.placements]
-    for i, e in enumerate(lay.chords):
-        for f in lay.chords[i + 1 :]:
-            assert not chords_cross(order, e, f)
+    pos = {v: i for i, (v, _) in enumerate(lay.placements)}
+    spans = [sorted((pos[a], pos[b])) for a, b in lay.chords]
+    for i, p in enumerate(spans):
+        for q in spans[i + 1 :]:
+            assert not positions_cross(p, q)
 
 
 def test_svg_output():
