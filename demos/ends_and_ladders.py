@@ -9,7 +9,7 @@ from hamcircle.lazy import ball, deep_components, double_ladder, end_degree_boun
 
 def main():
     lad = double_ladder()
-    print("Ball sizes around the root:", [len(ball(lad, r).graph.vertices) for r in range(5)])
+    print("Ball sizes around the root:", [len(ball(lad, r).vertices) for r in range(5)])
 
     comps = deep_components(lad, 3)
     print("Removing the radius-3 region leaves", len(comps), "infinite components:")

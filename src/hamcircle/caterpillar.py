@@ -43,9 +43,9 @@ def is_caterpillar(t: FiniteGraph):
     spine = t.vertices - leaves
     if not spine:
         return []
+    # a tree minus its leaves is a subtree, so it is a path iff no vertex
+    # keeps more than two neighbours in it
     sub = t.subgraph(spine)
-    if not sub.is_connected():
-        return None
     if any(sub.degree(v) > 2 for v in spine):
         return None
     # order the path
@@ -61,35 +61,21 @@ def is_caterpillar(t: FiniteGraph):
 
 
 def find_s_k13(t: FiniteGraph):
-    """A subgraph isomorphic to the once-subdivided 3-star, or None.
+    """A subgraph of the tree t isomorphic to the once-subdivided 3-star,
+    or None.
 
-    Looks for a center with three branches of length two; works on any
-    graph, not just trees.
+    The centre is the first vertex with three neighbours of degree at least
+    two; each of them is extended by its first other neighbour.
     """
-    import itertools
-
+    _check_tree(t)
     for c in t.sorted_vertices():
-        nbrs = t.neighbors(c)
-        if len(nbrs) < 3:
-            continue
-        # each chosen neighbor needs its own second vertex
-        for trio in itertools.combinations(nbrs, 3):
-            picks = []
-            used = {c, *trio}
-            ok = True
+        trio = [m for m in t.neighbors(c) if t.degree(m) >= 2][:3]
+        if len(trio) == 3:
+            es = set()
             for m in trio:
-                ext = [x for x in t.neighbors(m) if x not in used]
-                if not ext:
-                    ok = False
-                    break
-                picks.append(ext[0])
-                used.add(ext[0])
-            if ok:
-                vs = {c, *trio, *picks}
-                es = {canon_edge(c, m) for m in trio} | {
-                    canon_edge(m, p) for m, p in zip(trio, picks)
-                }
-                return FiniteGraph(frozenset(vs), frozenset(es))
+                p = next(x for x in t.neighbors(m) if x != c)
+                es |= {canon_edge(c, m), canon_edge(m, p)}
+            return FiniteGraph(frozenset(x for e in es for x in e), frozenset(es))
     return None
 
 
@@ -165,14 +151,6 @@ def _assert_partition_properties(part: OrderedCaterpillarPartition):
                 raise InvariantError(f"jumping vertex {j} not adjacent to {b}")
 
 
-@dataclass(frozen=True)
-class SquareStringSpec:
-    v: object
-    w: object
-    left_closed: bool
-    right_closed: bool
-
-
 def _clique_path(members, start, end):
     """A path through all members of a square-clique from start to end."""
     rest = sorted((m for m in members if m not in (start, end)), key=vkey)
@@ -181,15 +159,15 @@ def _clique_path(members, start, end):
     return [start] + rest + [end]
 
 
-def square_string(part: OrderedCaterpillarPartition, spec: SquareStringSpec):
+def square_string(part: OrderedCaterpillarPartition, v, w, left_closed, right_closed):
     """A path in the caterpillar's square sweeping same-parity classes.
 
-    Visits only classes of the endpoints' parity, covers every such class
-    strictly between them completely, and covers the endpoint classes
-    entirely or just at the endpoint depending on the closure flags.
+    Visits only classes of the endpoints' parity.  Each class is a clique
+    path from its entry (v in the first class, else its least member other
+    than the exit) to its exit (w in the last class, else its jumping
+    vertex); an open end contributes only its endpoint.
     """
     idx = part.index_of
-    v, w = spec.v, spec.w
     if v not in idx or w not in idx:
         raise GraphError("endpoint not in the partition")
     iv, iw = idx[v], idx[w]
@@ -197,42 +175,20 @@ def square_string(part: OrderedCaterpillarPartition, spec: SquareStringSpec):
         raise GraphError("endpoints given against the class order")
     if (iw - iv) % 2 != 0:
         raise GraphError("endpoint classes have different parity")
-    classes, jumping = part.classes, part.jumping
-    if iv == iw:
-        if spec.left_closed or spec.right_closed:
-            path = _clique_path(classes[iv], v, w)
-        else:
-            path = [v] if v == w else [v, w]
-        _assert_square_path(part, path)
-        return path
-    # leftmost class
-    if spec.left_closed:
-        j = jumping[iv]
-        if v == j and len(classes[iv]) > 1:
-            raise GraphError(
-                "left-closed string starting at the jumping vertex "
-                "cannot leave its class"
-            )
-        path = _clique_path(classes[iv], v, j)
-    else:
-        if v != jumping[iv]:
-            raise GraphError("left-open string requires a jumping start vertex")
-        path = [v]
-    # interior classes of the same parity
-    for i in range(iv + 2, iw, 2):
-        j = jumping[i]
-        members = classes[i]
-        entry = min(
-            (m for m in members if m != j), key=vkey, default=j
+    path = []
+    for i in range(iv, iw + 1, 2):
+        members = part.classes[i]
+        exit_ = w if i == iw else part.jumping[i]
+        entry = v if i == iv else min(
+            (m for m in members if m != exit_), key=vkey, default=exit_
         )
-        path += _clique_path(members, entry, j)
-    # rightmost class
-    if spec.right_closed:
-        members = classes[iw]
-        entry = min((m for m in members if m != w), key=vkey, default=w)
-        path += _clique_path(members, entry, w)
-    else:
-        path.append(w)
+        if iv < i < iw or (i == iv and left_closed) or (i == iw and right_closed):
+            piece = _clique_path(members, entry, exit_)
+        else:  # an open end: just the endpoints that lie in this class
+            piece = [x for x in dict.fromkeys((v, w)) if idx[x] == i]
+        if i < iw and piece[-1] != exit_:
+            raise GraphError("string cannot leave the class of v at its jumping vertex")
+        path += piece
     _assert_square_path(part, path)
     return path
 
@@ -255,25 +211,20 @@ def hamilton_cycle_of_square(t: FiniteGraph) -> frozenset:
     part = caterpillar_partition(t)
     classes, jumping = part.classes, part.jumping
     m = len(classes) - 1
-    if m == 1:
-        seq = [jumping[0]] + sorted(classes[1], key=vkey)
+    if m % 2 == 0:
+        # the turn happens in the last class; the exit edge lands on the
+        # next jumping vertex, so any end of the class traversal works
+        w = max(classes[m], key=vkey)
     else:
-        if m % 2 == 0:
-            # the turn happens in the last class; the exit edge lands on the
-            # next jumping vertex, so any end of the class traversal works
-            w = max(classes[m], key=vkey)
-        else:
-            w = jumping[m - 1]
-        seq = square_string(part, SquareStringSpec(jumping[0], w, False, True))
-        if m % 2 == 1:
-            seq += sorted(classes[m], key=vkey)
-            start_odd = m - 2
-        else:
-            start_odd = m - 1
-        for i in range(start_odd, 0, -2):
-            j = jumping[i]
-            members = classes[i]
-            seq += [j] + sorted((x for x in members if x != j), key=vkey)
+        w = jumping[m - 1]
+    seq = square_string(part, jumping[0], w, False, True)
+    if m % 2 == 1:
+        seq += sorted(classes[m], key=vkey)
+        start_odd = m - 2
+    else:
+        start_odd = m - 1
+    for i in range(start_odd, 0, -2):
+        seq += _clique_path(classes[i], jumping[i], jumping[i])
     # the certificate: seq is a permutation of the vertices whose cyclically
     # consecutive pairs are all within distance 2
     if len(seq) != len(t.vertices) or set(seq) != t.vertices:
@@ -290,13 +241,12 @@ def split_to_cycle(m: MultiGraph):
         raise GraphError("multigraph is not Eulerian")
     if any(m.degree(v) not in (2, 4) for v in m.vertices):
         raise GraphError("degrees must be 2 or 4")
+    # a split replaces its vertex by two of degree 2 and leaves every other
+    # degree as it was, so the degree-4 vertices are listed once
     history = []
     cur = m
-    while True:
-        deg4 = sorted((v for v in cur.vertices if cur.degree(v) == 4), key=vkey)
-        if not deg4:
-            break
-        res = eulerian_v_splits(cur, deg4[0])[0]
+    for v in sorted((v for v in m.vertices if m.degree(v) == 4), key=vkey):
+        res = eulerian_v_splits(cur, v)[0]
         history.append(res)
         cur = res.multigraph
     if not is_eulerian(cur) or any(cur.degree(v) != 2 for v in cur.vertices):

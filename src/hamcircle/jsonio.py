@@ -6,9 +6,10 @@ Simple graphs::
 
 Multigraphs set ``"multi": true`` and each edge is ``[id, "a", "b"]`` with a
 unique integer id.  Vertex ids are JSON strings or numbers, no two of them
-alike as strings: the library orders and names vertices by ``str``.  Unknown
-top-level fields are rejected so that typos fail loudly instead of being
-ignored.
+alike as strings or equal as values, and each edge endpoint is written as
+the id it names: the library orders and names vertices by ``str``.
+Unknown top-level fields are rejected so that typos fail loudly instead of
+being ignored.
 """
 
 from __future__ import annotations
@@ -42,11 +43,22 @@ def graph_from_obj(obj):
     if not isinstance(verts, list) or not isinstance(edges, list):
         raise GraphError('"vertices" and "edges" must be lists')
     verts = [_vertex_id(v) for v in verts]
-    alike = {}
+    by_str, by_value = {}, {}
     for v in verts:
-        w = alike.setdefault(str(v), v)
+        w = by_str.setdefault(str(v), v)
         if w is not v and w != v:
             raise GraphError(f"vertex ids {w!r} and {v!r} are alike as strings")
+        w = by_value.setdefault(v, v)
+        if str(w) != str(v):
+            raise GraphError(f"vertex ids {w!r} and {v!r} are equal as values")
+
+    def endpoint(x):
+        x = _vertex_id(x)
+        w = by_value.get(x, x)
+        if str(w) != str(x):
+            raise GraphError(f"edge endpoint {x!r} differs from the vertex id {w!r}")
+        return x
+
     if multi:
         recs = []
         for e in edges:
@@ -54,13 +66,13 @@ def graph_from_obj(obj):
                 raise GraphError(f"multigraph edge must be [id, a, b]: {e!r}")
             if type(e[0]) is not int:
                 raise GraphError(f"multigraph edge id must be an integer: {e!r}")
-            recs.append((e[0], _vertex_id(e[1]), _vertex_id(e[2])))
+            recs.append((e[0], endpoint(e[1]), endpoint(e[2])))
         return MultiGraph.build(verts, recs)
     pairs = []
     for e in edges:
         if not isinstance(e, list) or len(e) != 2:
             raise GraphError(f"edge must be [a, b]: {e!r}")
-        pairs.append((_vertex_id(e[0]), _vertex_id(e[1])))
+        pairs.append((endpoint(e[0]), endpoint(e[1])))
     return FiniteGraph.build(verts, pairs)
 
 

@@ -37,13 +37,6 @@ class LazyGraph:
 
 
 @dataclass(frozen=True)
-class BallView:
-    radius: int
-    graph: FiniteGraph
-    boundary: frozenset  # vertices at distance exactly `radius`
-
-
-@dataclass(frozen=True)
 class DeepComponent:
     radius: int
     comp_id: object
@@ -59,32 +52,30 @@ def _check_radius(r):
         raise GraphError("radius must be nonnegative")
 
 
-def ball(lg: LazyGraph, r: int) -> BallView:
+def ball(lg: LazyGraph, r: int) -> FiniteGraph:
     """Exact induced subgraph on all vertices within distance r of the root;
     more vertices than the vertex budget raise `BudgetError`."""
     _check_radius(r)
-    dist = {lg.root: 0}
+    seen = {lg.root}
     order = [lg.root]
     frontier = [lg.root]
-    for d in range(1, r + 1):
+    for _ in range(r):
         nxt = []
         for x in frontier:
             for y in lg.neighbors(x):
-                if y not in dist:
-                    dist[y] = d
+                if y not in seen:
+                    seen.add(y)
                     order.append(y)
                     nxt.append(y)
                     if len(order) > DEFAULT_VERTEX_BUDGET:
                         raise BudgetError("ball exceeds the vertex budget")
         frontier = nxt
-    vs = frozenset(order)
     es = set()
     for x in order:
         for y in lg.neighbors(x):
-            if y in dist:
+            if y in seen:
                 es.add(canon_edge(x, y))
-    g = FiniteGraph(vs, frozenset(es))
-    return BallView(r, g, frozenset(v for v, d in dist.items() if d == r))
+    return FiniteGraph(frozenset(order), frozenset(es))
 
 
 def _hint(lg: LazyGraph):

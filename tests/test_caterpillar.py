@@ -3,7 +3,6 @@ import pytest
 from conftest import cycle_graph, graph, multigraph, path_graph
 from hamcircle import caterpillar as cat
 from hamcircle.caterpillar import (
-    SquareStringSpec,
     _assert_square_path,
     caterpillar_partition,
     find_s_k13,
@@ -12,6 +11,7 @@ from hamcircle.caterpillar import (
     split_to_cycle,
     square_string,
 )
+from hamcircle.corpus import trees_range
 from hamcircle.graphs import (
     GraphError,
     InvariantError,
@@ -47,6 +47,15 @@ def test_find_s_k13_examples():
     assert find_s_k13(spider221) is None
 
 
+def test_find_s_k13_refuses_a_non_tree():
+    # contains the subdivided 3-star c-a-y, c-b-x, c-d-z, but a-x-b closes
+    # a cycle: the witness search is defined on trees only
+    g = graph([("c", "a"), ("c", "b"), ("c", "d"), ("a", "x"), ("a", "y"),
+               ("b", "x"), ("d", "z")])
+    with pytest.raises(GraphError, match="not a tree"):
+        find_s_k13(g)
+
+
 def test_partition_examples():
     t = graph([("v1", "v2"), ("v2", "v3"), ("v1", "l1"), ("v2", "l2")])
     part = caterpillar_partition(t)
@@ -76,7 +85,7 @@ def test_square_string_single_class():
     t = graph([("v1", "v2"), ("v2", "v3"), ("v1", "l1"), ("v2", "l2")])
     part = caterpillar_partition(t)
     # the middle class {v2, l1} as a closed-closed clique path
-    s = square_string(part, SquareStringSpec("l1", "v2", True, True))
+    s = square_string(part, "l1", "v2", True, True)
     assert set(s) == {"l1", "v2"}
 
 
@@ -84,7 +93,44 @@ def test_square_string_parity_error():
     part = caterpillar_partition(path_graph(6))
     members = [min(c) for c in part.classes]
     with pytest.raises(GraphError):
-        square_string(part, SquareStringSpec(members[0], members[1], True, True))
+        square_string(part, members[0], members[1], True, True)
+
+
+def test_square_string_contract():
+    # every caterpillar on 3..9 vertices, every endpoint pair, all four
+    # closure flags: a refusal is a GraphError; a string runs from v to w
+    # on the classes of their parity between them, covers the inner ones
+    # and each closed end class fully, an open end class only at its
+    # endpoint, and steps to vertices within distance 2
+    made = 0
+    for t in trees_range(3, 9):
+        if is_caterpillar(t) is None:
+            continue
+        part = caterpillar_partition(t)
+        idx = part.index_of
+        for v in t.vertices:
+            for w in t.vertices:
+                for left, right in [(False, False), (False, True), (True, False), (True, True)]:
+                    try:
+                        path = square_string(part, v, w, left, right)
+                    except GraphError:
+                        continue
+                    made += 1
+                    iv, iw = idx[v], idx[w]
+                    assert path[0] == v and (path[-1] == w or v == w)
+                    assert len(set(path)) == len(path)
+                    for i, cls in enumerate(part.classes):
+                        on = set(path) & cls
+                        if i < iv or i > iw or (i - iv) % 2:
+                            assert not on
+                        elif iv < i < iw or (i == iv and left) or (i == iw and right):
+                            assert on == cls
+                        else:
+                            assert on == {v, w} & cls
+                    for a, b in zip(path, path[1:]):
+                        assert t.distances_from(a, limit=2).get(b, 3) <= 2
+    # the refusals are pinned too: 8,038 of the 20,072 requests are strings
+    assert made == 8038
 
 
 def test_square_path_check():
@@ -124,7 +170,7 @@ def test_square_cycle_certificate_catches_a_bad_sweep(monkeypatch, doctor, messa
     # the cycle is certified as a permutation of the vertices whose
     # cyclically consecutive pairs lie within distance 2
     real = cat.square_string
-    monkeypatch.setattr(cat, "square_string", lambda part, spec: doctor(real(part, spec)))
+    monkeypatch.setattr(cat, "square_string", lambda *args: doctor(real(*args)))
     with pytest.raises(InvariantError, match=message):
         hamilton_cycle_of_square(path_graph(7))
 

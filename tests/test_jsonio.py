@@ -46,8 +46,19 @@ def test_obj_is_deterministic():
         {"vertices": ["a", "b"], "edges": [["a", ["b"]]]},
         {"multi": True, "vertices": ["a", "b"], "edges": [[0, "a", "b"], ["x", "a", "b"]]},
         {"vertices": [1, "1", "x"], "edges": [[1, "x"], ["1", "x"], [1, "1"]]},
+        {"vertices": [1, 1.0, 2], "edges": [[1, 2], [1.0, 2]]},
+        {"vertices": [0.0, -0.0, 2], "edges": [[0.0, 2]]},
+        {"vertices": [1, 2], "edges": [[1.0, 2]]},
     ],
-    ids=["unhashable-vertex", "list-endpoint", "string-edge-id", "ids-alike-as-strings"],
+    ids=[
+        "unhashable-vertex",
+        "list-endpoint",
+        "string-edge-id",
+        "ids-alike-as-strings",
+        "ids-equal-as-values",
+        "signed-zeros",
+        "endpoint-spelled-as-another-number",
+    ],
 )
 def test_malformed_ids_rejected(obj):
     with pytest.raises(GraphError):

@@ -30,7 +30,7 @@ class FiniteHint:
         self.lg = lg
 
     def region(self, r):
-        return ball(self.lg, r).graph.vertices
+        return ball(self.lg, r).vertices
 
     def components(self, r):
         lg, region = self.lg, self.region(r)
@@ -63,12 +63,12 @@ def lazy_from_finite(g, root=None):
 
 def test_ladder_ball_sizes():
     lad = double_ladder()
-    sizes = [len(ball(lad, r).graph.vertices) for r in range(3)]
+    sizes = [len(ball(lad, r).vertices) for r in range(3)]
     assert sizes == [1, 4, 8]
     b2 = ball(lad, 2)
-    assert "L:0:top" in b2.graph.vertices
-    assert "L:2:top" in b2.graph.vertices
-    assert "L:2:bot" not in b2.graph.vertices
+    assert "L:0:top" in b2.vertices
+    assert "L:2:top" in b2.vertices
+    assert "L:2:bot" not in b2.vertices
 
 
 def test_ladder_deep_components():
@@ -158,8 +158,8 @@ def test_lazy_from_finite_ball_matches():
     g = cycle_graph(8)
     lg = lazy_from_finite(g, "v0")
     b = ball(lg, 4)
-    assert b.graph.vertices == g.vertices
-    assert b.graph.edges == g.edges
+    assert b.vertices == g.vertices
+    assert b.edges == g.edges
 
 
 def test_ball_budget(monkeypatch):
