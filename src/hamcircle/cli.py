@@ -52,7 +52,8 @@ def _edge_list(edges):
 
 
 def _emit(args, obj):
-    text = json.dumps(obj, indent=1, sort_keys=True)
+    # strict JSON: NaN or an infinity raises instead of printing bare
+    text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
     if getattr(args, "out", None):
         _write(args.out, text + "\n")
     else:
@@ -191,8 +192,13 @@ def cmd_ends(args):
     lg = GENERATORS[args.generator]()
     comps = deep_components(lg, args.radius)
     report = {"budgets": _budgets(), "radius": args.radius, "components": []}
+    # components of one class (named by the hint) have the same bounds
+    bounds = {}
     for c in comps:
-        lo, hi = end_degree_bound(lg, c, args.mode, depth=args.depth)
+        key = lg.hint.component_class(c.comp_id)
+        if key not in bounds:
+            bounds[key] = end_degree_bound(lg, c, args.mode, depth=args.depth)
+        lo, hi = bounds[key]
         report["components"].append(
             {
                 "id": str(c.comp_id),

@@ -284,6 +284,16 @@ class _Section5Hint:
     def nest(self, comp_id, r1):
         return comp_id[: r1 + 1]
 
+    def component_class(self, comp_id):
+        """One class for every deep component at every radius.  The
+        component at path P is its root copy's subtree: its vertices
+        ``F:<P><w>:<x>`` map onto those of the component at Q under the
+        renaming P -> Q, every neighbour outside it lies in the region, and
+        its cut is the root copy's pendant edges in role order u, l, r.  So
+        the flow network explored from the fingers is the same up to names,
+        and so are the max-flow value and the cut size."""
+        return "subtree"
+
 
 _VERTEX_ID = re.compile(r"F:([cv]*):([^:]+)")
 

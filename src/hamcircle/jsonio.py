@@ -7,7 +7,9 @@ Simple graphs::
 Multigraphs set ``"multi": true`` and each edge is ``[id, "a", "b"]`` with a
 unique integer id.  Vertex ids are JSON strings or numbers, no two of them
 alike as strings or equal as values, and each edge endpoint is written as
-the id it names: the library orders and names vertices by ``str``.
+the id it names: the library orders and names vertices by ``str``.  The
+non-standard constants ``NaN``, ``Infinity`` and ``-Infinity`` that Python's
+`json` parses are refused.
 Unknown top-level fields are rejected so that typos fail loudly instead of
 being ignored.
 """
@@ -15,6 +17,7 @@ being ignored.
 from __future__ import annotations
 
 import json
+import math
 
 from .graphs import FiniteGraph, GraphError, MultiGraph
 
@@ -23,9 +26,12 @@ _ALLOWED = {"multi", "vertices", "edges"}
 
 def _vertex_id(x):
     # JSON strings and numbers only: anything else is unhashable or, like
-    # true and false (of type bool), aliases a number
+    # true and false (of type bool), aliases a number; NaN and the
+    # infinities are not JSON numbers, and NaN is not even equal to itself
     if type(x) not in (str, int, float):
         raise GraphError(f"vertex id must be a string or a number: {x!r}")
+    if type(x) is float and not math.isfinite(x):
+        raise GraphError(f"vertex id must be a finite number: {x!r}")
     return x
 
 

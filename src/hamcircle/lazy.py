@@ -3,8 +3,10 @@
 A LazyGraph never materializes the whole graph: it exposes a root and a
 pure neighbor function.  Ends are approximated by "deep components": the
 infinite components left after removing a finite region around the root.
-Built-in generators attach an exhaustion hint that names those regions and
-certifies which components are infinite.  Deep components come only from
+Built-in generators attach an exhaustion hint that names those regions,
+certifies which components are infinite and names each component's class:
+components of one class are the same up to names, so their end-degree
+bounds are equal.  Deep components come only from
 such a hint: without one they are refused with a GraphError, since a finite
 exploration can never certify that a component is infinite.  The level-r
 quotient, the region plus one surrogate vertex per deep component, is the
@@ -239,6 +241,10 @@ class _LadderHint:
         ]
 
     def nest(self, comp_id, r1):
+        return comp_id
+
+    def component_class(self, comp_id):
+        """Each tail is its own class."""
         return comp_id
 
 

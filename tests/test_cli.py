@@ -13,6 +13,7 @@ from hamcircle import cli, corpus, jsonio, minors, outerplanar
 from hamcircle.cli import main
 from hamcircle.fragment import build_gn
 from hamcircle.graphs import FiniteGraph
+from hamcircle.lazy import deep_components, end_degree_bound
 
 
 def run(capsys, *argv):
@@ -190,6 +191,22 @@ def test_bad_input_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_finite_ids_are_usage_errors(tmp_path, capsys):
+    # Python's json parses NaN and Infinity; they must not come back out bare
+    p = write_graph(tmp_path, "nan.json", {"vertices": [float("nan"), float("inf"), 2],
+                                           "edges": [[float("nan"), 2], [float("inf"), 2]]})
+    code, out, err = run(capsys, "power", p)
+    assert code == cli.USAGE == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_reports_are_strict_json(capsys):
+    with pytest.raises(ValueError):
+        cli._emit(None, {"x": float("nan")})
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [["power"], ["outerplanar"], ["caterpillar"],
                                   ["minor", "--pattern", "k23"]],
                          ids=["power", "outerplanar", "caterpillar", "minor"])
@@ -299,6 +316,41 @@ def test_section5_deep_requests_answer(capsys, argv, check):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     check(json.loads(out))
+
+
+@pytest.mark.parametrize("generator", ["section5", "double-ladder"])
+@pytest.mark.parametrize("mode", ["vertex", "edge"])
+def test_ends_matches_a_flow_per_component(capsys, generator, mode):
+    # `ends` runs one flow per component class; the report must be the one
+    # built from a flow on every component
+    for radius in range(7):
+        for depth in (1, 3, 8):
+            lg = cli.GENERATORS[generator]()
+            comps = []
+            for c in deep_components(lg, radius):
+                lo, hi = end_degree_bound(lg, c, mode, depth=depth)
+                comps.append({"id": str(c.comp_id), "cut_size": len(c.cut_edges),
+                              "degree_lower": lo, "degree_upper": hi})
+            want = {"budgets": cli._budgets(), "radius": radius, "components": comps}
+            code, out, _ = run(capsys, "ends", "--generator", generator, "--radius", str(radius),
+                               "--mode", mode, "--depth", str(depth))
+            assert code == 0
+            assert out == json.dumps(want, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("generator, flows", [("section5", 1), ("double-ladder", 2)])
+def test_ends_runs_one_flow_per_component_class(capsys, monkeypatch, generator, flows):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].comp_id)
+        return end_degree_bound(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "end_degree_bound", counted)
+    code, out, _ = run(capsys, "ends", "--generator", generator, "--radius", "5")
+    assert code == 0
+    assert len(calls) == flows
+    assert len(json.loads(out)["components"]) == (64 if generator == "section5" else 2)
 
 
 @pytest.mark.parametrize(

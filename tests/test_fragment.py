@@ -248,6 +248,52 @@ def test_section5_hint_matches_a_scan_of_the_builds():
         assert hint.components(r) == comps
 
 
+def _translate_form(lg, comp, depth):
+    """A deep component explored to `depth` from its fingers, with every
+    vertex ``F:<P><w>:<x>`` of the component at path P renamed (w, x): the
+    explored vertices, the edges among them, each one's count of region
+    neighbours, and the fingers in role order.  A neighbour that is
+    neither in the region nor in P's subtree fails the renaming."""
+    region = lg.hint.region(comp.radius)
+    prefix = comp.comp_id
+
+    def rename(v):
+        tag, path, x = v.split(":", 2)
+        assert tag == "F" and path.startswith(prefix), (v, prefix)
+        return path[len(prefix):], x
+
+    fingers = [b for _, b in comp.cut_edges]
+    seen, level = set(fingers), fingers
+    for _ in range(depth):
+        level = [y for x in level for y in lg.neighbors(x) if y not in region and y not in seen]
+        seen.update(level)
+    names = {v: rename(v) for v in seen}
+    assert len(set(names.values())) == len(names)  # one-to-one
+    edges = {frozenset((names[x], names[y])) for x in seen for y in lg.neighbors(x) if y in seen}
+    to_region = {names[x]: sum(y in region for y in lg.neighbors(x)) for x in seen}
+    for x in seen:
+        for y in lg.neighbors(x):
+            if y not in region:
+                rename(y)
+    return frozenset(names.values()), frozenset(edges), to_region, tuple(map(rename, fingers))
+
+
+def test_section5_deep_components_are_translates_of_one_another():
+    # the check behind `component_class`, made without the classes' bounds:
+    # at radii 0-4, the renaming P -> Q maps each component's exploration
+    # onto every other's, so forms equal to the first one's are pairwise equal
+    lg = section5_graph()
+    hint = lg.hint
+    comps = [c for r in range(5) for c in deep_components(lg, r)]
+    assert len(comps) == 2 + 4 + 8 + 16 + 32
+    assert {hint.component_class(c.comp_id) for c in comps} == {"subtree"}
+    first = _translate_form(lg, comps[0], 6)
+    assert len(first[0]) > 3 and len(first[1]) >= len(first[0])
+    for c in comps:
+        assert _translate_form(lg, c, 6) == first, c.comp_id
+        assert (len(c.cut_edges), len(c.fingers)) == (3, 3)
+
+
 def _swap_ends(g, e, f):
     """g with edges a-b and c-d replaced by a-d and c-b: every degree stays."""
     (a, b), (c, d) = e, f

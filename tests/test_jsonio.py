@@ -6,6 +6,8 @@ from conftest import cycle_graph, multigraph
 from hamcircle.graphs import GraphError, MultiGraph
 from hamcircle.jsonio import graph_from_obj, graph_to_obj, load_graph
 
+NAN, INF = float("nan"), float("inf")
+
 
 def test_simple_roundtrip(tmp_path):
     g = cycle_graph(5)
@@ -49,6 +51,8 @@ def test_obj_is_deterministic():
         {"vertices": [1, 1.0, 2], "edges": [[1, 2], [1.0, 2]]},
         {"vertices": [0.0, -0.0, 2], "edges": [[0.0, 2]]},
         {"vertices": [1, 2], "edges": [[1.0, 2]]},
+        {"vertices": [NAN, INF, 2], "edges": [[NAN, 2], [INF, 2]]},
+        {"vertices": [2, -INF], "edges": [[2, -INF]]},
     ],
     ids=[
         "unhashable-vertex",
@@ -58,6 +62,8 @@ def test_obj_is_deterministic():
         "ids-equal-as-values",
         "signed-zeros",
         "endpoint-spelled-as-another-number",
+        "non-finite-ids",
+        "minus-infinity-endpoint",
     ],
 )
 def test_malformed_ids_rejected(obj):
