@@ -16,9 +16,10 @@ from .graphs import (
     GraphError,
     InvariantError,
     MultiGraph,
+    _eulerian_pairings,
     canon_edge,
-    eulerian_v_splits,
     is_eulerian,
+    v_split,
     vkey,
 )
 
@@ -242,11 +243,16 @@ def split_to_cycle(m: MultiGraph):
     if any(m.degree(v) not in (2, 4) for v in m.vertices):
         raise GraphError("degrees must be 2 or 4")
     # a split replaces its vertex by two of degree 2 and leaves every other
-    # degree as it was, so the degree-4 vertices are listed once
+    # degree as it was, so the degree-4 vertices are listed once; an
+    # accepted split is Eulerian, so each step keeps the precondition of
+    # eulerian_v_splits, whose first result is built directly
     history = []
     cur = m
     for v in sorted((v for v in m.vertices if m.degree(v) == 4), key=vkey):
-        res = eulerian_v_splits(cur, v)[0]
+        pairings = _eulerian_pairings(cur, v)
+        if not pairings:
+            raise InvariantError(f"no Eulerian split at {v!r}")
+        res = v_split(cur, v, *pairings[0])
         history.append(res)
         cur = res.multigraph
     if not is_eulerian(cur) or any(cur.degree(v) != 2 for v in cur.vertices):

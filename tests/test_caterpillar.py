@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import cycle_graph, graph, multigraph, path_graph
@@ -11,13 +13,16 @@ from hamcircle.caterpillar import (
     split_to_cycle,
     square_string,
 )
-from hamcircle.corpus import trees_range
+from hamcircle.corpus import random_two_four_multigraph, trees_range
 from hamcircle.graphs import (
     GraphError,
     InvariantError,
     enumerate_hamilton_cycles,
+    eulerian_v_splits,
     is_eulerian,
     kth_power,
+    v_split,
+    vkey,
 )
 
 
@@ -255,3 +260,29 @@ def test_split_to_cycle_rejects_bad_inputs():
         split_to_cycle(m)
     with pytest.raises(GraphError):
         split_to_cycle(multigraph([(0, "a", "b"), (1, "b", "c")]))
+
+
+def test_split_to_cycle_takes_the_first_eulerian_split_at_each_step():
+    rng = random.Random(7)
+    for _ in range(200):
+        m = random_two_four_multigraph(rng)
+        cyc, hist = split_to_cycle(m)
+        fours = sorted((v for v in m.vertices if m.degree(v) == 4), key=vkey)
+        assert len(hist) == len(fours)
+        cur = m
+        for v, res in zip(fours, hist):
+            assert res == eulerian_v_splits(cur, v)[0]
+            # the same split from the first pairing whose rebuilt split is
+            # Eulerian, in (ab|cd), (ac|bd), (ad|bc) order
+            a, b, c, d = sorted(eid for eid, _ in cur.incidence[v])
+            pairings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+            splits = (v_split(cur, v, *p) for p in pairings)
+            assert res == next(r for r in splits if is_eulerian(r.multigraph))
+            cur = res.multigraph
+        assert cyc == cur
+
+
+def test_split_to_cycle_names_a_vertex_without_eulerian_split(monkeypatch):
+    monkeypatch.setattr(cat, "_eulerian_pairings", lambda m, v: [])
+    with pytest.raises(InvariantError, match="'c'"):
+        split_to_cycle(_bowtie_multigraph())

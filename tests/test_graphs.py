@@ -1,9 +1,10 @@
 import itertools
+import random
 from collections import defaultdict
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,11 +18,12 @@ from conftest import (
     simple_graphs,
     two_connected_by_definition,
 )
-from hamcircle.corpus import connected_graphs_upto
+from hamcircle.corpus import connected_graphs_upto, random_eulerian_multigraph
 from hamcircle.graphs import (
     FiniteGraph,
     GraphError,
     MultiGraph,
+    _eulerian_pairings,
     blocks,
     canon_edge,
     cut_edges,
@@ -188,6 +190,71 @@ def test_eulerian_split_preconditions():
     path = multigraph([(0, "a", "b"), (1, "b", "c")])
     with pytest.raises(GraphError):
         eulerian_v_splits(path, "b")
+
+
+# the Eulerian-split fast path against the rebuilt split and is_eulerian
+
+
+def _rebuilt_eulerian_pairings(m, v):
+    """The pairings, in (ab|cd), (ac|bd), (ad|bc) order of the sorted edge
+    ids, whose split, rebuilt by MultiGraph.build, passes is_eulerian."""
+    a, b, c, d = sorted(eid for eid, _ in m.incidence[v])
+    out = []
+    for e1, e2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+        res = v_split(m, v, e1, e2)
+        split = res.multigraph
+        assert MultiGraph.build(split.vertices, split.edges) == split
+        if is_eulerian(split):
+            out.append((e1, e2))
+    return out
+
+
+def check_eulerian_pairings(m):
+    for v in m.sorted_vertices():
+        if m.degree(v) == 4:
+            expect = _rebuilt_eulerian_pairings(m, v)
+            assert _eulerian_pairings(m, v) == expect
+            assert eulerian_v_splits(m, v) == [v_split(m, v, *p) for p in expect]
+
+
+def test_eulerian_pairings_match_rebuilt_splits_on_criterion_6_corpus():
+    rng = random.Random(20260823)  # the seed of test_acceptance.py
+    vertices = 0
+    for _ in range(1000):
+        m = random_eulerian_multigraph(rng)
+        check_eulerian_pairings(m)
+        vertices += sum(m.degree(v) == 4 for v in m.vertices)
+    assert vertices > 1000
+
+
+@st.composite
+def closed_walk_multigraphs(draw):
+    """The multigraph of a random closed walk on at most 5 vertices, so that
+    parallel edges are common, plus up to 2 isolated vertices; edge ids are
+    permuted against the walk order."""
+    names = draw(st.permutations([f"w{i}" for i in range(7)]))
+    used = names[: draw(st.integers(2, 5))]
+    walk = [draw(st.sampled_from(used))]
+    for _ in range(draw(st.integers(2, 12))):
+        walk.append(draw(st.sampled_from([x for x in used if x != walk[-1]])))
+    if walk[-1] == walk[0]:
+        walk.pop()
+    ids = draw(st.permutations(range(len(walk))))
+    edges = [(ids[i], walk[i], walk[(i + 1) % len(walk)]) for i in range(len(walk))]
+    isolated = names[5 : 5 + draw(st.integers(0, 2))]
+    return multigraph(edges, extra_vertices=isolated)
+
+
+@DIFF
+@given(closed_walk_multigraphs())
+# a digon c-a and a digon c-b: only (ab|cd) is refused; isolated z
+@example(multigraph([(0, "c", "a"), (1, "a", "c"), (2, "c", "b"), (3, "b", "c")], ["z"]))
+# a digon c-a and a triangle c-b-d with out-of-order ids
+@example(multigraph([(3, "c", "a"), (0, "a", "c"), (2, "c", "b"), (1, "b", "d"), (4, "d", "c")]))
+# four parallel edges: every pairing is accepted at both ends
+@example(multigraph([(i, "a", "b") for i in range(4)], ["y", "z"]))
+def test_eulerian_pairings_match_rebuilt_splits(m):
+    check_eulerian_pairings(m)
 
 
 # differential checks of the kernel against permutation brute force
