@@ -38,7 +38,7 @@ from .graphs import (
     canon_edge,
     enumerate_hamilton_cycles,
 )
-from .lazy import LazyGraph, quotient_multigraph, quotient_window
+from .lazy import LazyGraph, quotient_multigraph, quotient_window, region_of
 
 
 @dataclass(frozen=True)
@@ -217,16 +217,32 @@ def quotient_hamilton(lg: LazyGraph, r: int):
     return m, cycles
 
 
+def quotient_series(lg: LazyGraph, max_level: int):
+    """Verdicts for levels 1..max_level from the quotient enumerator: each
+    level's cycle count and the edge ids common to all its cycles.  The
+    deepest region is built first, so a level over the vertex budget is
+    refused before any search."""
+    region_of(lg, max_level)
+    out = []
+    for r in range(1, max_level + 1):
+        _, cycles = quotient_hamilton(lg, r)
+        forced = frozenset.intersection(*cycles) if cycles else frozenset()
+        out.append(QuotientVerdict(r, len(cycles), forced, None))
+    return out
+
+
 def verify_candidate_circle(lg: LazyGraph, member, levels) -> bool:
     """Necessary finite-level checks on each level's quotient for a
     candidate Hamilton circle given as an edge membership predicate:
     degree two at every region vertex, an even crossing count (at least 2)
     at every surrogate, and the member edges connected.  This relies on
     the hint listing every edge that leaves the region as a cut edge, as
-    the quotient does.  No levels is an error."""
+    the quotient does.  No levels is an error; the deepest region is built
+    first, so a level over the vertex budget is refused before any check."""
     levels = list(levels)
     if not levels:
         raise GraphError("no levels to check")
+    region_of(lg, max(levels))
     for r in levels:
         region, vertices, records = quotient_window(lg, r)
         m = MultiGraph.build(
@@ -259,17 +275,11 @@ def limit_circle_edges(max_depth: int) -> frozenset:
 
 
 def section5_circle_member(max_depth: int = 6):
+    """The unique circle's edges on the copies of depth <= max_depth."""
     edges = limit_circle_edges(max_depth)
-
-    def member(e):
-        return canon_edge(*e) in edges
-
-    return member
+    return lambda e: canon_edge(*e) in edges
 
 
 def ladder_rails_member():
-    def member(e):
-        a, b = e
-        return a.split(":")[2] == b.split(":")[2]
-
-    return member
+    """The double ladder's rails: the edges with both ends on one side."""
+    return lambda e: e[0].split(":")[2] == e[1].split(":")[2]

@@ -12,31 +12,15 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import caterpillar as cat
 from . import checker, corpus, jsonio, lazy, minors, outerplanar
-from .fragment import (
-    build_gn,
-    audit_tree,
-    load_tutte_fragment,
-    section5_graph,
-)
-from .graphs import (
-    GraphError,
-    InvariantError,
-    MultiGraph,
-    canon_edge,
-    ekey,
-    enumerate_hamilton_cycles,
-    eulerian_v_splits,
-    kth_power,
-)
-from .lazy import (
-    BudgetError,
-    deep_components,
-    double_ladder,
-    end_degree_bound,
-)
+from .fragment import audit_tree, build_gn, load_tutte_fragment, section5_graph
+from .graphs import (GraphError, InvariantError, MultiGraph, canon_edge, ekey,
+                     enumerate_hamilton_cycles, eulerian_v_splits, kth_power)
+from .lazy import BudgetError, deep_components, double_ladder, end_degree_bound
 
 OK, VIOLATED, USAGE, BUDGET, INVARIANT = 0, 1, 2, 3, 4
 
@@ -88,7 +72,47 @@ class SystemExit_(Exception):
         self.message = message
 
 
-GENERATORS = {"double-ladder": double_ladder, "section5": section5_graph}
+def _fragment_uniqueness(graph, levels):
+    """Exact: the DP's series, stable from level 2, and a one-pattern limit."""
+    series = checker.dp_series(levels)
+    ok = checker.limit_certificate()["limit_count"] == 1 and all(
+        v.stable for v in series if v.level >= 2
+    )
+    return series, "unique (fragment-tree exact)" if ok else "open", ok
+
+
+def _quotient_uniqueness(graph, levels):
+    """Level-bounded: one Hamilton cycle in each quotient from level 1 on."""
+    if levels < 1:
+        raise SystemExit_(USAGE, "no levels to check")
+    series = checker.quotient_series(graph(), levels)
+    ok = all(v.count == 1 for v in series)
+    return series, "unique at tested levels (level-bounded)" if ok else "not unique", ok
+
+
+@dataclass(frozen=True)
+class Generator:
+    """One infinite input: its graph, its candidate circle (the --member
+    name, a builder from the deepest level to the membership predicate,
+    and the first level checked), and its uniqueness engine, which maps
+    (graph, deepest level) to (verdicts, claim, whether the claim holds).
+    `title` names the input in a member's usage error."""
+
+    title: str
+    graph: Callable
+    member: str
+    circle: Callable
+    first_level: int
+    uniqueness: Callable
+
+
+GENERATORS = {
+    "double-ladder": Generator("the double ladder", double_ladder, "rails",
+                               lambda levels: checker.ladder_rails_member(), 1,
+                               _quotient_uniqueness),
+    "section5": Generator("section5", section5_graph, "viable-pattern",
+                          checker.section5_circle_member, 0, _fragment_uniqueness),
+}
 
 
 def cmd_power(args):
@@ -189,7 +213,7 @@ def cmd_construct_gn(args):
 
 
 def cmd_ends(args):
-    lg = GENERATORS[args.generator]()
+    lg = GENERATORS[args.generator].graph()
     comps = deep_components(lg, args.radius)
     report = {"budgets": _budgets(), "radius": args.radius, "components": []}
     # components of one class (named by the hint) have the same bounds
@@ -199,81 +223,31 @@ def cmd_ends(args):
         if key not in bounds:
             bounds[key] = end_degree_bound(lg, c, args.mode, depth=args.depth)
         lo, hi = bounds[key]
-        report["components"].append(
-            {
-                "id": str(c.comp_id),
-                "cut_size": len(c.cut_edges),
-                "degree_lower": lo,
-                "degree_upper": hi,
-            }
-        )
+        report["components"].append({"id": str(c.comp_id), "cut_size": len(c.cut_edges),
+                                     "degree_lower": lo, "degree_upper": hi})
     _emit(args, report)
     return OK
 
 
 def cmd_unique_circle(args):
-    lg = GENERATORS[args.generator]()
-    levels = []
-    all_one = True
-    if args.generator == "section5":
-        series = checker.dp_series(args.levels)
-        for v in series:
-            levels.append(
-                {
-                    "level": v.level,
-                    "count": v.count,
-                    "forced": len(v.forced),
-                    "stable": v.stable,
-                }
-            )
-        limit = checker.limit_certificate()
-        all_one = limit["limit_count"] == 1 and all(
-            v.stable for v in series if v.level >= 2
-        )
-        claim = "unique (fragment-tree exact)" if all_one else "open"
-    else:
-        if args.levels < 1:
-            raise SystemExit_(USAGE, "no levels to check")
-        for r in range(1, args.levels + 1):
-            m, cycles = checker.quotient_hamilton(lg, r)
-            if len(cycles) != 1:
-                all_one = False
-            forced = set(cycles[0]) if cycles else set()
-            for c in cycles[1:]:
-                forced &= c
-            levels.append(
-                {"level": r, "count": len(cycles), "forced": len(forced), "stable": None}
-            )
-        claim = (
-            "unique at tested levels (level-bounded)" if all_one else "not unique"
-        )
-    report = {"budgets": _budgets(), "levels": levels, "limit_claim": claim}
-    _emit(args, report)
-    return OK if all_one else VIOLATED
+    gen = GENERATORS[args.generator]
+    series, claim, ok = gen.uniqueness(gen.graph, args.levels)
+    levels = [{"level": v.level, "count": v.count, "forced": len(v.forced), "stable": v.stable}
+              for v in series]
+    _emit(args, {"budgets": _budgets(), "levels": levels, "limit_claim": claim})
+    return OK if ok else VIOLATED
 
 
 def cmd_verify_circle(args):
-    lg = GENERATORS[args.generator]()
-    if args.member == "rails":
-        if args.generator != "double-ladder":
-            raise SystemExit_(USAGE, "member 'rails' needs the double ladder")
-        member = checker.ladder_rails_member()
-        levels = range(1, args.levels + 1)
-    else:
-        if args.generator != "section5":
-            raise SystemExit_(USAGE, "member 'viable-pattern' needs section5")
-        member = checker.section5_circle_member(args.levels)
-        levels = range(0, args.levels + 1)
-    ok = checker.verify_candidate_circle(lg, member, levels)
-    _emit(
-        args,
-        {
-            "budgets": _budgets(),
-            "member": args.member,
-            "levels": list(levels),
-            "verified": ok,
-        },
-    )
+    gen = GENERATORS[args.generator]
+    owner = {g.member: g for g in GENERATORS.values()}[args.member]
+    if owner is not gen:
+        raise SystemExit_(USAGE, f"member {args.member!r} needs {owner.title}")
+    levels = range(gen.first_level, args.levels + 1)
+    member = gen.circle(args.levels)
+    ok = checker.verify_candidate_circle(gen.graph(), member, levels)
+    _emit(args, {"budgets": _budgets(), "member": args.member, "levels": list(levels),
+                 "verified": ok})
     return OK if ok else VIOLATED
 
 
@@ -424,7 +398,7 @@ def build_parser():
 
     sp = add("verify-circle", cmd_verify_circle, help="check a candidate circle")
     sp.add_argument("--generator", required=True, choices=GENERATORS)
-    sp.add_argument("--member", required=True, choices=["rails", "viable-pattern"])
+    sp.add_argument("--member", required=True, choices=[g.member for g in GENERATORS.values()])
     sp.add_argument("--levels", type=int, default=3)
 
     sp = add("corpus", cmd_corpus, help="run the exhaustive property suites")

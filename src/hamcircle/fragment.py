@@ -36,7 +36,7 @@ from .graphs import (
 )
 from .jsonio import graph_from_obj
 from . import lazy
-from .lazy import BudgetError, LazyGraph, quotient_multigraph
+from .lazy import LazyGraph, deep_components, quotient_multigraph
 
 ROLES = ("u", "l", "r")  # a copy's contacts, in this order
 
@@ -173,12 +173,8 @@ def copy_paths(f: Fragment, depth: int):
     size over the vertex budget BudgetError, before anything is built."""
     if depth < 0:
         raise GraphError("level must be nonnegative")
-    size = 1 + len(f.kept) * ((1 << min(depth + 1, 64)) - 1)
-    if size > lazy.DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(
-            f"the copies of depth <= {depth} hold {size} vertices, over the "
-            f"vertex budget {lazy.DEFAULT_VERTEX_BUDGET}"
-        )
+    lazy.check_budget(f"the copies of depth <= {depth}",
+                      1 + len(f.kept) * ((1 << min(depth + 1, 64)) - 1))
     return ["".join(p) for k in range(depth + 1) for p in product("cv", repeat=k)]
 
 
@@ -203,14 +199,20 @@ class FragmentTree:
 @lru_cache(maxsize=None)
 def build_gn(n: int):
     """The level-n graph (contacts closed into one root vertex) and its
-    recursion tree: the limit graph's level-n quotient, each surrogate
-    ``end:<p><t>`` named for the vertex ``F:<p>:<c or v>`` it stands for.
-    A negative level or one over the vertex budget fails in `copy_paths`."""
+    recursion tree: the limit graph's level-n quotient, the surrogate of
+    the deep component at path P + t named for the vertex ``F:<P>:<c or v>``
+    that the subtree replaces.  A negative level or one over the vertex
+    budget fails in `copy_paths`."""
     f = load_tutte_fragment()
-    m = quotient_multigraph(section5_graph(), n)
+    lg = section5_graph()
+    m = quotient_multigraph(lg, n)
+    names = {
+        c.surrogate: f"F:{c.comp_id[:-1]}:{f.roles[c.comp_id[-1]]}"
+        for c in deep_components(lg, n)
+    }
 
     def name(x):
-        return f"F:{x[4:-1]}:{f.roles[x[-1]]}" if x.startswith("end:") else x
+        return names.get(x, x)
 
     g = FiniteGraph(
         frozenset(map(name, m.vertices)),
@@ -250,18 +252,49 @@ def audit_tree(ft: FragmentTree):
 # the limit graph as a lazy oracle
 
 
-class _Section5Hint:
-    """Exhaustion by fragment depth: the level-r region holds every copy of
-    depth <= r; each deeper subtree is infinite by construction, and its
-    cut edges are its root copy's three pendant edges.
+_VERTEX_ID = re.compile(r"F:([cv]*):([^:]+)")
 
-    Regions and components are computed once per radius and kept on the
-    hint, so they live as long as the graph that owns it."""
+
+class _Section5:
+    """The limit graph as its own neighbour oracle and exhaustion hint.
+
+    Neighbours of ``F:<path>:<x>`` come from a table fixed once per kept
+    local vertex: the role of its contact, if it has a pendant edge, and
+    (path suffix, local vertex) for its other edges.  Exhaustion is by
+    fragment depth: the level-r region holds every copy of depth <= r;
+    each deeper subtree is infinite by construction, and its cut edges
+    are its root copy's three pendant edges.  Regions and components are
+    computed once per radius and kept, so they live as long as the graph
+    that owns them."""
 
     def __init__(self, fragment):
-        self.fragment = fragment
+        f = self.fragment = fragment
+        self._root = sorted(f.land("", m) for m in ROLES)
+        self._targets = {}
+        for x in f.kept:
+            role, below = None, []
+            for y in f.graph.adj[x]:
+                if y in f.contacts:
+                    role = ROLES[f.contacts.index(y)]
+                else:
+                    below.append(f.descend("", y, x))
+            self._targets[x] = (role, tuple(below))
         self._regions = {}
         self._components = {}
+
+    def neighbors(self, v):
+        if v == "Z":
+            return self._root
+        m = _VERTEX_ID.fullmatch(v) if isinstance(v, str) else None
+        if m is None or m[2] not in self._targets:
+            raise GraphError(f"unknown vertex {v!r}")
+        path = m[1]
+        role, below = self._targets[m[2]]
+        out = [f"F:{path}{s}:{y}" for s, y in below]
+        if role is not None:
+            out.append(self.fragment.contact(path, role))
+        out.sort()
+        return out
 
     def region(self, r):
         if r not in self._regions:
@@ -274,11 +307,10 @@ class _Section5Hint:
     def components(self, r):
         if r not in self._components:
             f = self.fragment
-            out = []
-            for path in (p + t for p in copy_paths(f, r) if len(p) == r for t in "cv"):
-                cut = tuple((f.contact(path, m), f.land(path, m)) for m in ROLES)
-                out.append((path, frozenset(b for _, b in cut), cut))
-            self._components[r] = tuple(out)
+            self._components[r] = tuple(
+                (path, tuple((f.contact(path, m), f.land(path, m)) for m in ROLES))
+                for path in (p + t for p in copy_paths(f, r) if len(p) == r for t in "cv")
+            )
         return self._components[r]
 
     def nest(self, comp_id, r1):
@@ -295,42 +327,6 @@ class _Section5Hint:
         return "subtree"
 
 
-_VERTEX_ID = re.compile(r"F:([cv]*):([^:]+)")
-
-
-class _Section5Oracle:
-    """Neighbours of ``F:<path>:<x>`` in the limit graph, from a table fixed
-    once per kept local vertex: the role of its contact, if it has a
-    pendant edge, and (path suffix, local vertex) for its other edges."""
-
-    def __init__(self, fragment):
-        f = self.fragment = fragment
-        self._root = sorted(f.land("", m) for m in ROLES)
-        self._targets = {}
-        for x in f.kept:
-            role, below = None, []
-            for y in f.graph.adj[x]:
-                if y in f.contacts:
-                    role = ROLES[f.contacts.index(y)]
-                else:
-                    below.append(f.descend("", y, x))
-            self._targets[x] = (role, tuple(below))
-
-    def neighbors(self, v):
-        if v == "Z":
-            return self._root
-        m = _VERTEX_ID.fullmatch(v) if isinstance(v, str) else None
-        if m is None or m[2] not in self._targets:
-            raise GraphError(f"unknown vertex {v!r}")
-        path = m[1]
-        role, below = self._targets[m[2]]
-        out = [f"F:{path}{s}:{y}" for s, y in below]
-        if role is not None:
-            out.append(self.fragment.contact(path, role))
-        out.sort()
-        return out
-
-
 def section5_graph() -> LazyGraph:
     """The limit of the fragment construction as a lazy adjacency oracle.
 
@@ -338,6 +334,5 @@ def section5_graph() -> LazyGraph:
     neighbourhood at any depth; regions and components past the vertex
     budget raise `BudgetError`.
     """
-    oracle = _Section5Oracle(load_tutte_fragment())
-    hint = _Section5Hint(oracle.fragment)
-    return LazyGraph("Z", oracle.neighbors, hint=hint)
+    limit = _Section5(load_tutte_fragment())
+    return LazyGraph("Z", limit.neighbors, hint=limit)

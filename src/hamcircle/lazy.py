@@ -3,8 +3,10 @@
 A LazyGraph never materializes the whole graph: it exposes a root and a
 pure neighbor function.  Ends are approximated by "deep components": the
 infinite components left after removing a finite region around the root.
-Built-in generators attach an exhaustion hint that names those regions,
-certifies which components are infinite and names each component's class:
+Each built-in generator is one object that is both the neighbour oracle
+and the exhaustion hint.  The hint names those regions, certifies which
+components are infinite by yielding each one's id and cut edges (its
+fingers are the cut's outer ends), and names each component's class:
 components of one class are the same up to names, so their end-degree
 bounds are equal.  Deep components come only from
 such a hint: without one they are refused with a GraphError, since a finite
@@ -42,11 +44,29 @@ class LazyGraph:
 class DeepComponent:
     radius: int
     comp_id: object
-    fingers: frozenset  # component vertices adjacent to the region
     cut_edges: tuple  # (region vertex, finger) pairs, one per cut edge
+
+    @property
+    def fingers(self):
+        """The component's vertices adjacent to the region: the cut's
+        outer ends."""
+        return frozenset(f for _, f in self.cut_edges)
+
+    @property
+    def surrogate(self):
+        """The vertex that stands for the component in the quotient."""
+        return f"end:{self.comp_id}"
 
 
 DEFAULT_VERTEX_BUDGET = 200_000  # the one bound on exploration; read at call time
+
+
+def check_budget(what, size):
+    """Refuse `what`, `size` vertices, over the vertex budget, before it
+    is built."""
+    if size > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(f"{what} hold {size} vertices, over the vertex budget "
+                          f"{DEFAULT_VERTEX_BUDGET}")
 
 
 def _check_radius(r):
@@ -54,13 +74,12 @@ def _check_radius(r):
         raise GraphError("radius must be nonnegative")
 
 
-def ball(lg: LazyGraph, r: int) -> FiniteGraph:
-    """Exact induced subgraph on all vertices within distance r of the root;
-    more vertices than the vertex budget raise `BudgetError`."""
-    _check_radius(r)
-    seen = {lg.root}
-    order = [lg.root]
-    frontier = [lg.root]
+def _explore(lg: LazyGraph, v, r: int):
+    """The vertices within distance r of v, breadth first from v; more
+    vertices than the vertex budget raise `BudgetError`."""
+    seen = {v}
+    order = [v]
+    frontier = [v]
     for _ in range(r):
         nxt = []
         for x in frontier:
@@ -70,14 +89,21 @@ def ball(lg: LazyGraph, r: int) -> FiniteGraph:
                     order.append(y)
                     nxt.append(y)
                     if len(order) > DEFAULT_VERTEX_BUDGET:
-                        raise BudgetError("ball exceeds the vertex budget")
+                        raise BudgetError(f"the ball of radius {r} about {v!r} is "
+                                          f"over the vertex budget {DEFAULT_VERTEX_BUDGET}")
         frontier = nxt
-    es = set()
-    for x in order:
-        for y in lg.neighbors(x):
-            if y in seen:
-                es.add(canon_edge(x, y))
-    return FiniteGraph(frozenset(order), frozenset(es))
+    return order
+
+
+def ball(lg: LazyGraph, r: int) -> FiniteGraph:
+    """Exact induced subgraph on all vertices within distance r of the root;
+    more vertices than the vertex budget raise `BudgetError`."""
+    _check_radius(r)
+    order = _explore(lg, lg.root, r)
+    seen = frozenset(order)
+    return FiniteGraph(seen, frozenset(
+        canon_edge(x, y) for x in order for y in lg.neighbors(x) if y in seen
+    ))
 
 
 def _hint(lg: LazyGraph):
@@ -87,14 +113,18 @@ def _hint(lg: LazyGraph):
     return lg.hint
 
 
+def region_of(lg: LazyGraph, r: int) -> frozenset:
+    """The level-r region that the graph's exhaustion hint names; a graph
+    without a hint is an error."""
+    return frozenset(_hint(lg).region(r))
+
+
 def deep_components(lg: LazyGraph, r: int):
     """The infinite components of the graph minus the level-r region, as
-    certified by the generator's exhaustion hint; a graph without a hint
-    is an error."""
+    certified by the generator's exhaustion hint, which names each one's
+    id and cut edges; a graph without a hint is an error."""
     _check_radius(r)
-    out = []
-    for comp_id, fingers, cut in _hint(lg).components(r):
-        out.append(DeepComponent(r, comp_id, frozenset(fingers), tuple(cut)))
+    out = [DeepComponent(r, comp_id, tuple(cut)) for comp_id, cut in _hint(lg).components(r)]
     out.sort(key=lambda c: str(c.comp_id))
     return out
 
@@ -106,7 +136,7 @@ def quotient_window(lg: LazyGraph, r: int):
     Region edges come first, in `vkey` order; then each component's cut
     edges, with the surrogate in place of the finger.  A graph without a
     hint is refused before its oracle is called."""
-    region = frozenset(_hint(lg).region(r))
+    region = region_of(lg, r)
     comps = deep_components(lg, r)
     records = []
     for v in sorted(region, key=vkey):
@@ -115,10 +145,9 @@ def quotient_window(lg: LazyGraph, r: int):
             if y in region and kv < vkey(y):
                 records.append((v, y, (v, y)))
     for comp in comps:
-        surrogate = f"end:{comp.comp_id}"
         for inside, finger in sorted(comp.cut_edges, key=lambda e: (vkey(e[0]), vkey(e[1]))):
-            records.append((inside, surrogate, canon_edge(inside, finger)))
-    vertices = region | {f"end:{c.comp_id}" for c in comps}
+            records.append((inside, comp.surrogate, canon_edge(inside, finger)))
+    vertices = region | {c.surrogate for c in comps}
     return region, vertices, records
 
 
@@ -136,10 +165,8 @@ def end_nesting(lg: LazyGraph, r1: int, r2: int):
     error."""
     if not r1 < r2:
         raise GraphError("need r1 < r2")
-    shallow = deep_components(lg, r1)
-    deep = deep_components(lg, r2)
-    by_id = {c.comp_id: c for c in shallow}
-    return {c: by_id[lg.hint.nest(c.comp_id, r1)] for c in deep}
+    by_id = {c.comp_id: c for c in deep_components(lg, r1)}
+    return {c: by_id[lg.hint.nest(c.comp_id, r1)] for c in deep_components(lg, r2)}
 
 
 def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
@@ -154,7 +181,7 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
         raise GraphError("mode must be 'vertex' or 'edge'")
     if depth < 1:
         raise GraphError("depth must be positive")
-    region = frozenset(_hint(lg).region(comp.radius))
+    region = region_of(lg, comp.radius)
     split = mode == "vertex"
     upper = len(comp.fingers) if split else len(comp.cut_edges)
     # The unit-capacity flow network is built while a BFS from the fingers
@@ -224,21 +251,30 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
 # generators
 
 
-class _LadderHint:
-    """Exhaustion by whole columns; both tails are infinite by construction."""
+class _DoubleLadder:
+    """The two-way infinite ladder, rails L:<i>:<s> - L:<i+1>:<s> and rungs
+    L:<i>:top - L:<i>:bot, as its own neighbour oracle and exhaustion hint:
+    the level-r region is columns -r..r, and both tails are infinite by
+    construction.  A region over the vertex budget is refused before
+    anything is built."""
+
+    def neighbors(self, v):
+        _, i, side = v.split(":")
+        i = int(i)
+        other = "bot" if side == "top" else "top"
+        return sorted([f"L:{i - 1}:{side}", f"L:{i + 1}:{side}", f"L:{i}:{other}"])
+
+    def _columns(self, r):
+        check_budget(f"the columns -{r}..{r}", 2 * (2 * r + 1))
+        return range(-r, r + 1)
 
     def region(self, r):
-        return frozenset(
-            f"L:{i}:{s}" for i in range(-r, r + 1) for s in ("bot", "top")
-        )
+        return frozenset(f"L:{i}:{s}" for i in self._columns(r) for s in ("bot", "top"))
 
     def components(self, r):
-        left = [(f"L:{-r}:{s}", f"L:{-r - 1}:{s}") for s in ("bot", "top")]
-        right = [(f"L:{r}:{s}", f"L:{r + 1}:{s}") for s in ("bot", "top")]
-        return [
-            ("left", frozenset(f for _, f in left), tuple(left)),
-            ("right", frozenset(f for _, f in right), tuple(right)),
-        ]
+        self._columns(r)
+        return [(tail, tuple((f"L:{i}:{s}", f"L:{i + step}:{s}") for s in ("bot", "top")))
+                for tail, i, step in (("left", -r, -1), ("right", r, 1))]
 
     def nest(self, comp_id, r1):
         return comp_id
@@ -250,36 +286,19 @@ class _LadderHint:
 
 def double_ladder() -> LazyGraph:
     """The two-way infinite ladder: rails (i,s)-(i+1,s), rungs (i,top)-(i,bot)."""
-
-    def nbr(v):
-        _, i, side = v.split(":")
-        i = int(i)
-        other = "bot" if side == "top" else "top"
-        out = [f"L:{i - 1}:{side}", f"L:{i + 1}:{side}", f"L:{i}:{other}"]
-        return sorted(out)
-
-    return LazyGraph("L:0:top", nbr, hint=_LadderHint())
+    ladder = _DoubleLadder()
+    return LazyGraph("L:0:top", ladder.neighbors, hint=ladder)
 
 
 def lazy_power(lg: LazyGraph, k: int) -> LazyGraph:
-    """The k-th power as a lazy oracle (neighbors within distance k)."""
+    """The k-th power as a lazy oracle (neighbors within distance k); a
+    ball of radius k over the vertex budget raises `BudgetError`."""
     if k < 1:
         raise GraphError("k must be positive")
     if k == 1:
         return lg
 
     def nbr(v):
-        dist = {v: 0}
-        frontier = [v]
-        for _ in range(k):
-            nxt = []
-            for x in frontier:
-                for y in lg.neighbors(x):
-                    if y not in dist:
-                        dist[y] = 1
-                        nxt.append(y)
-            frontier = nxt
-        dist.pop(v)
-        return sorted(dist, key=vkey)
+        return sorted(_explore(lg, v, k)[1:], key=vkey)
 
     return LazyGraph(lg.root, nbr)

@@ -31,7 +31,7 @@ from hamcircle.fragment import (
     section5_graph,
 )
 from hamcircle.graphs import GraphError, InvariantError, canon_edge
-from hamcircle.lazy import BudgetError, double_ladder
+from hamcircle.lazy import BudgetError, LazyGraph, double_ladder
 
 
 def test_transfer_table_shape():
@@ -289,6 +289,43 @@ def test_verify_ladder_rejects_rung():
         return rails(e) or canon_edge(*e) == extra
 
     assert not verify_candidate_circle(lad, member, range(1, 7))
+
+
+class _ZP4:
+    """Z x P4 as its own oracle and hint: four rails Z:<i>:<j>, rungs
+    between neighbouring rails, exhausted by whole columns."""
+
+    def neighbors(self, v):
+        _, i, j = v.split(":")
+        i, j = int(i), int(j)
+        out = [f"Z:{i - 1}:{j}", f"Z:{i + 1}:{j}"]
+        return sorted(out + [f"Z:{i}:{k}" for k in (j - 1, j + 1) if 0 <= k < 4])
+
+    def region(self, r):
+        return frozenset(f"Z:{i}:{j}" for i in range(-r, r + 1) for j in range(4))
+
+    def components(self, r):
+        return [("left", tuple((f"Z:{-r}:{j}", f"Z:{-r - 1}:{j}") for j in range(4))),
+                ("right", tuple((f"Z:{r}:{j}", f"Z:{r + 1}:{j}") for j in range(4)))]
+
+    def nest(self, comp_id, r1):
+        return comp_id
+
+    def component_class(self, comp_id):
+        return comp_id
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the finite-level checks pass "
+                   "four rails that meet at two ends of degree 4")
+def test_four_rails_of_z_times_p4_are_not_a_circle():
+    strip = _ZP4()
+    zp4 = LazyGraph("Z:0:0", strip.neighbors, hint=strip)
+
+    def rails(e):
+        a, b = e
+        return a.split(":")[2] == b.split(":")[2]
+
+    assert not verify_candidate_circle(zp4, rails, range(1, 6))
 
 
 def test_verify_section5_candidate():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hamcircle
-from hamcircle import cli, corpus, jsonio, minors, outerplanar
+from hamcircle import checker, cli, corpus, jsonio, minors, outerplanar
 from hamcircle.cli import main
 from hamcircle.fragment import build_gn
 from hamcircle.graphs import FiniteGraph
@@ -325,7 +325,7 @@ def test_ends_matches_a_flow_per_component(capsys, generator, mode):
     # built from a flow on every component
     for radius in range(7):
         for depth in (1, 3, 8):
-            lg = cli.GENERATORS[generator]()
+            lg = cli.GENERATORS[generator].graph()
             comps = []
             for c in deep_components(lg, radius):
                 lo, hi = end_degree_bound(lg, c, mode, depth=depth)
@@ -369,6 +369,39 @@ def test_section5_past_the_vertex_budget_is_a_budget_error(capsys, argv):
     assert code == cli.BUDGET == 3
     assert out == ""
     assert "over the vertex budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ends", "--generator", "double-ladder", "--radius", "50000"),
+        ("unique-circle", "--generator", "double-ladder", "--levels", "50000"),
+        ("verify-circle", "--generator", "double-ladder", "--member", "rails",
+         "--levels", "50000"),
+    ],
+    ids=["ends", "unique-circle", "verify-circle"],
+)
+def test_double_ladder_past_the_vertex_budget_is_a_budget_error(capsys, monkeypatch, argv):
+    # columns -50,000..50,000 hold 200,002 vertices; the deepest level is
+    # refused before any level's window is built
+    windows = []
+    real = checker.quotient_window
+    monkeypatch.setattr(checker, "quotient_window", lambda *a: windows.append(a) or real(*a))
+    code, out, err = run(capsys, *argv)
+    assert code == cli.BUDGET == 3
+    assert out == ""
+    assert "over the vertex budget" in err
+    assert windows == []
+
+
+def test_double_ladder_just_inside_the_vertex_budget_answers(capsys):
+    # columns -49,999..49,999 hold 199,998 vertices
+    code, out, _ = run(capsys, "ends", "--generator", "double-ladder", "--radius", "49999",
+                       "--depth", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert [(c["id"], c["cut_size"], c["degree_lower"], c["degree_upper"])
+            for c in report["components"]] == [("left", 2, 2, 2), ("right", 2, 2, 2)]
 
 
 @pytest.mark.parametrize(

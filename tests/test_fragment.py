@@ -215,7 +215,7 @@ def test_section5_regions_and_components_once_per_radius():
         assert region == {x for x in g.vertices if depth(x) <= r}
         # the component cuts are exactly the oracle's edges leaving the region
         cut = {(v, y) for v in region for y in lg.neighbors(v) if y not in region}
-        assert {e for _, _, es in comps for e in es} == cut
+        assert {e for _, es in comps for e in es} == cut
         assert len(comps) == 2 ** (r + 1)
 
 
@@ -236,7 +236,7 @@ def reference_region_and_components(r):
                 y for y in adj[inside] if depth(y) > r and y.split(":", 2)[1].startswith(path)
             )
             cut.append((inside, outside))
-        out.append((path, frozenset(x for _, x in cut), tuple(cut)))
+        out.append((path, tuple(cut)))
     return region, tuple(out)
 
 

@@ -18,6 +18,7 @@ from hamcircle.lazy import (
     end_nesting,
     lazy_power,
     quotient_multigraph,
+    quotient_window,
 )
 
 
@@ -47,11 +48,7 @@ class FiniteHint:
                         stack.append(y)
             owner.update(dict.fromkeys(seen, len(out)))
             out.append(seen)
-        comps = []
-        for k in range(len(out)):
-            edges = tuple(e for e in cut if owner[e[1]] == k)
-            comps.append((k, frozenset(y for _, y in edges), edges))
-        return comps
+        return [(k, tuple(e for e in cut if owner[e[1]] == k)) for k in range(len(out))]
 
 
 def lazy_from_finite(g, root=None):
@@ -80,14 +77,22 @@ def test_ladder_deep_components():
         assert len(c.fingers) == 2
 
 
-def test_ladder_cuts_are_the_edges_leaving_the_region():
+@pytest.mark.parametrize("make, radii", [(double_ladder, range(6)), (section5_graph, range(4))],
+                         ids=["double-ladder", "section5"])
+def test_hint_cuts_are_the_edges_leaving_the_region(make, radii):
     # the quotient window holds every edge of the graph at the region only
     # if the hint's cut edges are all of them
-    lad = double_ladder()
-    for r in range(6):
-        region = lad.hint.region(r)
-        cut = {(v, y) for v in region for y in lad.neighbors(v) if y not in region}
-        assert {e for _, _, es in lad.hint.components(r) for e in es} == cut
+    lg = make()
+    for r in radii:
+        region = lg.hint.region(r)
+        cut = {(v, y) for v in region for y in lg.neighbors(v) if y not in region}
+        assert {e for _, es in lg.hint.components(r) for e in es} == cut
+        comps = deep_components(lg, r)
+        for c in comps:
+            assert c.fingers == {y for _, y in c.cut_edges} and not c.fingers & region
+        window, vertices, _ = quotient_window(lg, r)
+        assert window == region
+        assert vertices - region == {f"end:{c.comp_id}" for c in comps}
 
 
 def test_ladder_nesting():
@@ -162,6 +167,18 @@ def test_lazy_from_finite_ball_matches():
     assert b.edges == g.edges
 
 
+def test_ladder_past_the_vertex_budget():
+    # columns -r..r hold 2(2r + 1) vertices: 199,998 at r = 49,999 and
+    # 200,002 at r = 50,000, refused before anything is built
+    lad = double_ladder()
+    assert len(lad.hint.region(49_999)) == 199_998
+    for r in (50_000, 120_000, 10**9):
+        with pytest.raises(BudgetError, match="over the vertex budget"):
+            lad.hint.region(r)
+        with pytest.raises(BudgetError, match="over the vertex budget"):
+            quotient_multigraph(lad, r)
+
+
 def test_ball_budget(monkeypatch):
     lad = double_ladder()
     monkeypatch.setattr(lazy, "DEFAULT_VERTEX_BUDGET", 50)
@@ -180,6 +197,17 @@ def test_one_budget_bounds_every_reader(monkeypatch, capsys):
     lg = section5_graph()
     with pytest.raises(BudgetError, match="over the vertex budget"):
         end_degree_bound(lg, deep_components(lg, 1)[0], "vertex", depth=3)
+    # the ladder's columns -6..6 hold 26 vertices and -7..7 hold 30
+    assert len(double_ladder().hint.region(6)) == 26
+    for read in (double_ladder().hint.region, double_ladder().hint.components):
+        with pytest.raises(BudgetError, match="over the vertex budget 27"):
+            read(7)
+    # a power's neighbours are a ball about the vertex, which holds 24
+    # vertices at radius 6, 28 at radius 7 and 800 at radius 200
+    assert len(lazy_power(double_ladder(), 6).neighbors("L:0:top")) == 23
+    for k in (7, 200):
+        with pytest.raises(BudgetError, match="over the vertex budget 27"):
+            lazy_power(double_ladder(), k).neighbors("L:0:top")
     assert cli.main(["tutte-verify"]) == cli.OK
     assert json.loads(capsys.readouterr().out)["budgets"] == {"max_vertices": 27}
 
