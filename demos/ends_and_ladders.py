@@ -4,7 +4,7 @@ Run:  python demos/ends_and_ladders.py
 """
 
 from hamcircle.checker import ladder_rails_member, quotient_hamilton, verify_candidate_circle
-from hamcircle.lazy import ball, deep_components, double_ladder, end_degree_bound, end_nesting
+from hamcircle.lazy import ball, deep_components, double_ladder, end_degree_bound
 
 
 def main():
@@ -14,12 +14,8 @@ def main():
     comps = deep_components(lad, 3)
     print("Removing the radius-3 region leaves", len(comps), "infinite components:")
     for c in comps:
-        lo, hi = end_degree_bound(lad, c, "edge")
+        lo, hi = end_degree_bound(lad, c, "edge", depth=8)
         print(f"  {c.comp_id}: cut size {len(c.cut_edges)}, end edge-degree in [{lo}, {hi}]")
-
-    nest = end_nesting(lad, 1, 4)
-    print("Deeper components nest into the shallow ones:",
-          {d.comp_id: s.comp_id for d, s in nest.items()})
 
     print()
     for r in (1, 3, 6):

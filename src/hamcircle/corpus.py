@@ -135,15 +135,14 @@ def connected_graphs_upto(n: int):
 # 2-connected outerplanar graphs as polygon dissections
 
 
+def _chords(n: int):
+    """The chords (i, j), i < j, of the convex n-gon, in lexicographic order."""
+    return [(i, j) for i in range(n) for j in range(i + 2, n) if not (i == 0 and j == n - 1)]
+
+
 def _noncrossing_chord_subsets(n: int):
     """All sets of pairwise non-crossing chords of the convex n-gon."""
-    chords = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 2, n)
-        if not (i == 0 and j == n - 1)
-    ]
-
+    chords = _chords(n)
     out = []
 
     def rec(idx, chosen):
@@ -288,12 +287,7 @@ def random_dissection(rng: random.Random, max_n: int = 10) -> FiniteGraph:
     verts = [f"v{i}" for i in range(n)]
     edges = {canon_edge(verts[i], verts[(i + 1) % n]) for i in range(n)}
     chords = []
-    pool = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 2, n)
-        if not (i == 0 and j == n - 1)
-    ]
+    pool = _chords(n)
     rng.shuffle(pool)
     for c in pool:
         if rng.random() < 0.5:

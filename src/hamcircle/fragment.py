@@ -263,9 +263,8 @@ class _Section5:
     (path suffix, local vertex) for its other edges.  Exhaustion is by
     fragment depth: the level-r region holds every copy of depth <= r;
     each deeper subtree is infinite by construction, and its cut edges
-    are its root copy's three pendant edges.  Regions and components are
-    computed once per radius and kept, so they live as long as the graph
-    that owns them."""
+    are its root copy's three pendant edges.  The hint keeps nothing:
+    each region and component list is built afresh when asked for."""
 
     def __init__(self, fragment):
         f = self.fragment = fragment
@@ -279,8 +278,6 @@ class _Section5:
                 else:
                     below.append(f.descend("", y, x))
             self._targets[x] = (role, tuple(below))
-        self._regions = {}
-        self._components = {}
 
     def neighbors(self, v):
         if v == "Z":
@@ -297,24 +294,15 @@ class _Section5:
         return out
 
     def region(self, r):
-        if r not in self._regions:
-            kept = self.fragment.kept
-            self._regions[r] = frozenset(
-                ["Z"] + [f"F:{p}:{x}" for p in copy_paths(self.fragment, r) for x in kept]
-            )
-        return self._regions[r]
+        f = self.fragment
+        return frozenset(["Z"] + [f"F:{p}:{x}" for p in copy_paths(f, r) for x in f.kept])
 
     def components(self, r):
-        if r not in self._components:
-            f = self.fragment
-            self._components[r] = tuple(
-                (path, tuple((f.contact(path, m), f.land(path, m)) for m in ROLES))
-                for path in (p + t for p in copy_paths(f, r) if len(p) == r for t in "cv")
-            )
-        return self._components[r]
-
-    def nest(self, comp_id, r1):
-        return comp_id[: r1 + 1]
+        f = self.fragment
+        return tuple(
+            (path, tuple((f.contact(path, m), f.land(path, m)) for m in ROLES))
+            for path in (p + t for p in copy_paths(f, r) if len(p) == r for t in "cv")
+        )
 
     def component_class(self, comp_id):
         """One class for every deep component at every radius.  The

@@ -42,7 +42,6 @@ class LazyGraph:
 
 @dataclass(frozen=True)
 class DeepComponent:
-    radius: int
     comp_id: object
     cut_edges: tuple  # (region vertex, finger) pairs, one per cut edge
 
@@ -77,6 +76,7 @@ def _check_radius(r):
 def _explore(lg: LazyGraph, v, r: int):
     """The vertices within distance r of v, breadth first from v; more
     vertices than the vertex budget raise `BudgetError`."""
+    what = f"the vertices reached within distance {r} of {v!r}"
     seen = {v}
     order = [v]
     frontier = [v]
@@ -88,9 +88,7 @@ def _explore(lg: LazyGraph, v, r: int):
                     seen.add(y)
                     order.append(y)
                     nxt.append(y)
-                    if len(order) > DEFAULT_VERTEX_BUDGET:
-                        raise BudgetError(f"the ball of radius {r} about {v!r} is "
-                                          f"over the vertex budget {DEFAULT_VERTEX_BUDGET}")
+                    check_budget(what, len(order))
         frontier = nxt
     return order
 
@@ -124,7 +122,7 @@ def deep_components(lg: LazyGraph, r: int):
     certified by the generator's exhaustion hint, which names each one's
     id and cut edges; a graph without a hint is an error."""
     _check_radius(r)
-    out = [DeepComponent(r, comp_id, tuple(cut)) for comp_id, cut in _hint(lg).components(r)]
+    out = [DeepComponent(comp_id, tuple(cut)) for comp_id, cut in _hint(lg).components(r)]
     out.sort(key=lambda c: str(c.comp_id))
     return out
 
@@ -158,30 +156,23 @@ def quotient_multigraph(lg: LazyGraph, r: int) -> MultiGraph:
     return MultiGraph.build(vertices, [(i, a, b) for i, (a, b, _) in enumerate(records)])
 
 
-def end_nesting(lg: LazyGraph, r1: int, r2: int):
-    """Map each deep component at radius r2 to the one at r1 containing it.
-
-    Deep components come only from a hint, so a graph without one is an
-    error."""
-    if not r1 < r2:
-        raise GraphError("need r1 < r2")
-    by_id = {c.comp_id: c for c in deep_components(lg, r1)}
-    return {c: by_id[lg.hint.nest(c.comp_id, r1)] for c in deep_components(lg, r2)}
-
-
-def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
+def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth: int):
     """(lower, upper) bounds on the end degree seen through this component.
 
     upper: the finger cut size.  lower: a max-flow packing of disjoint
     paths from the region boundary through the component to exploration
-    depth `depth`.  Exploring more vertices than the vertex budget raises
+    depth `depth`.  The exploration starts at the fingers and stops at
+    the cut edges, which the hint lists completely, so the region is
+    never built.  Exploring more vertices than the vertex budget raises
     `BudgetError`; a graph without a hint is an error.
     """
     if mode not in ("vertex", "edge"):
         raise GraphError("mode must be 'vertex' or 'edge'")
     if depth < 1:
         raise GraphError("depth must be positive")
-    region = region_of(lg, comp.radius)
+    _hint(lg)
+    cut = frozenset(comp.cut_edges)
+    what = f"the vertices reached in the exploration to depth {depth}"
     split = mode == "vertex"
     upper = len(comp.fingers) if split else len(comp.cut_edges)
     # The unit-capacity flow network is built while a BFS from the fingers
@@ -207,11 +198,7 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
         capacity.extend((c, 0))
 
     def add_vertex(v, deep):
-        if len(node) >= DEFAULT_VERTEX_BUDGET:
-            raise BudgetError(
-                f"the exploration to depth {depth} passes {DEFAULT_VERTEX_BUDGET} "
-                "vertices, over the vertex budget"
-            )
+        check_budget(what, len(node) + 1)
         i = node[v] = len(out)
         out.append([])
         if deep:
@@ -234,7 +221,7 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth=10):
             for y in lg.neighbors(x):
                 j = node.get(y)
                 if j is None:
-                    if y in region:
+                    if (y, x) in cut:
                         continue
                     j = add_vertex(y, deep)
                     nxt.append(y)
@@ -275,9 +262,6 @@ class _DoubleLadder:
         self._columns(r)
         return [(tail, tuple((f"L:{i}:{s}", f"L:{i + step}:{s}") for s in ("bot", "top")))
                 for tail, i, step in (("left", -r, -1), ("right", r, 1))]
-
-    def nest(self, comp_id, r1):
-        return comp_id
 
     def component_class(self, comp_id):
         """Each tail is its own class."""

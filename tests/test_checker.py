@@ -308,9 +308,6 @@ class _ZP4:
         return [("left", tuple((f"Z:{-r}:{j}", f"Z:{-r - 1}:{j}") for j in range(4))),
                 ("right", tuple((f"Z:{r}:{j}", f"Z:{r + 1}:{j}") for j in range(4)))]
 
-    def nest(self, comp_id, r1):
-        return comp_id
-
     def component_class(self, comp_id):
         return comp_id
 

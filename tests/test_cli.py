@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hamcircle
-from hamcircle import checker, cli, corpus, jsonio, minors, outerplanar
+from hamcircle import checker, cli, corpus, fragment, jsonio, lazy, minors, outerplanar
 from hamcircle.cli import main
 from hamcircle.fragment import build_gn
 from hamcircle.graphs import FiniteGraph
@@ -351,6 +351,28 @@ def test_ends_runs_one_flow_per_component_class(capsys, monkeypatch, generator, 
     assert code == 0
     assert len(calls) == flows
     assert len(json.loads(out)["components"]) == (64 if generator == "section5" else 2)
+
+
+@pytest.mark.parametrize("generator, hint_class", [("section5", fragment._Section5),
+                                                   ("double-ladder", lazy._DoubleLadder)],
+                         ids=["section5", "double-ladder"])
+def test_ends_never_builds_a_region(capsys, monkeypatch, generator, hint_class):
+    # the exploration stops at the component's cut edges, so no region is
+    # needed to know which neighbours to skip
+    calls = []
+    region = hint_class.region
+
+    def spy(self, r):
+        calls.append(r)
+        return region(self, r)
+
+    monkeypatch.setattr(hint_class, "region", spy)
+    for radius in range(7):
+        for mode in ("vertex", "edge"):
+            code, out, _ = run(capsys, "ends", "--generator", generator, "--radius", str(radius),
+                               "--mode", mode)
+            assert code == 0 and json.loads(out)["components"]
+    assert calls == []
 
 
 @pytest.mark.parametrize(

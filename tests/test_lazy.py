@@ -15,7 +15,6 @@ from hamcircle.lazy import (
     deep_components,
     double_ladder,
     end_degree_bound,
-    end_nesting,
     lazy_power,
     quotient_multigraph,
     quotient_window,
@@ -95,26 +94,18 @@ def test_hint_cuts_are_the_edges_leaving_the_region(make, radii):
         assert vertices - region == {f"end:{c.comp_id}" for c in comps}
 
 
-def test_ladder_nesting():
-    lad = double_ladder()
-    mapping = end_nesting(lad, 1, 3)
-    assert len(mapping) == 2
-    for deep, shallow in mapping.items():
-        assert deep.comp_id == shallow.comp_id
-
-
 def test_ladder_end_degrees():
     lad = double_ladder()
     for c in deep_components(lad, 2):
-        assert end_degree_bound(lad, c, "vertex") == (2, 2)
-        assert end_degree_bound(lad, c, "edge") == (2, 2)
+        assert end_degree_bound(lad, c, "vertex", depth=8) == (2, 2)
+        assert end_degree_bound(lad, c, "edge", depth=8) == (2, 2)
 
 
 def test_end_degree_mode_validation():
     lad = double_ladder()
     c = deep_components(lad, 2)[0]
     with pytest.raises(GraphError):
-        end_degree_bound(lad, c, "face")
+        end_degree_bound(lad, c, "face", depth=8)
 
 
 def test_lazy_power_neighbors():
@@ -137,8 +128,6 @@ def test_hintless_graphs_have_no_deep_components(make):
     lg = make()
     with pytest.raises(GraphError, match="no exhaustion hint"):
         deep_components(lg, 1)
-    with pytest.raises(GraphError, match="no exhaustion hint"):
-        end_nesting(lg, 0, 1)
 
 
 def test_hintless_quotient_is_refused_before_the_oracle_is_called():
@@ -156,7 +145,7 @@ def test_hintless_quotient_is_refused_before_the_oracle_is_called():
 def test_end_degree_bound_needs_a_hint(mode):
     comp = deep_components(double_ladder(), 1)[1]
     with pytest.raises(GraphError, match="no exhaustion hint"):
-        end_degree_bound(lazy_power(double_ladder(), 2), comp, mode)
+        end_degree_bound(lazy_power(double_ladder(), 2), comp, mode, depth=8)
 
 
 def test_lazy_from_finite_ball_matches():
@@ -217,7 +206,6 @@ def test_end_degree_bound_stops_at_the_vertex_budget(monkeypatch, mode):
     # a section5 component at radius 1 explores 28 vertices to depth 3
     lg = section5_graph()
     comp = deep_components(lg, 1)[0]
-    lg.hint.region(1)  # its 40 vertices are kept, built under the full budget
     monkeypatch.setattr(lazy, "DEFAULT_VERTEX_BUDGET", 28)
     assert end_degree_bound(lg, comp, mode, depth=3) == (3, 3)
     monkeypatch.setattr(lazy, "DEFAULT_VERTEX_BUDGET", 27)
@@ -241,10 +229,11 @@ def explore_component(lg, region, comp, depth):
     return dist
 
 
-def reference_end_degree_bound(lg, comp, mode, depth):
-    """The packing on the full split network, with tuple-named flow nodes
-    ("i", v) and ("o", v), through the dict front end of augment_flow."""
-    region = lg.hint.region(comp.radius)
+def reference_end_degree_bound(lg, r, comp, mode, depth):
+    """The packing on the full split network of the component at radius r,
+    explored up to the level-r region, with tuple-named flow nodes ("i", v)
+    and ("o", v), through the dict front end of augment_flow."""
+    region = lg.hint.region(r)
     upper = len(comp.fingers) if mode == "vertex" else len(comp.cut_edges)
     dist = explore_component(lg, region, comp, depth)
     deep_set = {v for v, d in dist.items() if d >= depth}
@@ -289,10 +278,10 @@ def test_end_degree_bound_sees_a_bottleneck(depth, vertex, edge):
 def test_end_degree_bound_matches_reference_on_generators(make):
     # every deep component, in both modes, at the CLI's default depth
     lg = make()
-    for r in (1, 2, 3):
+    for r in range(7):
         for c in deep_components(lg, r):
             for mode in ("vertex", "edge"):
-                want = reference_end_degree_bound(lg, c, mode, 8)
+                want = reference_end_degree_bound(lg, r, c, mode, 8)
                 assert end_degree_bound(lg, c, mode, 8) == want
 
 
@@ -311,7 +300,7 @@ def test_end_degree_bound_matches_reference(g, r, depth):
     for c in deep_components(lg, r):
         for mode in ("vertex", "edge"):
             try:
-                want = reference_end_degree_bound(lg, c, mode, depth)
+                want = reference_end_degree_bound(lg, r, c, mode, depth)
             except BudgetError:
                 with pytest.raises(BudgetError):
                     end_degree_bound(lg, c, mode, depth)
