@@ -32,7 +32,8 @@ def _check_tree(t: FiniteGraph):
 
 
 def is_caterpillar(t: FiniteGraph):
-    """The spine path (ordered vertex list) if t is a caterpillar, else None.
+    """The spine path (ordered vertex list, from the lesser `vkey` of its
+    two ends) if t is a caterpillar, else None.
 
     The spine is T minus its leaves; it may be empty (single vertex or
     single edge) or a single vertex (stars).
@@ -99,7 +100,8 @@ class OrderedCaterpillarPartition:
 def caterpillar_partition(t: FiniteGraph) -> OrderedCaterpillarPartition:
     """The ordered partition of a caterpillar's vertices.
 
-    The head class is the singleton of the minimal spine vertex; each later
+    The head class is the singleton of the spine's first vertex, the lesser
+    (`vkey`) of its two ends, where `is_caterpillar` starts it; each later
     class holds one spine vertex together with the previous spine vertex's
     leaves; the tail class holds the last spine vertex's leaves.
     Degenerate spines (stars, a single edge) collapse to a canonically
@@ -114,8 +116,6 @@ def caterpillar_partition(t: FiniteGraph) -> OrderedCaterpillarPartition:
     if not spine:
         spine = [min(t.vertices, key=vkey)]
         leaves = t.vertices - {spine[0]}
-    elif vkey(spine[0]) > vkey(spine[-1]):
-        spine = list(reversed(spine))
     classes = [frozenset([spine[0]])]
     jumping = [spine[0]]
     for prev, cur in zip(spine, spine[1:]):

@@ -70,10 +70,10 @@ def _annotate(f: Fragment, path):
 def transfer_table() -> TransferTable:
     f = load_tutte_fragment()
     pats = {}
-    for missing in ("u", "l", "r"):
+    for missing in ROLES:
         entries = []
         for p in f.hamilton_paths[missing]:
-            others = {f.roles[m] for m in ("u", "l", "r") if m != missing}
+            others = {f.roles[m] for m in ROLES if m != missing}
             if {p[0], p[-1]} != others:
                 raise InvariantError("Hamilton path does not end at the contacts")
             entries.append(_annotate(f, p))
@@ -197,7 +197,7 @@ def limit_certificate(tt: TransferTable = None):
     if tt is None:
         tt = transfer_table()
     fixed, depth = stabilized_viable(tt)
-    counts = {m: len(fixed[m]) for m in ("u", "l", "r")}
+    counts = {m: len(fixed[m]) for m in ROLES}
     return {
         "limit_count": sum(counts.values()),
         "stabilization_depth": depth,

@@ -18,8 +18,8 @@ from typing import Callable
 from . import caterpillar as cat
 from . import checker, corpus, jsonio, lazy, minors, outerplanar
 from .fragment import audit_tree, build_gn, load_tutte_fragment, section5_graph
-from .graphs import (GraphError, InvariantError, MultiGraph, canon_edge, ekey,
-                     enumerate_hamilton_cycles, eulerian_v_splits, kth_power)
+from .graphs import (GraphError, InvariantError, canon_edge, ekey, enumerate_hamilton_cycles,
+                     eulerian_v_splits, is_two_connected, kth_power)
 from .lazy import BudgetError, deep_components, double_ladder, end_degree_bound
 
 OK, VIOLATED, USAGE, BUDGET, INVARIANT = 0, 1, 2, 3, 4
@@ -58,12 +58,9 @@ def _load(path):
     """A simple graph from a JSON file; every subcommand that reads one
     works on simple graphs only."""
     try:
-        g = jsonio.load_graph(path)
+        return jsonio.load_graph(path)
     except (OSError, ValueError, GraphError) as e:
         raise SystemExit_(USAGE, f"cannot read graph: {e}")
-    if isinstance(g, MultiGraph):
-        raise SystemExit_(USAGE, "cannot read graph: multigraphs are not supported here")
-    return g
 
 
 class SystemExit_(Exception):
@@ -133,8 +130,6 @@ def cmd_outerplanar(args):
         _emit(args, report)
         return VIOLATED
     if args.cycle or args.contractible or args.layout:
-        from .graphs import is_two_connected
-
         if not is_two_connected(g):
             report["error"] = "graph is not 2-connected"
             _emit(args, report)

@@ -39,6 +39,7 @@ from . import lazy
 from .lazy import LazyGraph, deep_components, quotient_multigraph
 
 ROLES = ("u", "l", "r")  # a copy's contacts, in this order
+_VERTEX_ID = re.compile(r"F:([cv]*):([^:]+)")
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,61 @@ class Fragment:
         return canon_edge(
             self.vertex(*self.descend(path, a, b)), self.vertex(*self.descend(path, b, a))
         )
+
+    # -- the limit graph's neighbour oracle and exhaustion hint.  Exhaustion
+    # is by copy depth: the level-r region holds every copy of depth <= r;
+    # each deeper subtree is infinite by construction, and its cut edges
+    # are its root copy's three pendant edges.  Nothing is kept but the
+    # neighbour table: each region and component list is built when asked.
+
+    @cached_property
+    def _targets(self):
+        """Kept local vertex -> the role of its contact, if it has a pendant
+        edge, and (path suffix, local vertex) for its other edges."""
+        table = {}
+        for x in self.kept:
+            role, below = None, []
+            for y in self.graph.adj[x]:
+                if y in self.contacts:
+                    role = ROLES[self.contacts.index(y)]
+                else:
+                    below.append(self.descend("", y, x))
+            table[x] = (role, tuple(below))
+        return table
+
+    def neighbors(self, v):
+        if v == "Z":
+            return sorted(self.land("", m) for m in ROLES)
+        m = _VERTEX_ID.fullmatch(v) if isinstance(v, str) else None
+        entry = m and self._targets.get(m[2])
+        if entry is None:
+            raise GraphError(f"unknown vertex {v!r}")
+        path = m[1]
+        role, below = entry
+        out = [f"F:{path}{s}:{y}" for s, y in below]
+        if role is not None:
+            out.append(self.contact(path, role))
+        out.sort()
+        return out
+
+    def region(self, r):
+        return frozenset(["Z"] + [f"F:{p}:{x}" for p in copy_paths(self, r) for x in self.kept])
+
+    def components(self, r):
+        return tuple(
+            (path, tuple((self.contact(path, m), self.land(path, m)) for m in ROLES))
+            for path in (p + t for p in copy_paths(self, r) if len(p) == r for t in "cv")
+        )
+
+    def component_class(self, comp_id):
+        """One class for every deep component at every radius.  The
+        component at path P is its root copy's subtree: its vertices
+        ``F:<P><w>:<x>`` map onto those of the component at Q under the
+        renaming P -> Q, every neighbour outside it lies in the region, and
+        its cut is the root copy's pendant edges in role order u, l, r.  So
+        the flow network explored from the fingers is the same up to names,
+        and so are the max-flow value and the cut size."""
+        return "subtree"
 
 
 def _validate_fragment(f: Fragment):
@@ -248,79 +304,13 @@ def audit_tree(ft: FragmentTree):
             raise InvariantError(f"cut of {path!r} differs from its pendant edges")
 
 
-# ---------------------------------------------------------------------------
-# the limit graph as a lazy oracle
-
-
-_VERTEX_ID = re.compile(r"F:([cv]*):([^:]+)")
-
-
-class _Section5:
-    """The limit graph as its own neighbour oracle and exhaustion hint.
-
-    Neighbours of ``F:<path>:<x>`` come from a table fixed once per kept
-    local vertex: the role of its contact, if it has a pendant edge, and
-    (path suffix, local vertex) for its other edges.  Exhaustion is by
-    fragment depth: the level-r region holds every copy of depth <= r;
-    each deeper subtree is infinite by construction, and its cut edges
-    are its root copy's three pendant edges.  The hint keeps nothing:
-    each region and component list is built afresh when asked for."""
-
-    def __init__(self, fragment):
-        f = self.fragment = fragment
-        self._root = sorted(f.land("", m) for m in ROLES)
-        self._targets = {}
-        for x in f.kept:
-            role, below = None, []
-            for y in f.graph.adj[x]:
-                if y in f.contacts:
-                    role = ROLES[f.contacts.index(y)]
-                else:
-                    below.append(f.descend("", y, x))
-            self._targets[x] = (role, tuple(below))
-
-    def neighbors(self, v):
-        if v == "Z":
-            return self._root
-        m = _VERTEX_ID.fullmatch(v) if isinstance(v, str) else None
-        if m is None or m[2] not in self._targets:
-            raise GraphError(f"unknown vertex {v!r}")
-        path = m[1]
-        role, below = self._targets[m[2]]
-        out = [f"F:{path}{s}:{y}" for s, y in below]
-        if role is not None:
-            out.append(self.fragment.contact(path, role))
-        out.sort()
-        return out
-
-    def region(self, r):
-        f = self.fragment
-        return frozenset(["Z"] + [f"F:{p}:{x}" for p in copy_paths(f, r) for x in f.kept])
-
-    def components(self, r):
-        f = self.fragment
-        return tuple(
-            (path, tuple((f.contact(path, m), f.land(path, m)) for m in ROLES))
-            for path in (p + t for p in copy_paths(f, r) if len(p) == r for t in "cv")
-        )
-
-    def component_class(self, comp_id):
-        """One class for every deep component at every radius.  The
-        component at path P is its root copy's subtree: its vertices
-        ``F:<P><w>:<x>`` map onto those of the component at Q under the
-        renaming P -> Q, every neighbour outside it lies in the region, and
-        its cut is the root copy's pendant edges in role order u, l, r.  So
-        the flow network explored from the fingers is the same up to names,
-        and so are the max-flow value and the cut size."""
-        return "subtree"
-
-
 def section5_graph() -> LazyGraph:
-    """The limit of the fragment construction as a lazy adjacency oracle.
+    """The limit of the fragment construction as a lazy adjacency oracle,
+    with the gadget itself as neighbour function and exhaustion hint.
 
     Adjacency is read off the vertex ids, so every vertex has its final
     neighbourhood at any depth; regions and components past the vertex
     budget raise `BudgetError`.
     """
-    limit = _Section5(load_tutte_fragment())
-    return LazyGraph("Z", limit.neighbors, hint=limit)
+    f = load_tutte_fragment()
+    return LazyGraph("Z", f.neighbors, hint=f)

@@ -263,14 +263,6 @@ def is_two_connected(g: FiniteGraph) -> bool:
     return len(g.vertices) >= 3 and blocks(g) == [g.vertices]
 
 
-def cut_edges(g: FiniteGraph, s) -> frozenset:
-    """Edges with exactly one endpoint in s."""
-    s = set(s)
-    if not s <= g.vertices:
-        raise GraphError("cut side contains non-vertices")
-    return frozenset(e for e in g.edges if (e[0] in s) != (e[1] in s))
-
-
 def is_eulerian(m: MultiGraph) -> bool:
     if any(len(star) % 2 for star in m.incidence.values()):
         return False

@@ -4,12 +4,13 @@ Simple graphs::
 
     {"multi": false, "vertices": ["a", "b"], "edges": [["a", "b"]]}
 
-Multigraphs set ``"multi": true`` and each edge is ``[id, "a", "b"]`` with a
-unique integer id.  Vertex ids are JSON strings or numbers, no two of them
-alike as strings or equal as values, and each edge endpoint is written as
-the id it names: the library orders and names vertices by ``str``.  The
-non-standard constants ``NaN``, ``Infinity`` and ``-Infinity`` that Python's
-`json` parses are refused.
+A multigraph document (``"multi": true``) is refused before its vertices
+and edges are read: every reader works on simple graphs, and the CLI exits
+2 on it.  Vertex ids are JSON strings or numbers, no two of them alike as
+strings or equal as values, and each edge endpoint is written as the id it
+names: the library orders and names vertices by ``str``.  The non-standard
+constants ``NaN``, ``Infinity`` and ``-Infinity`` that Python's `json`
+parses are refused.
 Unknown top-level fields are rejected so that typos fail loudly instead of
 being ignored.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 
-from .graphs import FiniteGraph, GraphError, MultiGraph
+from .graphs import FiniteGraph, GraphError
 
 _ALLOWED = {"multi", "vertices", "edges"}
 
@@ -44,6 +45,8 @@ def graph_from_obj(obj):
     multi = obj.get("multi", False)
     if not isinstance(multi, bool):
         raise GraphError('"multi" must be a boolean')
+    if multi:
+        raise GraphError("multigraphs are not supported here")
     verts = obj.get("vertices")
     edges = obj.get("edges")
     if not isinstance(verts, list) or not isinstance(edges, list):
@@ -65,15 +68,6 @@ def graph_from_obj(obj):
             raise GraphError(f"edge endpoint {x!r} differs from the vertex id {w!r}")
         return x
 
-    if multi:
-        recs = []
-        for e in edges:
-            if not isinstance(e, list) or len(e) != 3:
-                raise GraphError(f"multigraph edge must be [id, a, b]: {e!r}")
-            if type(e[0]) is not int:
-                raise GraphError(f"multigraph edge id must be an integer: {e!r}")
-            recs.append((e[0], endpoint(e[1]), endpoint(e[2])))
-        return MultiGraph.build(verts, recs)
     pairs = []
     for e in edges:
         if not isinstance(e, list) or len(e) != 2:
@@ -83,19 +77,13 @@ def graph_from_obj(obj):
 
 
 def graph_to_obj(g):
-    if isinstance(g, FiniteGraph):
-        return {
-            "multi": False,
-            "vertices": g.sorted_vertices(),
-            "edges": [[a, b] for a, b in g.sorted_edges()],
-        }
-    if isinstance(g, MultiGraph):
-        return {
-            "multi": True,
-            "vertices": g.sorted_vertices(),
-            "edges": [[eid, a, b] for eid, a, b in g.edges],
-        }
-    raise GraphError(f"not a graph: {g!r}")
+    if not isinstance(g, FiniteGraph):
+        raise GraphError(f"not a simple graph: {type(g).__name__}")
+    return {
+        "multi": False,
+        "vertices": g.sorted_vertices(),
+        "edges": [[a, b] for a, b in g.sorted_edges()],
+    }
 
 
 def load_graph(path):

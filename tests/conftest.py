@@ -63,6 +63,11 @@ def contract_subgraph(g, h):
     return FiniteGraph((g.vertices - set(h)) | {z}, edges)
 
 
+def cut_edges(g, s):
+    """Reference for a cut: the edges of g with exactly one endpoint in s."""
+    return frozenset(e for e in g.edges if (e[0] in s) != (e[1] in s))
+
+
 def subtree_vertices(ft, path):
     """The interior vertices of a fragment tree's copy at `path` and of its
     descendants, read off the vertex ids (``F:<path>:<x>``) by a prefix

@@ -8,7 +8,7 @@ import random
 import sys
 import time
 
-from conftest import subtree_vertices
+from conftest import cut_edges, subtree_vertices
 from hamcircle import caterpillar as cat
 from hamcircle import checker, corpus, minors, outerplanar
 from hamcircle.fragment import (
@@ -19,7 +19,6 @@ from hamcircle.fragment import (
 )
 from hamcircle.graphs import (
     canon_edge,
-    cut_edges,
     enumerate_hamilton_cycles,
     enumerate_hamilton_paths,
     eulerian_v_splits,

@@ -75,6 +75,24 @@ def test_partition_examples():
     assert [sorted(c) for c in part13.classes] == [["z"], ["a", "b", "c"]]
 
 
+def test_spine_starts_at_its_lesser_end():
+    # the partition's head class is the spine's first vertex, so the
+    # orientation is pinned where is_caterpillar builds the spine
+    seen = 0
+    for t in trees_range(3, 10):
+        spine = is_caterpillar(t)
+        if spine is None:
+            continue
+        seen += 1
+        assert vkey(spine[0]) <= vkey(spine[-1])
+        part = caterpillar_partition(t)
+        assert part.classes[0] == {spine[0]} and part.jumping[0] == spine[0]
+        assert [j for j in part.jumping if j is not None] == spine
+    # caterpillars on 3..10 vertices, up to isomorphism: 1 + 2 + 3 + 6 + 10
+    # + 20 + 36 + 72 (OEIS A005418)
+    assert seen == 150
+
+
 def test_partition_distance_invariants():
     # every caterpillar partition asserts the order lemma internally;
     # here we re-check distances explicitly for one instance

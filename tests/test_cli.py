@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import path_graph
+
 import hamcircle
 from hamcircle import checker, cli, corpus, fragment, jsonio, lazy, minors, outerplanar
 from hamcircle.cli import main
@@ -185,6 +187,32 @@ def test_verify_circle_rails(capsys):
     assert json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("generator, member, owner", [
+    ("section5", "rails", "the double ladder"),
+    ("double-ladder", "viable-pattern", "section5"),
+])
+def test_verify_circle_member_of_another_generator_is_usage_error(capsys, generator, member,
+                                                                  owner):
+    code, out, err = run(capsys, "verify-circle", "--generator", generator, "--member", member)
+    assert code == cli.USAGE == 2
+    assert out == ""
+    assert err == f"member {member!r} needs {owner}\n"
+
+
+def test_outerplanar_path_is_not_two_connected(tmp_path, capsys):
+    # outerplanar, but no Hamilton cycle, contractible edges or layout
+    g = path_graph(4)
+    p = write_graph(tmp_path, "path.json", jsonio.graph_to_obj(g))
+    svg = tmp_path / "x.svg"
+    code, out, _ = run(capsys, "outerplanar", p, "--cycle", "--contractible",
+                       "--layout", str(svg))
+    assert code == cli.VIOLATED == 1
+    report = json.loads(out)
+    assert report["outerplanar"] is True
+    assert report["error"] == "graph is not 2-connected"
+    assert not svg.exists()
+
+
 def test_bad_input_is_usage_error(tmp_path, capsys):
     p = write_graph(tmp_path, "bad.json", {"multi": False, "vertices": [], "edges": [], "x": 1})
     code, _, err = run(capsys, "outerplanar", p)
@@ -212,13 +240,15 @@ def test_reports_are_strict_json(capsys):
                          ids=["power", "outerplanar", "caterpillar", "minor"])
 def test_multigraph_input_is_usage_error(tmp_path, capsys, argv):
     # the finite-graph subcommands read simple graphs only; a digon must not
-    # crash (power, minor) or pass as outerplanar
-    p = write_graph(tmp_path, "digon.json",
-                    {"multi": True, "vertices": ["a", "b"], "edges": [[0, "a", "b"], [1, "a", "b"]]})
-    code, out, err = run(capsys, argv[0], p, *argv[1:])
-    assert code == 2
-    assert out == ""
-    assert "multigraph" in err
+    # crash (power, minor) or pass as outerplanar, and a malformed
+    # multigraph document gets the same refusal
+    for edges in ([[0, "a", "b"], [1, "a", "b"]], [[0, "a", "b"], ["x", "a", "b"]]):
+        p = write_graph(tmp_path, "multi.json", {"multi": True, "vertices": ["a", "b"],
+                                                 "edges": edges})
+        code, out, err = run(capsys, argv[0], p, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == "cannot read graph: multigraphs are not supported here\n"
 
 
 def test_determinism(tmp_path, capsys):
@@ -353,7 +383,7 @@ def test_ends_runs_one_flow_per_component_class(capsys, monkeypatch, generator, 
     assert len(json.loads(out)["components"]) == (64 if generator == "section5" else 2)
 
 
-@pytest.mark.parametrize("generator, hint_class", [("section5", fragment._Section5),
+@pytest.mark.parametrize("generator, hint_class", [("section5", fragment.Fragment),
                                                    ("double-ladder", lazy._DoubleLadder)],
                          ids=["section5", "double-ladder"])
 def test_ends_never_builds_a_region(capsys, monkeypatch, generator, hint_class):

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import subtree_vertices
+from conftest import cut_edges, subtree_vertices
 
 from hamcircle.fragment import (
     ROLES,
@@ -18,7 +18,6 @@ from hamcircle.graphs import (
     GraphError,
     InvariantError,
     canon_edge,
-    cut_edges,
     enumerate_hamilton_paths,
 )
 from hamcircle.lazy import BudgetError, deep_components, end_degree_bound

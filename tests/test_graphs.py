@@ -26,7 +26,6 @@ from hamcircle.graphs import (
     _eulerian_pairings,
     blocks,
     canon_edge,
-    cut_edges,
     enumerate_hamilton_cycles,
     enumerate_hamilton_paths,
     eulerian_v_splits,
@@ -88,13 +87,6 @@ def test_two_connectivity_matches_definition_on_small_graphs():
 @given(simple_graphs())
 def test_two_connectivity_matches_definition(g):
     check_two_connectivity(g)
-
-
-def test_cut_edges_and_parity():
-    c6 = cycle_graph(6)
-    s = {"v0", "v1", "v2"}
-    cut = cut_edges(c6, s)
-    assert len(cut) == 2
 
 
 def test_contract_subgraph():

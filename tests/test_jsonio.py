@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import cycle_graph, multigraph
-from hamcircle.graphs import GraphError, MultiGraph
+from hamcircle.graphs import GraphError
 from hamcircle.jsonio import graph_from_obj, graph_to_obj, load_graph
 
 NAN, INF = float("nan"), float("inf")
@@ -16,13 +16,27 @@ def test_simple_roundtrip(tmp_path):
     assert load_graph(p) == g
 
 
-def test_multigraph_roundtrip(tmp_path):
-    m = multigraph([(0, "a", "b"), (1, "a", "b"), (2, "b", "c")])
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [[0, "a", "b"], [1, "a", "b"], [2, "b", "c"]],
+        [[0, "a", "b"], ["x", "a", "b"]],
+        [["a", "b"], [0, "a", "z"]],
+    ],
+    ids=["digon", "string-edge-id", "malformed-edges"],
+)
+def test_multigraph_documents_are_refused(tmp_path, edges):
+    # refused before the vertices and edges are read, so a malformed
+    # document gets the same refusal as a well-formed one
     p = tmp_path / "m.json"
-    p.write_text(json.dumps(graph_to_obj(m)))
-    back = load_graph(p)
-    assert isinstance(back, MultiGraph)
-    assert set(back.edges) == set(m.edges)
+    p.write_text(json.dumps({"multi": True, "vertices": ["a", "b", "c"], "edges": edges}))
+    with pytest.raises(GraphError, match="^multigraphs are not supported here$"):
+        load_graph(p)
+
+
+def test_multigraphs_are_not_written():
+    with pytest.raises(GraphError, match="not a simple graph"):
+        graph_to_obj(multigraph([(0, "a", "b"), (1, "a", "b")]))
 
 
 def test_unknown_field_rejected():
