@@ -283,16 +283,15 @@ def audit_tree(ft: FragmentTree):
     for x in g.vertices:
         if g.degree(x) != 3:
             raise InvariantError(f"vertex {x} has degree {g.degree(x)}")
-    # one pass groups the vertices by marked copy: a vertex lies in the
-    # subtree of each marked copy whose path is a prefix of its own
+    # one pass groups the vertices by marked copy: every marked copy has
+    # depth ft.level, so a vertex lies in the subtree of the copy named by
+    # its own path's first ft.level letters, if that copy is marked
     subtrees = {path: set() for path in ft.marked}
-    depths = {len(path) for path in ft.marked}
     for x in g.vertices:
         if x.startswith("F:"):
-            own = x.split(":", 2)[1]
-            for k in depths:
-                if own[:k] in subtrees:
-                    subtrees[own[:k]].add(x)
+            own = x.split(":", 2)[1][:ft.level]
+            if own in subtrees:
+                subtrees[own].add(x)
     for path in ft.marked:
         sub = subtrees[path]
         cut = {canon_edge(x, y) for x in sub for y in g.adj[x] if y not in sub}

@@ -347,60 +347,31 @@ def eulerian_v_splits(m: MultiGraph, v):
     return [v_split(m, v, e1, e2) for e1, e2 in _eulerian_pairings(m, v)]
 
 
-def augment_flow(cap: dict, source, sink, stop: int):
-    """Push flow from source to sink one unit per shortest augmenting path,
-    until `stop` units flow or no augmenting path is left.
+def max_flow(n: int, arcs, s: int, t: int, stop: int):
+    """Push flow from s to t one unit per shortest augmenting path, until
+    `stop` units flow or no augmenting path is left.
 
-    ``cap`` maps arcs ``(u, v)`` to integer capacities.  Arcs leaving a node
-    are tried in ``str`` order of their heads, so the flow is reproducible.
-    Returns ``(value, flow)`` with ``flow`` mapping arcs to the units on them,
-    in the order the arcs were first used.
-
-    The nodes are numbered once, in ``str`` order, so each node's residual
-    arcs are a list sorted by head number, built before the search.  Every
-    node pair joined by an arc gets two slots, ``a`` and ``a ^ 1``, one per
-    direction, holding capacity and flow in flat lists.
+    ``arcs`` lists ``(tail, head, capacity)`` on nodes ``0..n-1``.  Arc k
+    gets two residual slots, ``2k`` forward and ``2k ^ 1`` backward, and
+    each node's residual arcs are tried in head order, so the flow is
+    reproducible.  Returns ``(value, flow)`` with ``flow[k]`` the units on
+    ``arcs[k]``.
     """
-    names = sorted({x for arc in cap for x in arc}, key=str)
-    number = {x: i for i, x in enumerate(names)}
-    if stop <= 0 or source not in number or sink not in number:
-        return 0, {}
-    slot_to = [{} for _ in names]  # node -> {head: slot of the arc to it}
+    out = [[] for _ in range(n)]  # node -> [(head, slot)]
     tail = []  # slot -> tail node; the head is tail[a ^ 1]
     capacity = []
-    for (u, v), c in cap.items():
-        i, j = number[u], number[v]
-        if i == j:
-            continue
-        a = slot_to[i].get(j)
-        if a is None:
-            a = slot_to[i][j] = len(tail)
-            slot_to[j][i] = a + 1
-            tail += (i, j)
-            capacity += (0, 0)
-        capacity[a] = c
-    out = [sorted(arcs.items()) for arcs in slot_to]  # [(head, slot)]
-    value, flow, used = _augment_indexed(
-        out, tail, capacity, number[source], number[sink], stop)
-    return value, {(names[tail[a]], names[tail[a ^ 1]]): flow[a] for a in used}
-
-
-def _augment_indexed(out, tail, capacity, s, t, stop: int):
-    """``augment_flow``'s search on nodes ``0..len(out)-1``, for callers
-    that number their own nodes (``lazy.end_degree_bound``).
-
-    ``out[u]`` lists ``(head, slot)`` for every residual arc leaving u, in
-    the order the search tries them.  Slots ``a`` and ``a ^ 1`` are the two
-    directions of one node pair: ``tail[a]`` is a's tail (so its head is
-    ``tail[a ^ 1]``) and ``capacity[a]`` its capacity.  Returns
-    ``(value, flow, used)``: the units pushed, the net flow on each slot,
-    and the slots whose flow changed, in the order of the first change.
-    """
+    for u, v, c in arcs:
+        a = len(tail)
+        out[u].append((v, a))
+        out[v].append((u, a + 1))
+        tail += (u, v)
+        capacity += (c, 0)
+    for arcs_out in out:
+        arcs_out.sort()
     flow = [0] * len(tail)
-    used = {}
     value = 0
     while value < stop:
-        via = [-1] * len(out)  # the slot that reached each node
+        via = [-1] * n  # the slot that reached each node
         via[s] = len(tail)
         queue = [s]
         found = False
@@ -420,11 +391,10 @@ def _augment_indexed(out, tail, capacity, s, t, stop: int):
         while v != s:
             a = via[v]
             push = a if capacity[a] > flow[a] else a ^ 1
-            used[push] = None
             flow[push] += 1 if push == a else -1
             v = tail[a]
         value += 1
-    return value, flow, used
+    return value, flow[::2]
 
 
 # ---------------------------------------------------------------------------

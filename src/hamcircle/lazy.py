@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import FiniteGraph, GraphError, MultiGraph, _augment_indexed, canon_edge, vkey
+from .graphs import FiniteGraph, GraphError, MultiGraph, canon_edge, max_flow, vkey
 
 
 class BudgetError(GraphError):
@@ -176,8 +176,7 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth: int):
     split = mode == "vertex"
     upper = len(comp.fingers) if split else len(comp.cut_edges)
     # The unit-capacity flow network is built while a BFS from the fingers
-    # explores the component: node 0 is the source, node 1 the sink, and
-    # every arc gets its own slot pair (see graphs._augment_indexed).  In
+    # explores the component: node 0 is the source, node 1 the sink.  In
     # vertex mode an explored vertex splits into an in-node and the next
     # node, its out-node, joined by an arc of capacity 1; in edge mode it is
     # one node, since the source arcs total `upper` and no vertex can carry
@@ -185,34 +184,27 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth: int):
     # no out-arcs: a flow path through it can stop there.  None of this
     # changes the value of a maximum flow.
     SRC, SNK = 0, 1
-    out = [[], []]
-    tail = []
-    capacity = []
+    arcs = []
+    nodes = 2
     node = {}  # explored vertex -> the node its in-arcs enter
 
-    def add_arc(u, v, c):
-        a = len(tail)
-        out[u].append((v, a))
-        out[v].append((u, a + 1))
-        tail.extend((u, v))
-        capacity.extend((c, 0))
-
     def add_vertex(v, deep):
+        nonlocal nodes
         check_budget(what, len(node) + 1)
-        i = node[v] = len(out)
-        out.append([])
+        i = node[v] = nodes
+        nodes += 1
         if deep:
-            add_arc(i, SNK, 1 if split else upper)
+            arcs.append((i, SNK, 1 if split else upper))
         elif split:
-            out.append([])
-            add_arc(i, i + 1, 1)
+            nodes += 1
+            arcs.append((i, i + 1, 1))
         return i
 
     level = sorted(comp.fingers, key=vkey)
     for f in level:
         add_vertex(f, False)
     for f in level if split else [f for _, f in comp.cut_edges]:
-        add_arc(SRC, node[f], 1)
+        arcs.append((SRC, node[f], 1))
     for d in range(1, depth + 1):
         deep = d == depth
         nxt = []
@@ -225,12 +217,12 @@ def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth: int):
                         continue
                     j = add_vertex(y, deep)
                     nxt.append(y)
-                add_arc(u, j, 1)
+                arcs.append((u, j, 1))
         if not nxt:
             raise BudgetError("component exhausted before the depth budget")
         level = nxt
     # the source arcs hold `upper` units, so the flow stops there
-    value, _, _ = _augment_indexed(out, tail, capacity, SRC, SNK, upper)
+    value, _ = max_flow(nodes, arcs, SRC, SNK, upper)
     return value, upper
 
 

@@ -38,9 +38,9 @@ from .graphs import (
     FiniteGraph,
     GraphError,
     InvariantError,
-    augment_flow,
     blocks,
     canon_edge,
+    max_flow,
     vkey,
 )
 
@@ -127,32 +127,30 @@ def find_k4_subgraph(g: FiniteGraph):
 # -- internally disjoint path packing (Menger via unit-capacity flow) -------
 
 
-def internally_disjoint_paths(g: FiniteGraph, a, b, need, forbid_edge_ab=False):
+def internally_disjoint_paths(g: FiniteGraph, a, b, need):
     """Up to `need` a-b paths, pairwise disjoint except at the ends.
 
     Unit-capacity augmenting paths on the vertex-split digraph: every
     vertex other than a, b becomes an in/out arc of capacity one, so flow
     value equals the largest internally vertex-disjoint packing (Menger).
-    Returns a list of vertex sequences; length < need means no larger
-    packing exists.
+    The nodes ("i", v) and ("o", v) are numbered in ``str`` order, which
+    fixes the paths found.  Returns a list of vertex sequences; length <
+    need means no larger packing exists.
     """
-    cap = {}
-    for v in g.vertices:
-        if v not in (a, b):
-            cap[(("i", v), ("o", v))] = 1
+    arcs = [(("i", v), ("o", v)) for v in g.vertices if v not in (a, b)]
     for x, y in g.edges:
-        if forbid_edge_ab and {x, y} == {a, b}:
-            continue
         for u, w in ((x, y), (y, x)):
-            if w == a or u == b:
-                continue
-            cap[(("o", u), ("i", w))] = 1
-    value, flow = augment_flow(cap, ("o", a), ("i", b), need)
+            if w != a and u != b:
+                arcs.append((("o", u), ("i", w)))
+    nodes = sorted(((s, v) for v in g.vertices for s in "io"), key=str)
+    number = {x: k for k, x in enumerate(nodes)}
+    value, flow = max_flow(len(nodes), [(number[u], number[w], 1) for u, w in arcs],
+                           number[("o", a)], number[("i", b)], need)
     # decompose the integral flow into vertex paths
     nxt_of = {}
-    for (u, v), f in flow.items():
-        if f > 0 and u[0] == "o" and v[0] == "i":
-            nxt_of.setdefault(u[1], []).append(v[1])
+    for (u, w), f in zip(arcs, flow):
+        if f and u[0] == "o":
+            nxt_of.setdefault(u[1], []).append(w[1])
     for k in nxt_of:
         nxt_of[k].sort(key=vkey)
     paths = []

@@ -68,6 +68,52 @@ def cut_edges(g, s):
     return frozenset(e for e in g.edges if (e[0] in s) != (e[1] in s))
 
 
+def reference_augment_flow(cap, source, sink, stop):
+    """Reference for graphs.max_flow on named nodes: ``cap`` maps arcs
+    ``(u, v)`` to capacities, a node pair holds one residual between both
+    directions, and arcs are sorted by ``str`` at every BFS visit.  Returns
+    ``(value, flow)`` with ``flow`` mapping arcs to their units."""
+    out_arcs = {}
+    for u, v in cap:
+        out_arcs.setdefault(u, set()).add(v)
+        out_arcs.setdefault(v, set()).add(u)
+    flow = {}
+
+    def residual(u, v):
+        return cap.get((u, v), 0) - flow.get((u, v), 0) + flow.get((v, u), 0)
+
+    value = 0
+    while value < stop:
+        prev = {source: None}
+        queue = [source]
+        found = False
+        while queue and not found:
+            nxt = []
+            for u in queue:
+                for v in sorted(out_arcs.get(u, ()), key=str):
+                    if v not in prev and residual(u, v) > 0:
+                        prev[v] = u
+                        if v == sink:
+                            found = True
+                            break
+                        nxt.append(v)
+                if found:
+                    break
+            queue = nxt
+        if not found:
+            break
+        v = sink
+        while prev[v] is not None:
+            u = prev[v]
+            if cap.get((u, v), 0) > flow.get((u, v), 0):
+                flow[(u, v)] = flow.get((u, v), 0) + 1
+            else:
+                flow[(v, u)] = flow.get((v, u), 0) - 1
+            v = u
+        value += 1
+    return value, flow
+
+
 def subtree_vertices(ft, path):
     """The interior vertices of a fragment tree's copy at `path` and of its
     descendants, read off the vertex ids (``F:<path>:<x>``) by a prefix

@@ -423,6 +423,22 @@ def test_section5_past_the_vertex_budget_is_a_budget_error(capsys, argv):
     assert "over the vertex budget" in err
 
 
+def spy_windows(monkeypatch):
+    """Record the level of every quotient window built, through either
+    binding: the circle check reads checker's, the quotient search reaches
+    lazy's through quotient_multigraph."""
+    windows = []
+    real = lazy.quotient_window
+
+    def spy(lg, r):
+        windows.append(r)
+        return real(lg, r)
+
+    for module in (checker, lazy):
+        monkeypatch.setattr(module, "quotient_window", spy)
+    return windows
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -436,14 +452,29 @@ def test_section5_past_the_vertex_budget_is_a_budget_error(capsys, argv):
 def test_double_ladder_past_the_vertex_budget_is_a_budget_error(capsys, monkeypatch, argv):
     # columns -50,000..50,000 hold 200,002 vertices; the deepest level is
     # refused before any level's window is built
-    windows = []
-    real = checker.quotient_window
-    monkeypatch.setattr(checker, "quotient_window", lambda *a: windows.append(a) or real(*a))
+    windows = spy_windows(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == cli.BUDGET == 3
     assert out == ""
     assert "over the vertex budget" in err
     assert windows == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("unique-circle", "--generator", "double-ladder", "--levels", "3"),
+        ("verify-circle", "--generator", "double-ladder", "--member", "rails",
+         "--levels", "3"),
+    ],
+    ids=["unique-circle", "verify-circle"],
+)
+def test_window_spy_sees_every_level_inside_the_budget(capsys, monkeypatch, argv):
+    # the control for the test above: the same spy records each level built
+    windows = spy_windows(monkeypatch)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert windows == [1, 2, 3]
 
 
 def test_double_ladder_just_inside_the_vertex_budget_answers(capsys):

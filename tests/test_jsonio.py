@@ -60,7 +60,6 @@ def test_obj_is_deterministic():
     [
         {"vertices": [[1]], "edges": []},
         {"vertices": ["a", "b"], "edges": [["a", ["b"]]]},
-        {"multi": True, "vertices": ["a", "b"], "edges": [[0, "a", "b"], ["x", "a", "b"]]},
         {"vertices": [1, "1", "x"], "edges": [[1, "x"], ["1", "x"], [1, "1"]]},
         {"vertices": [1, 1.0, 2], "edges": [[1, 2], [1.0, 2]]},
         {"vertices": [0.0, -0.0, 2], "edges": [[0.0, 2]]},
@@ -71,7 +70,6 @@ def test_obj_is_deterministic():
     ids=[
         "unhashable-vertex",
         "list-endpoint",
-        "string-edge-id",
         "ids-alike-as-strings",
         "ids-equal-as-values",
         "signed-zeros",
@@ -83,3 +81,21 @@ def test_obj_is_deterministic():
 def test_malformed_ids_rejected(obj):
     with pytest.raises(GraphError):
         graph_from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, "edge must be [a, b]"),
+        ({"vertices": ["a", "b"], "edges": ["ab"]}, "edge must be [a, b]"),
+        ({"vertices": "ab", "edges": []}, '"vertices" and "edges" must be lists'),
+        ({"vertices": ["a", "b"]}, '"vertices" and "edges" must be lists'),
+        ({"multi": 0, "vertices": [], "edges": []}, '"multi" must be a boolean'),
+    ],
+    ids=["three-element-edge", "string-edge", "vertices-not-a-list", "edges-missing",
+         "multi-not-a-boolean"],
+)
+def test_malformed_documents_rejected_by_message(obj, message):
+    with pytest.raises(GraphError) as info:
+        graph_from_obj(obj)
+    assert str(info.value).startswith(message)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import DIFF, cycle_graph, graph, simple_graphs
+from conftest import DIFF, cycle_graph, graph, reference_augment_flow, simple_graphs
 from hamcircle import cli, lazy
 from hamcircle.fragment import copy_paths, load_tutte_fragment, section5_graph
-from hamcircle.graphs import GraphError, augment_flow, vkey
+from hamcircle.graphs import GraphError, vkey
 from hamcircle.lazy import (
     BudgetError,
     LazyGraph,
@@ -232,7 +232,7 @@ def explore_component(lg, region, comp, depth):
 def reference_end_degree_bound(lg, r, comp, mode, depth):
     """The packing on the full split network of the component at radius r,
     explored up to the level-r region, with tuple-named flow nodes ("i", v)
-    and ("o", v), through the dict front end of augment_flow."""
+    and ("o", v), through the dict-based reference flow."""
     region = lg.hint.region(r)
     upper = len(comp.fingers) if mode == "vertex" else len(comp.cut_edges)
     dist = explore_component(lg, region, comp, depth)
@@ -254,7 +254,7 @@ def reference_end_degree_bound(lg, r, comp, mode, depth):
         for y in lg.neighbors(v):
             if y in dist:
                 cap[(("o", v), ("i", y))] = 1
-    value, _ = augment_flow(cap, SRC, SNK, upper + 1)
+    value, _ = reference_augment_flow(cap, SRC, SNK, upper + 1)
     return min(value, upper), upper
 
 

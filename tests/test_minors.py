@@ -139,7 +139,8 @@ def k23_hubs_by_all_pairs(g):
     """The first vertex pair joined by three internally disjoint paths of
     length at least 2, with those paths, or None."""
     for a, b in itertools.combinations(g.sorted_vertices(), 2):
-        paths = internally_disjoint_paths(g, a, b, 3, forbid_edge_ab=True)
+        h = FiniteGraph(g.vertices, g.edges - {canon_edge(a, b)})
+        paths = internally_disjoint_paths(h, a, b, 3)
         if len(paths) >= 3:
             return a, b, paths[:3]
     return None
