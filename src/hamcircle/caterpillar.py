@@ -237,7 +237,8 @@ def hamilton_cycle_of_square(t: FiniteGraph) -> frozenset:
 
 def split_to_cycle(m: MultiGraph):
     """Resolve every degree-4 vertex of a {2,4}-regular Eulerian multigraph
-    by Eulerian splits until a single cycle remains."""
+    by Eulerian splits until a single cycle remains; return it and the
+    multigraph after each split."""
     if not is_eulerian(m):
         raise GraphError("multigraph is not Eulerian")
     if any(m.degree(v) not in (2, 4) for v in m.vertices):
@@ -252,9 +253,8 @@ def split_to_cycle(m: MultiGraph):
         pairings = _eulerian_pairings(cur, v)
         if not pairings:
             raise InvariantError(f"no Eulerian split at {v!r}")
-        res = v_split(cur, v, *pairings[0])
-        history.append(res)
-        cur = res.multigraph
+        cur = v_split(cur, v, *pairings[0])
+        history.append(cur)
     if not is_eulerian(cur) or any(cur.degree(v) != 2 for v in cur.vertices):
         raise InvariantError("splitting did not end in a 2-regular Eulerian multigraph")
     return cur, history

@@ -172,20 +172,22 @@ def dp_series(max_level: int):
 
     The stabilization window at level n is the region two levels down
     (edges whose copies are fully settled at both compared levels); the
-    flag says the forced set no longer changes there.  The deepest region
-    is built first, so `copy_paths` rejects a level before any DP runs.
+    flag says the forced set no longer changes there.  Each level's region
+    is built once, the deepest first, so `copy_paths` rejects a level
+    before any DP runs.
     """
     hint = section5_graph().hint
-    hint.region(max_level)
+    deepest = hint.region(max_level)
+    regions = [hint.region(n) for n in range(max_level)] + [deepest]
     tt = transfer_table()
-    verdicts = [fragment_tree_dp(tt, n, hint.region(n)) for n in range(max_level + 1)]
     out = []
-    for n, v in enumerate(verdicts):
+    for n, region in enumerate(regions):
+        v = fragment_tree_dp(tt, n, region)
         stable = None
         if n >= 2:
-            window = hint.region(n - 2)
-            stable = _inside(v.forced, window) == _inside(verdicts[n - 1].forced, window)
-        out.append(QuotientVerdict(v.level, v.count, v.forced, stable))
+            window = regions[n - 2]
+            stable = _inside(v.forced, window) == _inside(out[n - 1].forced, window)
+        out.append(QuotientVerdict(n, v.count, v.forced, stable))
     return out
 
 
@@ -274,7 +276,7 @@ def limit_circle_edges(max_depth: int) -> frozenset:
     )
 
 
-def section5_circle_member(max_depth: int = 6):
+def section5_circle_member(max_depth: int):
     """The unique circle's edges on the copies of depth <= max_depth."""
     edges = limit_circle_edges(max_depth)
     return lambda e: canon_edge(*e) in edges

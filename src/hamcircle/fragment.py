@@ -11,8 +11,8 @@ the (u,l,r) -> (l,s,t) and (u,l,r) -> (w,x,y) identification.
 
 A copy is named by its path ("" for the root, then "c" or "v" per step),
 its vertex x by ``F:<path>:<x>``, the root's closed contacts by ``Z``.  One
-wiring rule reads every edge of the limit graph, where every c and v is
-replaced, off these ids: `Fragment.contact`, `descend` and `edge`.  The
+table, `Fragment.ends`, built once per gadget, names both ends of every edge
+of the limit graph, where every c and v is replaced, by these ids.  The
 level-n graph is the limit graph's level-n quotient
 (`lazy.quotient_multigraph`): the copies of depth <= n, each deeper
 subtree contracted to the c or v vertex that its root copy replaces.
@@ -88,78 +88,70 @@ class Fragment:
 
     @cached_property
     def kept(self):
-        """The interior vertices that no child replaces, sorted."""
-        return tuple(sorted(self.interior - set(self.children)))
+        """The interior vertices that no child replaces."""
+        return frozenset(self.interior - set(self.children))
+
+    @cached_property
+    def ends(self):
+        """The whole wiring as one table: ``ends[a][b]`` says where the local
+        edge a-b ends at b in the limit graph, as (path suffix, kept local
+        vertex): a c or v hands the edge on to its child's pendant.  An edge
+        that leaves the copy upward, at a contact, ends at (None, the
+        contact's role)."""
+
+        def end(via, x):
+            if x in self.contacts:
+                return None, ROLES[self.contacts.index(x)]
+            suffix = ""
+            while x in self.children:
+                tag, nbrs = self.children[x]
+                role = ROLES[nbrs.index(via)]
+                suffix, via, x = suffix + tag, self.roles[role], self.pendants[role]
+            return suffix, x
+
+        adj = self.graph.adj
+        return {a: {b: end(a, b) for b in adj[a]} for a in self.graph.vertices}
+
+    def _at(self, path, end):
+        """Graph id of the table entry `end` read in the copy at `path`."""
+        suffix, x = end
+        return self.contact(path, x) if suffix is None else f"F:{path}{suffix}:{x}"
 
     def contact(self, path, role):
         """Graph id of the `role` contact of the copy at `path`: Z for the
-        root, else the parent's neighbour of the replaced c or v."""
+        root, else where the parent's edge from the replaced c or v to the
+        neighbour wired to `role` ends."""
         if not path:
             return "Z"
-        _, nbrs = self.children[self.roles[path[-1]]]
-        return self.vertex(path[:-1], nbrs[ROLES.index(role)])
-
-    def vertex(self, path, x):
-        """Graph id of local vertex x of the copy at `path`; a contact is
-        the vertex it stands for."""
-        if x in self.contacts:
-            return self.contact(path, ROLES[self.contacts.index(x)])
-        return f"F:{path}:{x}"
-
-    def descend(self, path, x, via):
-        """Where the copy's local edge via-x ends at x in the limit graph, as
-        (copy path, local vertex): a c or v hands the edge on to its child's
-        pendant."""
-        while x in self.children:
-            tag, nbrs = self.children[x]
-            role = ROLES[nbrs.index(via)]
-            path, via, x = path + tag, self.roles[role], self.pendants[role]
-        return path, x
+        x = self.roles[path[-1]]
+        _, nbrs = self.children[x]
+        return self._at(path[:-1], self.ends[x][nbrs[ROLES.index(role)]])
 
     def land(self, path, role):
         """Graph id where the copy's pendant edge at `role` lands (the l
         pendant on ``F:<path>c:p1``)."""
-        return self.vertex(*self.descend(path, self.pendants[role], self.roles[role]))
+        return self._at(path, self.ends[self.roles[role]][self.pendants[role]])
 
     def edge(self, path, a, b):
         """The limit graph's edge that the copy's local edge a-b stands for."""
-        return canon_edge(
-            self.vertex(*self.descend(path, a, b)), self.vertex(*self.descend(path, b, a))
-        )
+        return canon_edge(self._at(path, self.ends[b][a]), self._at(path, self.ends[a][b]))
 
     # -- the limit graph's neighbour oracle and exhaustion hint.  Exhaustion
     # is by copy depth: the level-r region holds every copy of depth <= r;
     # each deeper subtree is infinite by construction, and its cut edges
     # are its root copy's three pendant edges.  Nothing is kept but the
-    # neighbour table: each region and component list is built when asked.
-
-    @cached_property
-    def _targets(self):
-        """Kept local vertex -> the role of its contact, if it has a pendant
-        edge, and (path suffix, local vertex) for its other edges."""
-        table = {}
-        for x in self.kept:
-            role, below = None, []
-            for y in self.graph.adj[x]:
-                if y in self.contacts:
-                    role = ROLES[self.contacts.index(y)]
-                else:
-                    below.append(self.descend("", y, x))
-            table[x] = (role, tuple(below))
-        return table
+    # table of edge ends: each region and component list is built when asked.
 
     def neighbors(self, v):
         if v == "Z":
             return sorted(self.land("", m) for m in ROLES)
         m = _VERTEX_ID.fullmatch(v) if isinstance(v, str) else None
-        entry = m and self._targets.get(m[2])
-        if entry is None:
+        if m is None or m[2] not in self.kept:
             raise GraphError(f"unknown vertex {v!r}")
         path = m[1]
-        role, below = entry
-        out = [f"F:{path}{s}:{y}" for s, y in below]
-        if role is not None:
-            out.append(self.contact(path, role))
+        out = []
+        for suffix, x in self.ends[m[2]].values():  # `_at`, inlined on the hot path
+            out.append(self.contact(path, x) if suffix is None else f"F:{path}{suffix}:{x}")
         out.sort()
         return out
 
@@ -249,7 +241,7 @@ class FragmentTree:
     def cut_edges_of(self, path):
         """The three attachment edges of a marked copy: its pendant edges."""
         f = self.fragment
-        return [canon_edge(f.contact(path, m), f.vertex(path, f.pendants[m])) for m in ROLES]
+        return [canon_edge(f.contact(path, m), f"F:{path}:{f.pendants[m]}") for m in ROLES]
 
 
 @lru_cache(maxsize=None)

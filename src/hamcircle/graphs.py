@@ -186,15 +186,6 @@ class MultiGraph:
         return len(seen) == len(support)
 
 
-@dataclass(frozen=True)
-class VSplitResult:
-    """Outcome of splitting a vertex into two replacement vertices."""
-
-    multigraph: MultiGraph
-    v1: object
-    v2: object
-
-
 # ---------------------------------------------------------------------------
 # basic operations
 
@@ -279,8 +270,8 @@ def _fresh_pair(m: MultiGraph, v):
         i += 1
 
 
-def v_split(m: MultiGraph, v, e1_ids, e2_ids) -> VSplitResult:
-    """Replace v by two replacement vertices, partitioning its edges."""
+def v_split(m: MultiGraph, v, e1_ids, e2_ids) -> MultiGraph:
+    """m with v replaced by two new vertices, partitioning its edges."""
     inc_ids = {eid for eid, _ in m.incidence[v]}
     e1_ids, e2_ids = frozenset(e1_ids), frozenset(e2_ids)
     if e1_ids | e2_ids != inc_ids or e1_ids & e2_ids or not e1_ids or not e2_ids:
@@ -296,7 +287,7 @@ def v_split(m: MultiGraph, v, e1_ids, e2_ids) -> VSplitResult:
             w = v1 if eid in e1_ids else v2
             e = (eid, *canon_edge(b if a == v else a, w))
         es.append(e)
-    return VSplitResult(MultiGraph(vs, tuple(es)), v1, v2)
+    return MultiGraph(vs, tuple(es))
 
 
 def _eulerian_pairings(m: MultiGraph, v):

@@ -288,15 +288,15 @@ def test_split_to_cycle_takes_the_first_eulerian_split_at_each_step():
         fours = sorted((v for v in m.vertices if m.degree(v) == 4), key=vkey)
         assert len(hist) == len(fours)
         cur = m
-        for v, res in zip(fours, hist):
-            assert res == eulerian_v_splits(cur, v)[0]
+        for v, split in zip(fours, hist):
+            assert split == eulerian_v_splits(cur, v)[0]
             # the same split from the first pairing whose rebuilt split is
             # Eulerian, in (ab|cd), (ac|bd), (ad|bc) order
             a, b, c, d = sorted(eid for eid, _ in cur.incidence[v])
             pairings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
             splits = (v_split(cur, v, *p) for p in pairings)
-            assert res == next(r for r in splits if is_eulerian(r.multigraph))
-            cur = res.multigraph
+            assert split == next(s for s in splits if is_eulerian(s))
+            cur = split
         assert cyc == cur
 
 

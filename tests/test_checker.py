@@ -25,6 +25,7 @@ from hamcircle.checker import (
 )
 from hamcircle.fragment import (
     ROLES,
+    Fragment,
     build_gn,
     copy_paths,
     load_tutte_fragment,
@@ -385,6 +386,21 @@ def test_dp_series_rejects_levels_outside_the_builds():
                             (13, BudgetError, "over the vertex budget")):
         with pytest.raises(error, match=msg):
             dp_series(bad)
+
+
+def test_dp_series_builds_each_region_once(monkeypatch):
+    # the deepest first, as the budget check, then the others in order;
+    # the stability windows reuse them
+    calls = []
+    region = Fragment.region
+
+    def spy(self, r):
+        calls.append(r)
+        return region(self, r)
+
+    monkeypatch.setattr(Fragment, "region", spy)
+    dp_series(6)
+    assert calls == [6, 0, 1, 2, 3, 4, 5]
 
 
 def test_negative_depth_is_an_error():

@@ -131,6 +131,69 @@ def test_limit_end_degree_bounds():
     assert end_degree_bound(lg, c, "edge", depth=6) == (3, 3)
 
 
+def reference_descend(f, path, x, via):
+    """Where the copy's local edge via-x ends at x in the limit graph, as
+    (copy path, local vertex), walked on every call: a c or v hands the
+    edge on to its child's pendant."""
+    while x in f.children:
+        tag, nbrs = f.children[x]
+        role = ROLES[nbrs.index(via)]
+        path, via, x = path + tag, f.roles[role], f.pendants[role]
+    return path, x
+
+
+def reference_vertex(f, path, x):
+    """Graph id of local vertex x of the copy at `path`; a contact is the
+    vertex it stands for: Z at the root, else the parent's neighbour of the
+    replaced c or v."""
+    if x not in f.contacts:
+        return f"F:{path}:{x}"
+    if not path:
+        return "Z"
+    _, nbrs = f.children[f.roles[path[-1]]]
+    return reference_vertex(f, path[:-1], nbrs[f.contacts.index(x)])
+
+
+def reference_end(f, path, x, via):
+    """The graph id where the copy's local edge via-x ends at x."""
+    return reference_vertex(f, *reference_descend(f, path, x, via))
+
+
+def test_edge_end_table_matches_the_walk():
+    # both ends of all 24 local edges: a contact end names its role, any
+    # other end is the walk from the root copy
+    f = load_tutte_fragment()
+    entries = [(a, b) for a in f.ends for b in f.ends[a]]
+    assert len(f.graph.edges) == 24 and len(entries) == 48
+    assert {frozenset(e) for e in entries} == {frozenset(e) for e in f.graph.edges}
+    for a, b in entries:
+        if b in f.contacts:
+            assert f.ends[a][b] == (None, ROLES[f.contacts.index(b)])
+        else:
+            assert f.ends[a][b] == reference_descend(f, "", b, a)
+
+
+def test_wiring_matches_the_walk():
+    # the oracle on every vertex of region(6), and the edges, landings and
+    # contacts of every copy of depth <= 4
+    f = load_tutte_fragment()
+    lg = section5_graph()
+    for v in lg.hint.region(6):
+        if v == "Z":
+            want = [reference_end(f, "", f.pendants[m], f.roles[m]) for m in ROLES]
+        else:
+            _, path, x = v.split(":")
+            want = [reference_end(f, path, y, x) for y in f.graph.adj[x]]
+        assert lg.neighbors(v) == sorted(want), v
+    for path in copy_paths(f, 4):
+        for a, b in f.graph.edges:
+            want = canon_edge(reference_end(f, path, a, b), reference_end(f, path, b, a))
+            assert f.edge(path, a, b) == want
+        for m in ROLES:
+            assert f.land(path, m) == reference_end(f, path, f.pendants[m], f.roles[m])
+            assert f.contact(path, m) == reference_vertex(f, path, f.roles[m])
+
+
 def reference_attach(f, path, contacts, vertices, edges):
     """Add the interior of a fresh copy at `path`, its pendant edges wired
     to `contacts` (role -> id)."""

@@ -154,10 +154,10 @@ def test_eulerian_recognition():
 
 def test_v_split_replaces_vertex():
     m = _bowtie_multigraph()
-    res = v_split(m, "c", (1, 2), (3, 5))
-    assert "c" not in res.multigraph.vertices
-    assert {res.v1, res.v2} <= res.multigraph.vertices
-    degs = sorted(len(res.multigraph.incidence[v]) for v in res.multigraph.vertices)
+    split = v_split(m, "c", (1, 2), (3, 5))
+    assert m.vertices - split.vertices == {"c"}
+    assert len(split.vertices - m.vertices) == 2  # the two new vertices
+    degs = sorted(len(split.incidence[v]) for v in split.vertices)
     assert degs == [2, 2, 2, 2, 2, 2]
 
 
@@ -193,8 +193,7 @@ def _rebuilt_eulerian_pairings(m, v):
     a, b, c, d = sorted(eid for eid, _ in m.incidence[v])
     out = []
     for e1, e2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-        res = v_split(m, v, e1, e2)
-        split = res.multigraph
+        split = v_split(m, v, e1, e2)
         assert MultiGraph.build(split.vertices, split.edges) == split
         if is_eulerian(split):
             out.append((e1, e2))
