@@ -211,10 +211,11 @@ def limit_certificate(tt: TransferTable = None):
 # generic quotient engine
 
 
-def quotient_hamilton(lg: LazyGraph, r: int):
+def quotient_hamilton(lg: LazyGraph, r: int, region=None):
     """All Hamilton cycles of the level-r quotient (edge-id sets), with the
-    quotient multigraph itself."""
-    m = quotient_multigraph(lg, r)
+    quotient multigraph itself.  `region` is the level-r region when the
+    caller has built it already."""
+    m = quotient_multigraph(lg, r, region)
     cycles = enumerate_hamilton_cycles(m)
     return m, cycles
 
@@ -223,11 +224,11 @@ def quotient_series(lg: LazyGraph, max_level: int):
     """Verdicts for levels 1..max_level from the quotient enumerator: each
     level's cycle count and the edge ids common to all its cycles.  The
     deepest region is built first, so a level over the vertex budget is
-    refused before any search."""
-    region_of(lg, max_level)
+    refused before any search, and its window reuses it."""
+    deepest = region_of(lg, max_level)
     out = []
     for r in range(1, max_level + 1):
-        _, cycles = quotient_hamilton(lg, r)
+        _, cycles = quotient_hamilton(lg, r, deepest if r == max_level else None)
         forced = frozenset.intersection(*cycles) if cycles else frozenset()
         out.append(QuotientVerdict(r, len(cycles), forced, None))
     return out
@@ -240,13 +241,15 @@ def verify_candidate_circle(lg: LazyGraph, member, levels) -> bool:
     at every surrogate, and the member edges connected.  This relies on
     the hint listing every edge that leaves the region as a cut edge, as
     the quotient does.  No levels is an error; the deepest region is built
-    first, so a level over the vertex budget is refused before any check."""
+    first, so a level over the vertex budget is refused before any check,
+    and its window reuses it."""
     levels = list(levels)
     if not levels:
         raise GraphError("no levels to check")
-    region_of(lg, max(levels))
+    top = max(levels)
+    deepest = region_of(lg, top)
     for r in levels:
-        region, vertices, records = quotient_window(lg, r)
+        region, vertices, records = quotient_window(lg, r, deepest if r == top else None)
         m = MultiGraph.build(
             vertices, [(i, a, b) for i, (a, b, e) in enumerate(records) if member(e)]
         )

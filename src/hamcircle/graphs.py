@@ -397,8 +397,14 @@ def max_flow(n: int, arcs, s: int, t: int, stop: int):
 # vertex with only two live edges has both forced, and an edge closing a
 # premature cycle is excluded.  Propagation is incremental (a worklist of
 # the endpoints of edges whose state changed) and every change is recorded
-# on a trail, so backtracking undoes exactly what a branch did.  Hamilton
-# paths are the Hamilton cycles of the graph plus an apex joined to every
+# on a trail, so backtracking undoes exactly what a branch did.  A Hamilton
+# cycle crosses every edge cut at least twice, so once the search has
+# backtracked a node also fails when its live graph (the vertices not yet
+# saturated, the undecided edges, and one virtual edge per chosen segment)
+# is disconnected or has a bridge.  That prunes only subtrees without a
+# cycle, so the cycles and the order they are found in stay the same; a
+# search that never backtracks never pays for the check.  Hamilton paths
+# are the Hamilton cycles of the graph plus an apex joined to every
 # vertex, with the apex removed.
 
 
@@ -440,6 +446,7 @@ class _CycleSearch:
         self.limit = limit
         self.solutions = []
         self.nodes = 0  # calls of _search, for measurements and tests
+        self.armed = False  # whether the cut check runs: set by the first backtrack
 
     def run(self, forced_in=(), forced_out=()):
         ok = all(self._set_in(e) for e in forced_in) and all(
@@ -521,6 +528,74 @@ class _CycleSearch:
                         return False
         return True
 
+    def _bridged(self):
+        """Whether the live graph is disconnected or has a bridge, once
+        armed and while at least two components of the chosen edges are
+        left.
+
+        The live graph joins the vertices with fewer than two chosen edges
+        by the undecided edges and by one virtual edge per chosen segment,
+        between its two ends.  The rest of a Hamilton cycle is a spanning
+        cycle of it that uses every virtual edge, so the graph is
+        2-edge-connected.  One iterative low-link pass (Tarjan) checks
+        that.  A segment's ends are discovered together, the second as the
+        first's child over the virtual edge, so that edge is a tree edge
+        and never a back edge."""
+        n, in_count = self.n, self.in_count
+        if not self.armed or in_count >= n - 1:
+            return False
+        chosen, pend, state, nbr = self.chosen, self.pend, self.state, self.nbr
+        disc = [0] * n  # discovery order from 1; 0 while unvisited
+        low = [0] * n
+        # a segment's end when one is chosen, else every vertex is live
+        root = chosen.index(1) if in_count else 0
+        seen = 0
+        stack = []  # (vertex, edge it was reached by, its incident edges left)
+        v, via = root, -1
+        while True:
+            # discover v, then its segment's other end, if any, over the
+            # virtual edge (-1: no undecided edge shares that id)
+            while True:
+                seen += 1
+                disc[v] = low[v] = seen
+                stack.append((v, via, iter(nbr[v])))
+                w = pend[v]
+                if w == v or disc[w]:
+                    break
+                v, via = w, -1
+            while stack:
+                v, via, edges = stack[-1]
+                lo = low[v]
+                for e, w in edges:
+                    if state[e] or e == via:  # decided, or the tree edge back
+                        continue
+                    d = disc[w]
+                    if not d:
+                        break
+                    if d < lo:
+                        lo = d
+                else:
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        if lo > disc[u]:
+                            return True  # the edge that reached v is a bridge
+                        if lo < low[u]:
+                            low[u] = lo
+                    continue
+                low[v] = lo
+                v, via = w, e
+                break
+            else:
+                return seen != n - chosen.count(2)
+
+    def _arm(self):
+        """Switch the cut check on, with each vertex's incident edges as
+        (edge, other end) pairs for its pass."""
+        ends = self.ends
+        self.nbr = [[(e, sum(ends[e]) - v) for e in es] for v, es in enumerate(self.inc)]
+        self.armed = True
+
     def _undo(self, mark):
         trail, state, ends = self.trail, self.state, self.ends
         chosen, live, pend = self.chosen, self.live, self.pend
@@ -578,17 +653,21 @@ class _CycleSearch:
                     pick = self._pick()
                     if pick is not None:
                         frames.append([pick, len(self.trail), False])
-                        enter = self._set_in(pick) and self._propagate()
+                        enter = (self._set_in(pick) and self._propagate()
+                                 and not self._bridged())
                         continue
             if not frames:
                 return
             frame = frames[-1]
             self._undo(frame[1])
+            if not self.armed:
+                self._arm()
             if frame[2]:
                 frames.pop()
             else:
                 frame[2] = True
-                enter = self._set_out(frame[0]) and self._propagate()
+                enter = (self._set_out(frame[0]) and self._propagate()
+                         and not self._bridged())
 
 
 def enumerate_hamilton_cycles(g, forced_in=(), forced_out=(), limit=None):

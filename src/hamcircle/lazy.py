@@ -127,14 +127,16 @@ def deep_components(lg: LazyGraph, r: int):
     return out
 
 
-def quotient_window(lg: LazyGraph, r: int):
+def quotient_window(lg: LazyGraph, r: int, region=None):
     """The level-r window as (region, its vertices, edge records): the
     vertices are the region's plus one surrogate ``end:<id>`` per deep
     component, and each quotient edge is one record (a, b, edge of lg).
     Region edges come first, in `vkey` order; then each component's cut
-    edges, with the surrogate in place of the finger.  A graph without a
-    hint is refused before its oracle is called."""
-    region = region_of(lg, r)
+    edges, with the surrogate in place of the finger.  `region` is the
+    level-r region when the caller has built it already.  A graph without
+    a hint is refused before its oracle is called."""
+    if region is None:
+        region = region_of(lg, r)
     comps = deep_components(lg, r)
     records = []
     for v in sorted(region, key=vkey):
@@ -149,10 +151,11 @@ def quotient_window(lg: LazyGraph, r: int):
     return region, vertices, records
 
 
-def quotient_multigraph(lg: LazyGraph, r: int) -> MultiGraph:
+def quotient_multigraph(lg: LazyGraph, r: int, region=None) -> MultiGraph:
     """Region plus one surrogate vertex per deep component; parallel cut
-    edges preserved, edge ids in record order."""
-    _, vertices, records = quotient_window(lg, r)
+    edges preserved, edge ids in record order.  `region` is as for
+    `quotient_window`."""
+    _, vertices, records = quotient_window(lg, r, region)
     return MultiGraph.build(vertices, [(i, a, b) for i, (a, b, _) in enumerate(records)])
 
 

@@ -18,6 +18,7 @@ from hamcircle.checker import (
     limit_circle_edges,
     quotient_hamilton,
     quotient_multigraph,
+    quotient_series,
     section5_circle_member,
     stabilized_viable,
     transfer_table,
@@ -401,6 +402,25 @@ def test_dp_series_builds_each_region_once(monkeypatch):
     monkeypatch.setattr(Fragment, "region", spy)
     dp_series(6)
     assert calls == [6, 0, 1, 2, 3, 4, 5]
+
+
+def test_quotient_engines_build_each_region_once(monkeypatch):
+    # the deepest first, as the budget check, then the others in order;
+    # the deepest level's window reuses it
+    calls = []
+    region = Fragment.region
+
+    def spy(self, r):
+        calls.append(r)
+        return region(self, r)
+
+    monkeypatch.setattr(Fragment, "region", spy)
+    lg = section5_graph()
+    assert verify_candidate_circle(lg, section5_circle_member(3), range(0, 4))
+    assert calls == [3, 0, 1, 2]
+    calls.clear()
+    assert [v.count for v in quotient_series(lg, 2)] == [4, 16]
+    assert calls == [2, 1]
 
 
 def test_negative_depth_is_an_error():

@@ -430,9 +430,9 @@ def spy_windows(monkeypatch):
     windows = []
     real = lazy.quotient_window
 
-    def spy(lg, r):
+    def spy(lg, r, *region):
         windows.append(r)
-        return real(lg, r)
+        return real(lg, r, *region)
 
     for module in (checker, lazy):
         monkeypatch.setattr(module, "quotient_window", spy)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import defaultdict
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -18,11 +19,13 @@ from conftest import (
     simple_graphs,
     two_connected_by_definition,
 )
+from hamcircle import graphs
 from hamcircle.corpus import connected_graphs_upto, random_eulerian_multigraph
 from hamcircle.graphs import (
     FiniteGraph,
     GraphError,
     MultiGraph,
+    _CycleSearch,
     _eulerian_pairings,
     blocks,
     canon_edge,
@@ -344,18 +347,96 @@ def test_apex_paths_match_brute_force(drawn):
     assert enumerate_hamilton_paths(g) == sorted(expect, key=lambda p: [vkey(v) for v in p])
 
 
-def test_search_node_count_on_level_2():
-    # the incremental propagation prunes exactly like a full re-sweep: the
-    # same 2807 search nodes on G2 as the sweeping kernel it replaced
-    from hamcircle.fragment import build_gn
-    from hamcircle.graphs import _CycleSearch
+class _Unpruned(_CycleSearch):
+    """The kernel with the cut check switched off."""
 
-    g = build_gn(2)[0]
+    def _bridged(self):
+        return False
+
+
+def search_with(kernel, g, fin, fout, limit):
+    """enumerate_hamilton_cycles run on `kernel`, with the search nodes it
+    took."""
+    made = []
+
+    class Spy(kernel):
+        def run(self, *args):
+            made.append(self)
+            return super().run(*args)
+
+    with mock.patch.object(graphs, "_CycleSearch", Spy):
+        got = enumerate_hamilton_cycles(g, forced_in=fin, forced_out=fout, limit=limit)
+    (search,) = made
+    return got, search.nodes
+
+
+@DIFF
+@given(st.data())
+def test_cut_check_changes_no_result(data):
+    # it only fails nodes whose subtree holds no cycle, so the same cycles
+    # are found in the same order, and the first `limit` of them are too
+    simple = data.draw(st.booleans())
+    names, edges = data.draw(edge_lists(simple=simple))
+    if simple:
+        g = FiniteGraph.build(names, [(a, b) for _, a, b in edges])
+        ids = g.sorted_edges()
+    else:
+        g = MultiGraph.build(names, edges)
+        ids = [e[0] for e in edges]
+    fin, fout, limit = forced_and_limit(data.draw, ids)
+    got, nodes = search_with(_CycleSearch, g, fin, fout, limit)
+    want, unpruned = search_with(_Unpruned, g, fin, fout, limit)
+    assert got == want
+    assert nodes <= unpruned
+
+
+def test_two_triangles_without_one_of_their_two_links_have_no_cycle():
+    tt = graph([("a1", "a2"), ("a2", "a3"), ("a3", "a1"), ("b1", "b2"), ("b2", "b3"),
+                ("b3", "b1"), ("a1", "b1"), ("a2", "b2")])
+    assert len(enumerate_hamilton_cycles(tt)) == 1
+    assert enumerate_hamilton_cycles(tt, forced_out=[("a2", "b2")]) == []
+
+
+def test_cut_check_fails_what_propagation_leaves():
+    # two K4s on 0..3 and 4..7 joined by edges 12 and 13: with 13 out, no
+    # vertex is forced but 12 is a bridge; with both out, no bridge is left
+    # but the live graph is split
+    ends = [(a, b) for k in (0, 4) for a, b in itertools.combinations(range(k, k + 4), 2)]
+    ends += [(0, 4), (1, 5)]
+    for out, fails in (((), False), ((13,), True), ((12, 13), True)):
+        search = _CycleSearch(8, ends)
+        search._arm()
+        assert all(search._set_out(e) for e in out) and search._propagate()
+        assert search._bridged() == fails
+
+
+def level_search(level, limit=None):
+    """The kernel on the level graph G_level, run; returns it and its
+    cycles."""
+    from hamcircle.fragment import build_gn
+
+    g = build_gn(level)[0]
     vs = g.sorted_vertices()
     index = {v: i for i, v in enumerate(vs)}
-    search = _CycleSearch(len(vs), [(index[a], index[b]) for a, b in g.sorted_edges()])
-    assert len(search.run()) == 16
-    assert search.nodes == 2807
+    search = _CycleSearch(len(vs), [(index[a], index[b]) for a, b in g.sorted_edges()], limit)
+    return search, search.run()
+
+
+def test_search_node_count_on_level_2():
+    # degree forcing alone takes 2807 nodes for all 16 cycles of G2; the
+    # cut check, armed by the first backtrack, fails every node whose live
+    # graph has a bridge and leaves 478
+    search, cycles = level_search(2)
+    assert len(cycles) == 16
+    assert search.nodes == 478
+
+
+@pytest.mark.parametrize("level, nodes", [(2, 333), (3, 5083)])
+def test_search_node_count_to_a_first_cycle(level, nodes):
+    # 1937 and 51029 nodes with degree forcing alone
+    search, cycles = level_search(level, limit=1)
+    assert len(cycles) == 1
+    assert search.nodes == nodes
 
 
 def test_deep_search_is_not_bounded_by_recursion():
