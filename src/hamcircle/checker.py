@@ -38,7 +38,7 @@ from .graphs import (
     canon_edge,
     enumerate_hamilton_cycles,
 )
-from .lazy import LazyGraph, quotient_multigraph, quotient_window, region_of
+from .lazy import LazyGraph, quotient_multigraph, quotient_window
 
 
 @dataclass(frozen=True)
@@ -211,27 +211,28 @@ def limit_certificate(tt: TransferTable = None):
 # generic quotient engine
 
 
-def quotient_hamilton(lg: LazyGraph, r: int, region=None):
+def quotient_hamilton(lg: LazyGraph, r: int):
     """All Hamilton cycles of the level-r quotient (edge-id sets), with the
-    quotient multigraph itself.  `region` is the level-r region when the
-    caller has built it already."""
-    m = quotient_multigraph(lg, r, region)
+    quotient multigraph itself."""
+    m = quotient_multigraph(lg, r)
     cycles = enumerate_hamilton_cycles(m)
     return m, cycles
 
 
 def quotient_series(lg: LazyGraph, max_level: int):
-    """Verdicts for levels 1..max_level from the quotient enumerator: each
-    level's cycle count and the edge ids common to all its cycles.  The
-    deepest region is built first, so a level over the vertex budget is
-    refused before any search, and its window reuses it."""
-    deepest = region_of(lg, max_level)
+    """Verdicts for levels 1..max_level from the quotient enumerator, in
+    level order: each level's cycle count and the edge ids common to all
+    its cycles.  No levels is an error.  The levels are checked deepest
+    first, so a level over the vertex budget is refused before any
+    search."""
+    if max_level < 1:
+        raise GraphError("no levels to check")
     out = []
-    for r in range(1, max_level + 1):
-        _, cycles = quotient_hamilton(lg, r, deepest if r == max_level else None)
+    for r in range(max_level, 0, -1):
+        _, cycles = quotient_hamilton(lg, r)
         forced = frozenset.intersection(*cycles) if cycles else frozenset()
         out.append(QuotientVerdict(r, len(cycles), forced, None))
-    return out
+    return out[::-1]
 
 
 def verify_candidate_circle(lg: LazyGraph, member, levels) -> bool:
@@ -240,16 +241,14 @@ def verify_candidate_circle(lg: LazyGraph, member, levels) -> bool:
     degree two at every region vertex, an even crossing count (at least 2)
     at every surrogate, and the member edges connected.  This relies on
     the hint listing every edge that leaves the region as a cut edge, as
-    the quotient does.  No levels is an error; the deepest region is built
-    first, so a level over the vertex budget is refused before any check,
-    and its window reuses it."""
-    levels = list(levels)
+    the quotient does.  No levels is an error; the levels are checked
+    deepest first, so a level over the vertex budget is refused before any
+    check."""
+    levels = sorted(levels, reverse=True)
     if not levels:
         raise GraphError("no levels to check")
-    top = max(levels)
-    deepest = region_of(lg, top)
     for r in levels:
-        region, vertices, records = quotient_window(lg, r, deepest if r == top else None)
+        region, vertices, records = quotient_window(lg, r)
         m = MultiGraph.build(
             vertices, [(i, a, b) for i, (a, b, e) in enumerate(records) if member(e)]
         )

@@ -80,8 +80,6 @@ def _fragment_uniqueness(graph, levels):
 
 def _quotient_uniqueness(graph, levels):
     """Level-bounded: one Hamilton cycle in each quotient from level 1 on."""
-    if levels < 1:
-        raise SystemExit_(USAGE, "no levels to check")
     series = checker.quotient_series(graph(), levels)
     ok = all(v.count == 1 for v in series)
     return series, "unique at tested levels (level-bounded)" if ok else "not unique", ok

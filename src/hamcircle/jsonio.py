@@ -88,4 +88,8 @@ def graph_to_obj(g):
 
 def load_graph(path):
     with open(path) as fh:
-        return graph_from_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise GraphError("graph document is nested too deeply") from None
+    return graph_from_obj(obj)

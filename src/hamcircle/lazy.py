@@ -111,12 +111,6 @@ def _hint(lg: LazyGraph):
     return lg.hint
 
 
-def region_of(lg: LazyGraph, r: int) -> frozenset:
-    """The level-r region that the graph's exhaustion hint names; a graph
-    without a hint is an error."""
-    return frozenset(_hint(lg).region(r))
-
-
 def deep_components(lg: LazyGraph, r: int):
     """The infinite components of the graph minus the level-r region, as
     certified by the generator's exhaustion hint, which names each one's
@@ -127,16 +121,16 @@ def deep_components(lg: LazyGraph, r: int):
     return out
 
 
-def quotient_window(lg: LazyGraph, r: int, region=None):
+def quotient_window(lg: LazyGraph, r: int):
     """The level-r window as (region, its vertices, edge records): the
-    vertices are the region's plus one surrogate ``end:<id>`` per deep
-    component, and each quotient edge is one record (a, b, edge of lg).
-    Region edges come first, in `vkey` order; then each component's cut
-    edges, with the surrogate in place of the finger.  `region` is the
-    level-r region when the caller has built it already.  A graph without
-    a hint is refused before its oracle is called."""
-    if region is None:
-        region = region_of(lg, r)
+    region is the one the graph's exhaustion hint names, the vertices are
+    the region's plus one surrogate ``end:<id>`` per deep component, and
+    each quotient edge is one record (a, b, edge of lg).  Region edges
+    come first, in `vkey` order; then each component's cut edges, with the
+    surrogate in place of the finger.  A graph without a hint is refused
+    before its oracle is called, and a region over the vertex budget
+    before it is built."""
+    region = frozenset(_hint(lg).region(r))
     comps = deep_components(lg, r)
     records = []
     for v in sorted(region, key=vkey):
@@ -151,11 +145,10 @@ def quotient_window(lg: LazyGraph, r: int, region=None):
     return region, vertices, records
 
 
-def quotient_multigraph(lg: LazyGraph, r: int, region=None) -> MultiGraph:
+def quotient_multigraph(lg: LazyGraph, r: int) -> MultiGraph:
     """Region plus one surrogate vertex per deep component; parallel cut
-    edges preserved, edge ids in record order.  `region` is as for
-    `quotient_window`."""
-    _, vertices, records = quotient_window(lg, r, region)
+    edges preserved, edge ids in record order."""
+    _, vertices, records = quotient_window(lg, r)
     return MultiGraph.build(vertices, [(i, a, b) for i, (a, b, _) in enumerate(records)])
 
 

@@ -405,8 +405,8 @@ def test_dp_series_builds_each_region_once(monkeypatch):
 
 
 def test_quotient_engines_build_each_region_once(monkeypatch):
-    # the deepest first, as the budget check, then the others in order;
-    # the deepest level's window reuses it
+    # the deepest first, so a level over the budget is refused before any
+    # check, then each shallower one
     calls = []
     region = Fragment.region
 
@@ -417,10 +417,32 @@ def test_quotient_engines_build_each_region_once(monkeypatch):
     monkeypatch.setattr(Fragment, "region", spy)
     lg = section5_graph()
     assert verify_candidate_circle(lg, section5_circle_member(3), range(0, 4))
-    assert calls == [3, 0, 1, 2]
+    assert calls == [3, 2, 1, 0]
     calls.clear()
     assert [v.count for v in quotient_series(lg, 2)] == [4, 16]
     assert calls == [2, 1]
+
+
+def test_quotient_series_matches_its_levels():
+    # the series runs deepest first but answers in level order, each level
+    # as a call of its own would
+    for lg, top in ((double_ladder(), 6), (section5_graph(), 2)):
+        alone = []
+        for r in range(1, top + 1):
+            _, cycles = quotient_hamilton(lg, r)
+            alone.append((r, len(cycles), frozenset.intersection(*cycles)))
+        for level in range(1, top + 1):
+            series = quotient_series(lg, level)
+            assert [(v.level, v.count, v.forced) for v in series] == alone[:level]
+
+
+def test_quotient_series_needs_a_level():
+    for lg, bad in ((double_ladder(), 0), (double_ladder(), -1), (section5_graph(), 0)):
+        with pytest.raises(GraphError, match="no levels to check"):
+            quotient_series(lg, bad)
+    # a negative depth may also be refused as such
+    with pytest.raises(GraphError, match="no levels to check|level must be nonnegative"):
+        quotient_series(section5_graph(), -1)
 
 
 def test_negative_depth_is_an_error():

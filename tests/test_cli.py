@@ -251,6 +251,17 @@ def test_multigraph_input_is_usage_error(tmp_path, capsys, argv):
         assert err == "cannot read graph: multigraphs are not supported here\n"
 
 
+def test_deeply_nested_document_is_usage_error(tmp_path, capsys):
+    # too deep for the JSON parser's recursion: an input error, not a
+    # crash that would exit 1 as if a property were violated
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "outerplanar", str(p))
+    assert code == cli.USAGE == 2
+    assert out == ""
+    assert err.startswith("cannot read graph: ")
+
+
 def test_determinism(tmp_path, capsys):
     f = diamond_file(tmp_path)
     _, out1, _ = run(capsys, "outerplanar", f, "--cycle")
@@ -424,40 +435,45 @@ def test_section5_past_the_vertex_budget_is_a_budget_error(capsys, argv):
 
 
 def spy_windows(monkeypatch):
-    """Record the level of every quotient window built, through either
-    binding: the circle check reads checker's, the quotient search reaches
-    lazy's through quotient_multigraph."""
-    windows = []
+    """Record the level of every quotient window attempted, and of every
+    one built, through either binding: the circle check reads checker's,
+    the quotient search reaches lazy's through quotient_multigraph.  A
+    level counts as built only once the real window returns."""
+    attempts, built = [], []
     real = lazy.quotient_window
 
-    def spy(lg, r, *region):
-        windows.append(r)
-        return real(lg, r, *region)
+    def spy(lg, r):
+        attempts.append(r)
+        window = real(lg, r)
+        built.append(r)
+        return window
 
     for module in (checker, lazy):
         monkeypatch.setattr(module, "quotient_window", spy)
-    return windows
+    return attempts, built
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, attempted",
     [
-        ("ends", "--generator", "double-ladder", "--radius", "50000"),
-        ("unique-circle", "--generator", "double-ladder", "--levels", "50000"),
-        ("verify-circle", "--generator", "double-ladder", "--member", "rails",
-         "--levels", "50000"),
+        (("ends", "--generator", "double-ladder", "--radius", "50000"), []),
+        (("unique-circle", "--generator", "double-ladder", "--levels", "50000"), [50000]),
+        (("verify-circle", "--generator", "double-ladder", "--member", "rails",
+          "--levels", "50000"), [50000]),
     ],
     ids=["ends", "unique-circle", "verify-circle"],
 )
-def test_double_ladder_past_the_vertex_budget_is_a_budget_error(capsys, monkeypatch, argv):
+def test_double_ladder_past_the_vertex_budget_is_a_budget_error(capsys, monkeypatch, argv,
+                                                                 attempted):
     # columns -50,000..50,000 hold 200,002 vertices; the deepest level is
-    # refused before any level's window is built
-    windows = spy_windows(monkeypatch)
+    # tried first and refused before any level's window is built
+    attempts, built = spy_windows(monkeypatch)
     code, out, err = run(capsys, *argv)
     assert code == cli.BUDGET == 3
     assert out == ""
     assert "over the vertex budget" in err
-    assert windows == []
+    assert attempts == attempted
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -470,11 +486,12 @@ def test_double_ladder_past_the_vertex_budget_is_a_budget_error(capsys, monkeypa
     ids=["unique-circle", "verify-circle"],
 )
 def test_window_spy_sees_every_level_inside_the_budget(capsys, monkeypatch, argv):
-    # the control for the test above: the same spy records each level built
-    windows = spy_windows(monkeypatch)
+    # the control for the test above: the same spy records each level
+    # built, the deepest first
+    _, built = spy_windows(monkeypatch)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert windows == [1, 2, 3]
+    assert built == [3, 2, 1]
 
 
 def test_double_ladder_just_inside_the_vertex_budget_answers(capsys):
