@@ -54,10 +54,9 @@ class TransferTable:
     patterns: dict  # missing contact -> tuple of PathPattern
 
 
-def _annotate(f: Fragment, path):
-    es = frozenset(canon_edge(a, b) for a, b in zip(path, path[1:]))
+def _annotate(f: Fragment, es):
     # the child replacing c (then v) misses the contact wired to the
-    # neighbour whose edge the path leaves unused
+    # neighbour whose edge the pattern leaves unused
     child_missing = []
     for center, (_, nbrs) in f.children.items():
         unused = [n for n in nbrs if canon_edge(center, n) not in es]
@@ -68,19 +67,9 @@ def _annotate(f: Fragment, path):
 
 
 def transfer_table() -> TransferTable:
+    """The gadget's patterns with their children's missing contacts."""
     f = load_tutte_fragment()
-    pats = {}
-    for missing in ROLES:
-        entries = []
-        for p in f.hamilton_paths[missing]:
-            others = {f.roles[m] for m in ROLES if m != missing}
-            if {p[0], p[-1]} != others:
-                raise InvariantError("Hamilton path does not end at the contacts")
-            entries.append(_annotate(f, p))
-        pats[missing] = tuple(entries)
-    if len(pats["u"]) != 0 or len(pats["r"]) != 2:
-        raise InvariantError("transfer table counts contradict the fragment lemma")
-    return TransferTable(f, pats)
+    return TransferTable(f, {m: tuple(_annotate(f, es) for es in f.patterns[m]) for m in ROLES})
 
 
 def _ways(below, p: PathPattern) -> int:

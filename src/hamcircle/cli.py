@@ -181,14 +181,8 @@ def cmd_tutte_verify(args):
     # loading validates the counts and the pendant edges; a fragment that
     # fails is an input error
     f = load_tutte_fragment()
-    report = {
-        "budgets": _budgets(),
-        "t_minus_u": len(f.hamilton_paths["u"]),
-        "t_minus_r": len(f.hamilton_paths["r"]),
-        "t_minus_l": len(f.hamilton_paths["l"]),
-        "pendant_edges_used": True,
-    }
-    _emit(args, report)
+    counts = {f"t_minus_{m}": len(p) for m, p in f.patterns.items()}
+    _emit(args, {"budgets": _budgets(), **counts, "pendant_edges_used": True})
     return OK
 
 
@@ -244,9 +238,16 @@ def cmd_verify_circle(args):
     return OK if ok else VIOLATED
 
 
+def _checked(suite, graphs):
+    """A suite's graphs; none is a usage error, since nothing is checked."""
+    if not graphs:
+        raise SystemExit_(USAGE, f"suite {suite} checks no graph")
+    return graphs
+
+
 def _suite_trees(args, rng):
     bad = 0
-    for t in corpus.trees_range(3, args.tree_max):
+    for t in _checked("trees", corpus.trees_range(3, args.tree_max)):
         is_cat = cat.is_caterpillar(t) is not None
         no_star = cat.find_s_k13(t) is None
         sq = len(enumerate_hamilton_cycles(kth_power(t, 2), limit=1)) > 0
@@ -259,7 +260,7 @@ def _suite_trees(args, rng):
 
 def _suite_outerplanar(args, rng):
     bad = 0
-    for g in corpus.connected_graphs_upto(args.graph_max):
+    for g in _checked("outerplanar", corpus.connected_graphs_upto(args.graph_max)):
         if minors.is_outerplanar(g) != (minors.circular_ordering_oracle(g) is not None):
             bad += 1
     return bad
@@ -267,7 +268,7 @@ def _suite_outerplanar(args, rng):
 
 def _suite_unique_cycle(args, rng):
     bad = 0
-    for g in corpus.two_connected_outerplanar(4, args.outer_max):
+    for g in _checked("unique-cycle", corpus.two_connected_outerplanar(4, args.outer_max)):
         cycles = enumerate_hamilton_cycles(g, limit=2)
         # the layout's boundary is the unique Hamilton cycle; building
         # it also checks that no two chords cross.  The paper's claim

@@ -3,11 +3,13 @@ construction of finite graphs converging to an infinite cubic graph with a
 unique Hamilton circle.
 
 The gadget ("fragment") has pendant contacts u, l, r and two special
-interior vertices c and v.  Its defining property, validated by brute
-force every time it is loaded: the graph minus u has no Hamilton path
-while the graph minus r has exactly two, both using the pendant edges at
-u and l.  A copy's c and v are replaced by child copies, attached through
-the (u,l,r) -> (l,s,t) and (u,l,r) -> (w,x,y) identification.
+interior vertices c and v.  Closing the contacts into one vertex Z gives a
+cubic graph H whose Hamilton cycles avoiding Z's edge to m's pendant are
+the gadget's Hamilton paths without contact m.  Checked on every load:
+none avoids u's edge; two avoid r's, both using the pendant edges at u
+and l.
+A copy's c and v are replaced by child copies, attached through the
+(u,l,r) -> (l,s,t) and (u,l,r) -> (w,x,y) identification.
 
 A copy is named by its path ("" for the root, then "c" or "v" per step),
 its vertex x by ``F:<path>:<x>``, the root's closed contacts by ``Z``.  One
@@ -32,7 +34,7 @@ from .graphs import (
     GraphError,
     InvariantError,
     canon_edge,
-    enumerate_hamilton_paths,
+    enumerate_hamilton_cycles,
 )
 from .jsonio import graph_from_obj
 from . import lazy
@@ -79,12 +81,17 @@ class Fragment:
         return out
 
     @cached_property
-    def hamilton_paths(self):
-        """Contact role -> the Hamilton paths of the gadget without it."""
-        return {
-            m: enumerate_hamilton_paths(self.graph.without_vertex(self.roles[m]))
-            for m in ROLES
-        }
+    def patterns(self):
+        """Contact role -> the gadget's Hamilton paths without it as edge
+        sets: H's Hamilton cycles avoiding Z's edge to the role's pendant,
+        Z's two used edges named back as their pendant edges."""
+        closed = {x: "Z" for x in self.contacts}
+        h = FiniteGraph.build(self.interior | {"Z"},
+                              ([closed.get(x, x) for x in e] for e in self.graph.edges))
+        back = {canon_edge("Z", self.pendants[m]): self.pendant_edge(m) for m in ROLES}
+        cycles = {m: enumerate_hamilton_cycles(h, forced_out=[("Z", self.pendants[m])])
+                  for m in ROLES}
+        return {m: [frozenset(back.get(e, e) for e in c) for c in cs] for m, cs in cycles.items()}
 
     @cached_property
     def kept(self):
@@ -177,8 +184,7 @@ class Fragment:
 
 def _validate_fragment(f: Fragment):
     g = f.graph
-    u, l, r = f.contacts
-    for contact in (u, l, r):
+    for contact in f.contacts:
         if g.degree(contact) != 1:
             raise GraphError(f"contact {contact!r} must have degree 1")
     for x in f.interior:
@@ -186,16 +192,20 @@ def _validate_fragment(f: Fragment):
             raise GraphError(f"interior vertex {x!r} must have degree 3")
     for x, (tag, nbrs) in f.children.items():
         if g.adj[x] != set(nbrs):
-            raise GraphError(f"{tag} must be adjacent to exactly {set(nbrs)}")
+            raise GraphError(f"{tag} must be adjacent to exactly {', '.join(nbrs)}")
+    # H is simple and cubic: Z is a new vertex with three distinct neighbours
+    if "Z" in g.vertices:
+        raise GraphError("no gadget vertex may be named 'Z'")
+    if len(set(f.pendants.values())) != len(ROLES):
+        raise GraphError("the contacts' pendants must be distinct")
     # the Hamilton path counts that characterize the gadget
-    minus_u, minus_r = f.hamilton_paths["u"], f.hamilton_paths["r"]
+    minus_u, minus_r = f.patterns["u"], f.patterns["r"]
     if len(minus_u) != 0:
         raise GraphError(f"expected 0 Hamilton paths without u, got {len(minus_u)}")
     if len(minus_r) != 2:
         raise GraphError(f"expected 2 Hamilton paths without r, got {len(minus_r)}")
     pu, pl = f.pendant_edge("u"), f.pendant_edge("l")
-    for path in minus_r:
-        es = {canon_edge(a, b) for a, b in zip(path, path[1:])}
+    for es in minus_r:
         if pu not in es or pl not in es:
             raise GraphError("a Hamilton path without r misses a pendant edge")
 

@@ -88,9 +88,6 @@ class FiniteGraph:
             frozenset(e for e in self.edges if e[0] in keep and e[1] in keep),
         )
 
-    def without_vertex(self, v) -> "FiniteGraph":
-        return self.subgraph(self.vertices - {v})
-
     def components(self):
         """Connected components as a sorted list of frozensets."""
         seen = set()

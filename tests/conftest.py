@@ -50,7 +50,7 @@ def two_connected_by_definition(g):
     connected after removing any one vertex."""
     if len(g.vertices) < 3 or not g.is_connected():
         return False
-    return all(g.without_vertex(v).is_connected() for v in g.vertices)
+    return all(g.subgraph(g.vertices - {v}).is_connected() for v in g.vertices)
 
 
 def contract_subgraph(g, h):

@@ -47,6 +47,18 @@ def test_transfer_table_shape():
             assert p.v_child_missing in ("u", "l", "r")
 
 
+def test_transfer_table_child_states():
+    # each pattern's (c child, v child) missing contacts, per missing contact
+    tt = transfer_table()
+    states = {m: sorted((p.c_child_missing, p.v_child_missing) for p in tt.patterns[m])
+              for m in ROLES}
+    assert states == {
+        "u": [],
+        "l": [("u", "l"), ("u", "l"), ("u", "r"), ("u", "u")],
+        "r": [("r", "r"), ("r", "u")],
+    }
+
+
 def test_viability_prunes_to_one_pattern():
     tt = transfer_table()
     fixed, depth = stabilized_viable(tt)

@@ -523,6 +523,11 @@ def test_double_ladder_just_inside_the_vertex_budget_answers(capsys):
         (("unique-circle", "--generator", "bogus"), "invalid choice: 'bogus'"),
         (("verify-circle", "--generator", "double-ladder", "--member", "bogus"),
          "invalid choice: 'bogus'"),
+        (("corpus", "--suite", "trees", "--tree-max", "2"), "suite trees checks no graph"),
+        (("corpus", "--suite", "outerplanar", "--graph-max", "0"),
+         "suite outerplanar checks no graph"),
+        (("corpus", "--suite", "unique-cycle", "--outer-max", "3"),
+         "suite unique-cycle checks no graph"),
     ],
 )
 def test_requests_that_check_nothing_are_usage_errors(capsys, argv, message):

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import pytest
@@ -6,7 +7,9 @@ from conftest import cut_edges, subtree_vertices
 
 from hamcircle.fragment import (
     ROLES,
+    Fragment,
     FragmentTree,
+    _validate_fragment,
     audit_tree,
     build_gn,
     copy_paths,
@@ -38,8 +41,8 @@ def test_fragment_loads_and_validates():
 def test_fragment_defining_counts():
     f = load_tutte_fragment()
     g = f.graph
-    assert enumerate_hamilton_paths(g.without_vertex(f.roles["u"])) == []
-    minus_r = enumerate_hamilton_paths(g.without_vertex(f.roles["r"]))
+    assert enumerate_hamilton_paths(g.subgraph(g.vertices - {f.roles["u"]})) == []
+    minus_r = enumerate_hamilton_paths(g.subgraph(g.vertices - {f.roles["r"]}))
     assert len(minus_r) == 2
     pu, pl = f.pendant_edge("u"), f.pendant_edge("l")
     for p in minus_r:
@@ -49,7 +52,74 @@ def test_fragment_defining_counts():
 
 def test_missing_l_count_is_computed():
     # this count is derived, never hard-wired into the logic
-    assert len(load_tutte_fragment().hamilton_paths["l"]) == 4
+    assert len(load_tutte_fragment().patterns["l"]) == 4
+
+
+def test_patterns_are_the_hamilton_paths_as_edge_sets():
+    # the cycles of the closed graph H are the gadget's paths without each
+    # contact, edge for edge
+    f = load_tutte_fragment()
+    g = f.graph
+    for m in ROLES:
+        paths = enumerate_hamilton_paths(g.subgraph(g.vertices - {f.roles[m]}))
+        assert set(f.patterns[m]) == {
+            frozenset(canon_edge(a, b) for a, b in zip(p, p[1:])) for p in paths
+        }, m
+        assert len(f.patterns[m]) == len(paths)
+
+
+def _gadget(drop=(), add=(), rename=None, **roles):
+    """The Tutte gadget with edges dropped and added, vertices renamed and
+    roles reassigned, not yet validated."""
+    f = load_tutte_fragment()
+    rename = rename or {}
+    edges = (f.graph.edges - {canon_edge(*e) for e in drop}) | set(add)
+    return Fragment(
+        FiniteGraph.build({rename.get(x, x) for e in edges for x in e},
+                          ([rename.get(x, x) for x in e] for e in edges)),
+        {**f.roles, **roles},
+    )
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [
+        ({"add": [("u", "p3")]}, "contact 'u' must have degree 1"),
+        # p4-p5 subdivided by q
+        ({"drop": [("p4", "p5")], "add": [("p4", "q"), ("q", "p5")]},
+         "interior vertex 'q' must have degree 3"),
+        ({"s": "p3"}, "c must be adjacent to exactly l, p3, t"),
+        ({"rename": {"p9": "Z"}}, "no gadget vertex may be named 'Z'"),
+        # r moved onto u's pendant p1, with p1-p9 swapped for p2-p9 so that
+        # every interior vertex keeps degree 3
+        ({"drop": [("r", "p2"), ("p1", "p9")], "add": [("r", "p1"), ("p2", "p9")]},
+         "the contacts' pendants must be distinct"),
+    ],
+)
+def test_malformed_gadgets_are_refused(doctor, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        _validate_fragment(_gadget(**doctor))
+
+
+@pytest.mark.parametrize(
+    "role, doctor, message",
+    [
+        ("u", lambda f: f.patterns["l"][:1], "expected 0 Hamilton paths without u, got 1"),
+        ("r", lambda f: f.patterns["r"][:1], "expected 2 Hamilton paths without r, got 1"),
+        ("r", lambda f: f.patterns["r"] + f.patterns["l"][:1],
+         "expected 2 Hamilton paths without r, got 3"),
+        ("r", lambda f: [f.patterns["r"][0], f.patterns["r"][1] - {f.pendant_edge("l")}],
+         "a Hamilton path without r misses a pendant edge"),
+    ],
+)
+def test_gadgets_with_wrong_patterns_are_refused(role, doctor, message):
+    f = load_tutte_fragment()
+    doctored = Fragment(f.graph, f.roles)
+    # `patterns` is a cached property: an entry in the instance's dict
+    # stands in for the cycle queries
+    doctored.__dict__["patterns"] = {**f.patterns, role: doctor(f)}
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        _validate_fragment(doctored)
 
 
 def test_level_sizes_and_audits():
