@@ -9,6 +9,7 @@ stderr; data goes to stdout or --out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -343,7 +344,9 @@ def cmd_corpus(args):
     return OK if total == 0 else VIOLATED
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="hamcircle",
         description="Hamilton cycles in powers, outerplanar certification, "

@@ -27,12 +27,30 @@ def two_contractible_edges(g: FiniteGraph) -> frozenset:
     g - {a, b} is connected: a cut vertex of g/ab other than the merged
     vertex would be one of g, and the merged vertex separates g/ab iff
     {a, b} separates g.  A triangle contracts to K2, so it has none.
+
+    Each edge ab is tested by one search from a neighbour of a other than
+    b, with a and b marked as seen: it is kept iff the search reaches every
+    vertex.  The test never reads the circle order, so it checks the
+    paper's characterisation independently.
     """
     if not is_two_connected(g):
         raise GraphError("graph is not 2-connected")
     if len(g.vertices) < 4:
         return frozenset()
-    return frozenset(e for e in g.edges if g.subgraph(g.vertices - set(e)).is_connected())
+    adj, n = g.adj, len(g.vertices)
+    kept = []
+    for a, b in g.edges:
+        s = next(x for x in adj[a] if x != b)
+        seen = {a, b, s}
+        stack = [s]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) == n:
+            kept.append((a, b))
+    return frozenset(kept)
 
 
 def _circle_order(g: FiniteGraph):

@@ -269,6 +269,36 @@ def test_determinism(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # one parser serves every call in a process; the same sequence with a
+    # parser built afresh for each call gives the same codes, output and files
+    g = write_graph(tmp_path, "g.json", {
+        "multi": False,
+        "vertices": ["a1", "a2", "b1", "b2", "b3"],
+        "edges": [[a, b] for a in ("a1", "a2") for b in ("b1", "b2", "b3")],
+    })
+
+    def sequence(fresh, out_dir):
+        out_dir.mkdir()
+        f = str(out_dir / "w.json")
+        results = []
+        for argv in (("minor", g, "--pattern", "k5"),
+                     ("minor", g, "--pattern", "k23", "--out", f),
+                     ("minor", g, "--pattern", "k23"),
+                     ("outerplanar", g, "--cycle")):
+            if fresh:
+                cli.build_parser.cache_clear()
+            results.append(run(capsys, *argv))
+        return results, sorted((p.name, p.read_text()) for p in out_dir.iterdir())
+
+    cached = sequence(False, tmp_path / "cached")
+    fresh = sequence(True, tmp_path / "fresh")
+    assert cached == fresh
+    assert [code for code, _, _ in cached[0]] == [cli.USAGE, 0, 0, 1]
+    assert cached[0][1][1] == "" and json.loads(cached[0][2][1])["found"] is True
+    assert [name for name, _ in cached[1]] == ["w.json"]
+
+
 def test_corpus_rejects_unknown_suite(capsys):
     code, out, _ = run(capsys, "corpus", "--suite", "typo")
     assert code == 2

@@ -291,8 +291,8 @@ def test_witnesses_on_a_crossed_40_gon():
 @pytest.mark.parametrize("pattern", ["K4", "K23"])
 def test_witness_is_shrunk_inside_one_block(monkeypatch, pattern):
     # a triangulated 12-gon (21 edges, no minor) shares a cut vertex with the
-    # pattern itself; only the pattern's block is shrunk, one decision per
-    # edge of it
+    # pattern itself; only the pattern's block is shrunk, at most one
+    # decision per edge of it
     polygon = zigzag_triangulation(12)
     hub = "p00" if pattern == "K4" else "p05"
     if pattern == "K4":
@@ -306,8 +306,43 @@ def test_witness_is_shrunk_inside_one_block(monkeypatch, pattern):
     w = find_minor(g, pattern)
     validate_witness(g, w)
     assert set().union(*w.branch_sets.values()) <= block.vertices
-    # the decision on g, at most one per block, then one per block edge
+    # the decision on g, at most one per block, then at most one per block
+    # edge (every edge of the pattern is needed, so no batch is tried)
     assert len(calls) <= 1 + 2 + len(block.edges) < 1 + len(g.edges)
+
+
+def shrink_one_edge_at_a_time(g, present):
+    """Reference for _minimal_subgraph: each edge in canonical order is
+    deleted alone when the decision stays true without it."""
+    edges = set(g.edges)
+    for e in g.sorted_edges():
+        edges.remove(e)
+        if not present(FiniteGraph(g.vertices, frozenset(edges))):
+            edges.add(e)
+    return FiniteGraph(frozenset(v for e in edges for v in e), frozenset(edges))
+
+
+@st.composite
+def crossed_zigzags(draw):
+    """A zigzag-triangulated n-gon (n = 8..40) plus one chord, which crosses
+    another since the triangulation is maximal outerplanar, with permuted
+    vertex names."""
+    g = zigzag_triangulation(draw(st.integers(8, 40)))
+    vs = g.sorted_vertices()
+    missing = [e for e in itertools.combinations(vs, 2) if canon_edge(*e) not in g.edges]
+    chord = draw(st.sampled_from(missing))
+    name = dict(zip(vs, draw(st.permutations(vs))))
+    return FiniteGraph.build(vs, [(name[a], name[b]) for a, b in g.edges | {chord}])
+
+
+@pytest.mark.parametrize("pattern", ["K4", "K23"])
+@DIFF
+@given(st.data())
+def test_galloping_shrink_matches_one_edge_at_a_time(pattern, data):
+    decide = DECISIONS[pattern]
+    g = data.draw(st.one_of(simple_graphs().filter(decide), crossed_zigzags()))
+    assert decide(g)
+    assert minors._minimal_subgraph(g, decide) == shrink_one_edge_at_a_time(g, decide)
 
 
 def test_decision_without_witness_raises(monkeypatch):

@@ -19,7 +19,12 @@ from conftest import (
     zigzag_triangulation,
 )
 from hamcircle import cli, minors
-from hamcircle.corpus import connected_graphs_upto, random_dissection, two_connected_outerplanar
+from hamcircle.corpus import (
+    connected_graphs_upto,
+    random_dissection,
+    random_two_connected,
+    two_connected_outerplanar,
+)
 from hamcircle.graphs import (
     GraphError,
     InvariantError,
@@ -101,6 +106,23 @@ def test_two_contractible_matches_contraction_on_small_graphs():
 @given(simple_graphs())
 def test_two_contractible_matches_contraction(g):
     check_two_contractible(g)
+
+
+def two_contractible_by_deletion(g):
+    """Reference: the edges ab with g - {a, b} connected (n >= 4)."""
+    return frozenset(e for e in g.edges if g.subgraph(g.vertices - set(e)).is_connected())
+
+
+def test_two_contractible_matches_deletion_on_dissections():
+    for g in two_connected_outerplanar(4, 8):
+        assert two_contractible_edges(g) == two_contractible_by_deletion(g)
+
+
+def test_two_contractible_matches_deletion_on_random_two_connected_graphs():
+    rng = random.Random(11)
+    for _ in range(300):
+        g = random_two_connected(rng, 12)
+        assert two_contractible_edges(g) == two_contractible_by_deletion(g)
 
 
 def test_unique_cycle_triangle_exception():
