@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from importlib import resources
+from itertools import chain
 
 import networkx as nx
 
@@ -100,21 +101,34 @@ def _read_graph6(text: bytes, n: int):
 
     A line is the byte 63 + n, then the upper triangle of the adjacency
     matrix column by column (0-1, 0-2, 1-2, 0-3, ...), six bits to a byte,
-    each byte offset by 63."""
+    high bit first, each byte offset by 63, with the bits past the last
+    pair 0.  A line of the wrong length or first byte, a byte outside
+    63..126, or a padding bit that is set is an ``InvariantError``.  Each
+    byte is decoded by a table, one for its position, of the edges each
+    value sets there."""
     name = _names(range(n))
     vertices = frozenset(name.values())
     pairs = [canon_edge(name[i], name[j]) for j in range(1, n) for i in range(j)]
     width = -(-len(pairs) // 6)
-    top = 6 * width - 1
+    tables = []  # per position, byte -> its edges, or None if not valid there
+    for p in range(width):
+        part = pairs[6 * p:6 * p + 6]
+        padding = (1 << 6 - len(part)) - 1
+        table = [None] * 256
+        for c in range(64):
+            if not c & padding:
+                table[63 + c] = tuple(e for k, e in enumerate(part) if c >> 5 - k & 1)
+        tables.append(table)
     out = []
     for line in text.split():
         if len(line) != 1 + width or line[0] != 63 + n:
             raise InvariantError(f"not a {n}-vertex graph6 line: {line!r}")
-        bits = 0
-        for c in line[1:]:
-            bits = bits << 6 | (c - 63)
-        edges = frozenset(e for k, e in enumerate(pairs) if bits >> (top - k) & 1)
-        out.append(FiniteGraph(vertices, edges))
+        parts = [t[c] for t, c in zip(tables, line[1:])]
+        if None in parts:
+            raise InvariantError(
+                f"graph6 line has a byte out of range or a padding bit set: {line!r}"
+            )
+        out.append(FiniteGraph(vertices, frozenset(chain.from_iterable(parts))))
     return out
 
 
@@ -161,17 +175,18 @@ def _noncrossing_chord_subsets(n: int):
 
 
 def _dihedral_keys(n: int):
-    """A function from a chord set of the n-gon to the least sorted image of
-    its chords, as indices in lexicographic order, under the 2n rotations
-    and reflections of the polygon."""
+    """A function from a chord set of the n-gon to the least bitmask image
+    of its chords under the 2n rotations and reflections of the polygon,
+    with chord (i, j), i < j, as bit k for its index k in lexicographic
+    order."""
     chords = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {c: k for k, c in enumerate(chords)}
+    bit = {c: 1 << k for k, c in enumerate(chords)}
     images = [
-        {c: index[tuple(sorted((s * x + r) % n for x in c))] for c in chords}
+        {c: bit[tuple(sorted((s * x + r) % n for x in c))] for c in chords}
         for r in range(n)
         for s in (1, -1)
     ]
-    return lambda chosen: min(tuple(sorted(map(im.__getitem__, chosen))) for im in images)
+    return lambda chosen: min(sum(map(im.__getitem__, chosen)) for im in images)
 
 
 def two_connected_outerplanar(n_min: int = 4, n_max: int = 9):

@@ -13,20 +13,18 @@ from functools import cached_property
 from typing import Iterable
 
 
-def vkey(v):
-    return str(v)
+# the sort key of a vertex: its ``str`` form (the builtin, so no Python frame)
+vkey = str
 
 
 def ekey(e):
-    a, b = e
-    return tuple(sorted((vkey(a), vkey(b))))
+    a, b = str(e[0]), str(e[1])
+    return (a, b) if a <= b else (b, a)
 
 
 def canon_edge(a, b):
     """Order an endpoint pair canonically."""
-    if vkey(a) <= vkey(b):
-        return (a, b)
-    return (b, a)
+    return (a, b) if str(a) <= str(b) else (b, a)
 
 
 class GraphError(ValueError):
@@ -108,7 +106,19 @@ class FiniteGraph:
         return out
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        """True iff g has at most one component, from one search."""
+        if not self.vertices:
+            return True
+        adj = self.adj
+        start = next(iter(self.vertices))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen) == len(adj)
 
     def distances_from(self, src, limit=None):
         """BFS distance map from src, optionally cut off at `limit`."""
@@ -207,24 +217,32 @@ def blocks(g: FiniteGraph) -> list:
     its bridges), from one iterative lowpoint DFS (Hopcroft-Tarjan).
 
     A block's vertex set induces exactly the block.  Isolated vertices lie
-    in no block.  The DFS visits neighbours in ``vkey`` order, so the list
-    order is the same in every run.
+    in no block.  The DFS visits roots and neighbours in ``vkey`` order, so
+    the list order is the same in every run.  The vertices are sorted once,
+    and one sweep over them in that order appends each to its neighbours'
+    lists, which are then in that order too: O(n log n + m) in all.
     """
+    order = g.sorted_vertices()
+    adj = g.adj
+    nbrs = {v: [] for v in order}
+    for v in order:
+        for w in adj[v]:
+            nbrs[w].append(v)
     disc, low = {}, {}
     out = []
-    for root in g.sorted_vertices():
+    for root in order:
         if root in disc:
             continue
         disc[root] = low[root] = len(disc)
-        stack = [(root, None, iter(g.neighbors(root)))]
+        stack = [(root, None, iter(nbrs[root]))]
         edges = []  # tree and back edges not yet assigned to a block
         while stack:
-            v, parent, nbrs = stack[-1]
-            for w in nbrs:
+            v, parent, it = stack[-1]
+            for w in it:
                 if w not in disc:
                     disc[w] = low[w] = len(disc)
                     edges.append((v, w))
-                    stack.append((w, v, iter(g.neighbors(w))))
+                    stack.append((w, v, iter(nbrs[w])))
                     break
                 if w != parent and disc[w] < disc[v]:
                     low[v] = min(low[v], disc[w])
@@ -247,8 +265,43 @@ def blocks(g: FiniteGraph) -> list:
 
 
 def is_two_connected(g: FiniteGraph) -> bool:
-    """At least 3 vertices, connected and without a cut vertex."""
-    return len(g.vertices) >= 3 and blocks(g) == [g.vertices]
+    """At least 3 vertices, connected and without a cut vertex.
+
+    One lowpoint DFS over ``g.adj``, in whatever order its sets iterate,
+    which stops at the first cut vertex: a non-root vertex p is one iff
+    some child v of p has low[v] >= disc[p], and the root is one iff its
+    first child's subtree misses a vertex (else it has one child).  When
+    the graph is disconnected that first subtree misses a vertex too.
+    O(n + m), with no sort and no block list.
+    """
+    adj = g.adj
+    n = len(adj)
+    if n < 3:
+        return False
+    root = next(iter(adj))
+    disc = {root: 0}
+    low = {root: 0}
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, parent, it = stack[-1]
+        for w in it:
+            d = disc.get(w)
+            if d is None:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and d < low[v]:
+                low[v] = d
+        else:
+            stack.pop()
+            if len(stack) == 1:  # v is the root's first child
+                return len(disc) == n
+            if stack:
+                if low[v] >= disc[parent]:
+                    return False
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+    return False
 
 
 def is_eulerian(m: MultiGraph) -> bool:

@@ -174,7 +174,13 @@ def has_k23_minor(g: FiniteGraph) -> bool:
     neither has one.  A block on at most 4 vertices is K4 or outerplanar,
     so only larger blocks are tested.
     """
-    return any(len(b) >= 5 and circle_order(g.subgraph(b)) is None for b in blocks(g))
+    return any(len(b) >= 5 and circle_order(_block_graph(g, b)) is None for b in blocks(g))
+
+
+def _block_graph(g: FiniteGraph, b) -> FiniteGraph:
+    """The subgraph a block b of g induces; g itself when b spans g, which
+    then needs no copy and keeps its built ``adj``."""
+    return g if len(b) == len(g.vertices) else g.subgraph(b)
 
 
 def has_k4_minor(g: FiniteGraph) -> bool:
@@ -289,7 +295,7 @@ def find_minor(g: FiniteGraph, pattern: str):
     block = bs[0] if len(bs) == 1 else next((b for b in bs if present(g.subgraph(b))), None)
     if block is None:
         raise InvariantError(f"{pattern} minor decided present but in no block")
-    w = _subdivision_witness(g.subgraph(block), pattern, present)
+    w = _subdivision_witness(_block_graph(g, block), pattern, present)
     if w is None:
         raise InvariantError(f"{pattern} minor decided present but no witness was found")
     try:
@@ -400,7 +406,7 @@ def is_outerplanar(g: FiniteGraph) -> bool:
         return True
     if len(g.edges) > 2 * n - 3:
         return False
-    return all(len(b) < 4 or circle_order(g.subgraph(b)) is not None for b in blocks(g))
+    return all(len(b) < 4 or circle_order(_block_graph(g, b)) is not None for b in blocks(g))
 
 
 def k4_minor_equals_subgraph(g: FiniteGraph) -> bool:

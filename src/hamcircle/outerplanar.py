@@ -108,6 +108,8 @@ def check_quotient_two_connected(g: FiniteGraph, k) -> bool:
         raise GraphError("graph is not 2-connected")
     if len(k) < 3:
         raise GraphError("need |k| >= 3")
+    if not k <= g.vertices:
+        raise GraphError("k contains non-vertices")
     if not g.subgraph(k).is_connected():
         raise GraphError("k does not induce a connected subgraph")
     return is_two_connected(contraction_quotient(g, k))
@@ -125,6 +127,8 @@ def check_struct1(g: FiniteGraph, k0):
         raise GraphError("graph is not 2-connected")
     if has_k23_minor(g):
         raise GraphError("graph has a K2,3 minor; lemma premise violated")
+    if not k0 <= g.vertices:
+        raise GraphError("k0 contains non-vertices")
     if not k0 or not g.subgraph(k0).is_connected():
         raise GraphError("k0 must induce a connected nonempty subgraph")
     closed = set(k0)

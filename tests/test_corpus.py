@@ -18,7 +18,13 @@ from hamcircle.corpus import (
     trees_range,
     two_connected_outerplanar,
 )
-from hamcircle.graphs import FiniteGraph, GraphError, is_eulerian, is_two_connected
+from hamcircle.graphs import (
+    FiniteGraph,
+    GraphError,
+    InvariantError,
+    is_eulerian,
+    is_two_connected,
+)
 from hamcircle.minors import has_k23_minor, is_outerplanar
 
 # ---------------------------------------------------------------------------
@@ -112,6 +118,24 @@ def test_graph6_names_vertices_as_networkx_does():
             g = nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(10**6))
             text = nx.to_graph6_bytes(g, header=False)
             assert corpus._read_graph6(text, n) == graph6_by_networkx(text)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        bytes([62, 63, 63, 63, 63]),  # a byte below 63
+        bytes([200, 63, 63, 63, 63]),  # a byte above 126
+        bytes([63, 63, 127, 63, 63]),  # one past 126
+        b"????@",  # padding bit 0 set: 28 pairs fill 30 bits
+        b"????A",  # padding bit 1 set
+    ],
+    ids=["byte-62", "byte-200", "byte-127", "padding-bit-0", "padding-bit-1"],
+)
+def test_doctored_graph6_lines_are_refused(tail):
+    good = b"G????C"  # one edge, in the last byte's lowest pair bit
+    assert [len(g.edges) for g in corpus._read_graph6(good, 8)] == [1]
+    with pytest.raises(InvariantError, match="out of range or a padding bit"):
+        corpus._read_graph6(good + b"\n" + b"G" + tail, 8)
 
 
 @pytest.mark.parametrize("n", [0, 8])

@@ -18,6 +18,7 @@ from conftest import (
     path_graph,
     simple_graphs,
     two_connected_by_definition,
+    zigzag_triangulation,
 )
 from hamcircle import graphs
 from hamcircle.corpus import connected_graphs_upto, random_eulerian_multigraph
@@ -74,8 +75,14 @@ def test_two_connectivity():
 
 
 def check_two_connectivity(g):
-    assert is_two_connected(g) == two_connected_by_definition(g)
     h = nx.Graph(list(g.edges))
+    h.add_nodes_from(g.vertices)
+    assert g.is_connected() == (len(g.components()) <= 1)
+    assert (
+        is_two_connected(g)
+        == two_connected_by_definition(g)
+        == (len(g.vertices) >= 3 and nx.is_biconnected(h))
+    )
     assert sorted(blocks(g), key=sorted) == sorted(
         (frozenset(b) for b in nx.biconnected_components(h)), key=sorted
     )
@@ -90,6 +97,106 @@ def test_two_connectivity_matches_definition_on_small_graphs():
 @given(simple_graphs())
 def test_two_connectivity_matches_definition(g):
     check_two_connectivity(g)
+
+
+def _int_labelings(edges, n):
+    """(graph, root) for the graph on 0..n-1 relabelled by each permutation,
+    where root is the original vertex that came first in ``adj``, the DFS
+    root of ``is_two_connected`` (small ints hash to themselves, so 0 comes
+    first in their sets)."""
+    for perm in itertools.permutations(range(n)):
+        g = FiniteGraph.build(perm, [(perm[a], perm[b]) for a, b in edges])
+        yield g, perm.index(next(iter(g.adj))) if n else None
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (0, []),
+        (1, []),
+        (2, []),
+        (2, [(0, 1)]),
+        (3, [(0, 1), (1, 2), (2, 0)]),
+        (4, [(0, 1), (1, 2), (2, 0)]),  # a triangle and an isolated vertex
+        (4, [(0, 1), (2, 3)]),  # disconnected
+        (5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]),  # bowtie: cut vertex 2
+        (4, [(0, 1), (1, 2), (2, 3)]),  # a path: two cut vertices
+        (5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 2)]),  # K2,3: none
+    ],
+    ids=["empty", "K1", "2K1", "K2", "K3", "K3+K1", "2K2", "bowtie", "P4", "K23"],
+)
+def test_two_connectivity_edge_cases(n, edges):
+    roots = set()
+    for g, root in _int_labelings(edges, n):
+        roots.add(root)
+        check_two_connectivity(g)
+    assert roots == (set(range(n)) or {None})  # every vertex was the root once
+
+
+# blocks before it sorted the vertex set once: every neighbour set sorted
+# on its own; the reference for the order of the block list
+def reference_blocks(g):
+    disc, low = {}, {}
+    out = []
+    for root in g.sorted_vertices():
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(g.neighbors(root)))]
+        edges = []
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    edges.append((v, w))
+                    stack.append((w, v, iter(g.neighbors(w))))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    low[v] = min(low[v], disc[w])
+                    edges.append((v, w))
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    comp = set()
+                    while True:
+                        e = edges.pop()
+                        comp.update(e)
+                        if e == (parent, v):
+                            break
+                    out.append(frozenset(comp))
+    return out
+
+
+def test_block_order_matches_reference_on_small_graphs():
+    for g in connected_graphs_upto(7):
+        assert blocks(g) == reference_blocks(g)
+
+
+@DIFF
+@given(simple_graphs(), st.booleans())
+def test_block_order_matches_reference(g, int_ids):
+    if int_ids:  # x10 sorts before x2 as a name, and 10 before 2 as a str
+        g = FiniteGraph.build(
+            [int(v[1:]) for v in g.vertices], [(int(a[1:]), int(b[1:])) for a, b in g.edges]
+        )
+    assert blocks(g) == reference_blocks(g)
+
+
+@pytest.mark.parametrize("n", [5, 8, 13, 30])
+def test_block_order_matches_reference_on_crossed_zigzags(n):
+    z = zigzag_triangulation(n)
+    crossed = FiniteGraph.build(z.vertices, set(z.edges) | {("p00", f"p{n // 2:02d}")})
+    # a bridge to a triangle and a pendant path hung on the polygon, named
+    # to sort after and before its vertices
+    tail = [("p01", "q0"), ("q0", "q1"), ("q1", "q2"), ("q2", "q0")]
+    tail += [("p03", "a0"), ("a0", "a1")]
+    hung = graph(list(crossed.edges) + tail)
+    for g in (z, crossed, hung):
+        assert blocks(g) == reference_blocks(g)
 
 
 def test_contract_subgraph():

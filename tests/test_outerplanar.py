@@ -243,6 +243,16 @@ def test_quotient_two_connected_examples():
         check_quotient_two_connected(cycle_graph(6), {"v0", "v2", "v4"})
 
 
+def test_quotient_two_connected_refuses_non_vertices():
+    with pytest.raises(GraphError, match="contains non-vertices"):
+        check_quotient_two_connected(cycle_graph(6), {"v0", "v1", "zz"})
+
+
+def test_struct1_refuses_non_vertices():
+    with pytest.raises(GraphError, match="contains non-vertices"):
+        check_struct1(cycle_graph(4), {"zz"})
+
+
 def test_struct1_examples():
     assert check_struct1(cycle_graph(8), {"v0"}) == []
     assert check_struct1(diamond(), {"c"}) == []
