@@ -9,9 +9,9 @@ deep component.  Two engines:
   contact m (exact per level, and exact in the limit via the 3-edge-cut
   factorization: every Hamilton circle crosses each fragment boundary
   exactly twice and therefore induces a Hamilton path missing one
-  contact in every copy).  The counts, the viability fixed point and the
-  forced edges all read off its rows; edges are named by the limit
-  graph's wiring and kept inside the level's region;
+  contact in every copy).  The counts and the forced edges read off its
+  rows; edges are named by the limit graph's wiring and kept inside the
+  level's region;
 * a generic quotient enumerator that runs the multigraph Hamilton search
   on the window (used for the double ladder, and to cross-check the DP).
 
@@ -94,20 +94,23 @@ def _live(tt: TransferTable, rows, d: int, m: str):
     return [p for p in tt.patterns[m] if d == 0 or _ways(rows[d - 1], p)]
 
 
-STABILIZATION_BOUND = 10  # rounds of viability pruning tried for a fixed point
-
-
 def stabilized_viable(tt: TransferTable):
     """The fixed point of the child-compatibility pruning, its depth, and
     the unique surviving missing-r pattern.
 
-    A pattern survives d rounds of pruning iff both its child states count
-    above zero at depth d - 1 (by induction on d, as f[d][m] > 0 implies
-    f[d-1][m] > 0), so round d reads off row d - 1 of the DP's table."""
-    rows = _rows(tt, STABILIZATION_BOUND - 1)
-    prev = {m: _live(tt, rows, 0, m) for m in ROLES}
-    for d in range(1, STABILIZATION_BOUND + 1):
-        cur = {m: _live(tt, rows, d, m) for m in ROLES}
+    Round d keeps the patterns whose child states both lie in S_(d-1):
+    S_0 holds the states with a pattern, S_d those with one kept in round
+    d.  By induction on d, S_d holds the states that count above zero at
+    depth d of the DP's table, and lies inside S_(d-1).  So this chain of
+    subsets of ROLES either stops, S_(k-1) = S_k with k <= len(ROLES), and
+    round k + 1 repeats round k, or S_len(ROLES) and the rounds from
+    len(ROLES) on are empty: two rounds agree by round len(ROLES) + 1."""
+    bound = len(ROLES) + 1
+    prev = {m: list(tt.patterns[m]) for m in ROLES}
+    for d in range(1, bound + 1):
+        states = {m for m in ROLES if prev[m]}
+        cur = {m: [p for p in tt.patterns[m] if {p.c_child_missing, p.v_child_missing} <= states]
+               for m in ROLES}
         if cur == prev:
             if all(not cur[m] for m in cur):
                 raise InvariantError("viability fixed point is empty: no circle")
@@ -117,7 +120,8 @@ def stabilized_viable(tt: TransferTable):
                 )
             return cur, d - 1
         prev = cur
-    raise InvariantError(f"viability did not stabilize within depth {STABILIZATION_BOUND}")
+    else:
+        raise InvariantError(f"viability did not stabilize within depth {bound}")
 
 
 @dataclass(frozen=True)

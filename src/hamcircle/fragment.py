@@ -16,7 +16,7 @@ its vertex x by ``F:<path>:<x>``, the root's closed contacts by ``Z``.  One
 table, `Fragment.ends`, built once per gadget, names both ends of every edge
 of the limit graph, where every c and v is replaced, by these ids.  The
 level-n graph is the limit graph's level-n quotient
-(`lazy.quotient_multigraph`): the copies of depth <= n, each deeper
+(`lazy.quotient_window`): the copies of depth <= n, each deeper
 subtree contracted to the c or v vertex that its root copy replaces.
 """
 
@@ -38,7 +38,7 @@ from .graphs import (
 )
 from .jsonio import graph_from_obj
 from . import lazy
-from .lazy import LazyGraph, deep_components, quotient_multigraph
+from .lazy import LazyGraph, deep_components, quotient_window
 
 ROLES = ("u", "l", "r")  # a copy's contacts, in this order
 _VERTEX_ID = re.compile(r"F:([cv]*):([^:]+)")
@@ -257,13 +257,13 @@ class FragmentTree:
 @lru_cache(maxsize=None)
 def build_gn(n: int):
     """The level-n graph (contacts closed into one root vertex) and its
-    recursion tree: the limit graph's level-n quotient, the surrogate of
-    the deep component at path P + t named for the vertex ``F:<P>:<c or v>``
-    that the subtree replaces.  A negative level or one over the vertex
-    budget fails in `copy_paths`."""
+    recursion tree, read straight off the level-n `quotient_window`: the
+    surrogate of the deep component at path P + t is named for the vertex
+    ``F:<P>:<c or v>`` that the subtree replaces.  A negative level or one
+    over the vertex budget fails in `copy_paths`."""
     f = load_tutte_fragment()
     lg = section5_graph()
-    m = quotient_multigraph(lg, n)
+    _, vertices, records = quotient_window(lg, n)
     names = {
         c.surrogate: f"F:{c.comp_id[:-1]}:{f.roles[c.comp_id[-1]]}"
         for c in deep_components(lg, n)
@@ -273,8 +273,8 @@ def build_gn(n: int):
         return names.get(x, x)
 
     g = FiniteGraph(
-        frozenset(map(name, m.vertices)),
-        frozenset(canon_edge(name(a), name(b)) for _, a, b in m.edges),
+        frozenset(map(name, vertices)),
+        frozenset(canon_edge(name(a), name(b)) for a, b, _ in records),
     )
     return g, FragmentTree(f, n, g)
 

@@ -37,6 +37,19 @@ class InvariantError(AssertionError):
     Raised explicitly, so the check survives ``python -O``."""
 
 
+def reach(adj, seen, stack):
+    """Grow `seen` by every vertex reached from the vertices on `stack`
+    without passing through a vertex already in `seen`, and return it: the
+    one reachability search.  The stack's vertices belong in `seen` too,
+    and the stack is used up."""
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
     """An undirected simple graph without loops."""
@@ -87,38 +100,20 @@ class FiniteGraph:
         )
 
     def components(self):
-        """Connected components as a sorted list of frozensets."""
-        seen = set()
-        out = []
+        """Connected components as frozensets, by least vertex under ``vkey``."""
+        seen, out = set(), []
         for s in self.sorted_vertices():
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in self.adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            out.append(frozenset(comp))
+            if s not in seen:
+                out.append(frozenset(reach(self.adj, {s}, [s])))
+                seen |= out[-1]
         return out
 
     def is_connected(self) -> bool:
         """True iff g has at most one component, from one search."""
         if not self.vertices:
             return True
-        adj = self.adj
         start = next(iter(self.vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(adj)
+        return len(reach(self.adj, {start}, [start])) == len(self.vertices)
 
     def distances_from(self, src, limit=None):
         """BFS distance map from src, optionally cut off at `limit`."""

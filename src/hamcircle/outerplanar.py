@@ -15,6 +15,7 @@ from .graphs import (
     GraphError,
     canon_edge,
     is_two_connected,
+    reach,
     vkey,
 )
 from .minors import circle_order, has_k23_minor
@@ -28,8 +29,8 @@ def two_contractible_edges(g: FiniteGraph) -> frozenset:
     vertex would be one of g, and the merged vertex separates g/ab iff
     {a, b} separates g.  A triangle contracts to K2, so it has none.
 
-    Each edge ab is tested by one search from a neighbour of a other than
-    b, with a and b marked as seen: it is kept iff the search reaches every
+    Each edge ab is tested by one `reach` from a neighbour s of a other
+    than b, seeded with {a, b, s}: it is kept iff the search reaches every
     vertex.  The test never reads the circle order, so it checks the
     paper's characterisation independently.
     """
@@ -41,14 +42,7 @@ def two_contractible_edges(g: FiniteGraph) -> frozenset:
     kept = []
     for a, b in g.edges:
         s = next(x for x in adj[a] if x != b)
-        seen = {a, b, s}
-        stack = [s]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) == n:
+        if len(reach(adj, {a, b, s}, [s])) == n:
             kept.append((a, b))
     return frozenset(kept)
 
@@ -179,7 +173,7 @@ def disk_layout(g: FiniteGraph) -> DiskLayout:
 
 def layout_to_svg(layout: DiskLayout) -> str:
     """Render a layout to a 512x512 SVG: boundary as circle arcs, chords as
-    line segments."""
+    line segments, each vertex labelled with its id, XML-escaped."""
     size = 512
     cx = cy = size / 2
     rad = size * 0.42
@@ -211,10 +205,12 @@ def layout_to_svg(layout: DiskLayout) -> str:
             f'stroke="#b24a1f" stroke-width="1.5"/>'
         )
     for v, (x, y) in sorted(pos.items(), key=lambda t: vkey(t[0])):
+        # xml.sax.saxutils.escape, inlined: importing it loads urllib and ssl
+        label = vkey(v).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#222222"/>')
         parts.append(
             f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" font-size="12" '
-            f'font-family="monospace">{v}</text>'
+            f'font-family="monospace">{label}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -91,6 +91,42 @@ def test_limit_certificate_counts_the_fixed_point():
     assert cert["limit_count"] == 2
 
 
+def doctored_table(children):
+    """The real fragment with one edgeless pattern per (c-child state,
+    v-child state) pair listed under each missing contact."""
+    tt = transfer_table()
+    return TransferTable(tt.fragment, {
+        m: tuple(PathPattern(frozenset(), c, v) for c, v in children.get(m, ()))
+        for m in ROLES
+    })
+
+
+def test_viability_fixed_at_depth_zero():
+    # every state has a pattern, so the first round keeps them all
+    tt = doctored_table({"u": ["uu"], "l": ["lr"], "r": ["rr"]})
+    fixed, depth = stabilized_viable(tt)
+    assert (fixed, depth) == reference_stabilized(tt)
+    assert depth == 0
+    assert fixed == {m: list(tt.patterns[m]) for m in ROLES}
+
+
+def test_viability_fixed_point_empty():
+    # l's pattern needs u, which has none, so round 1 drops it; r's needs
+    # l, so round 2 drops it; round 3 repeats round 2's empty lists
+    tt = doctored_table({"l": ["ul"], "r": ["lr"]})
+    for run in (reference_stabilized, stabilized_viable):
+        with pytest.raises(InvariantError, match="viability fixed point is empty"):
+            run(tt)
+
+
+def test_viability_keeps_one_missing_r_pattern_at_depth_two():
+    tt = doctored_table({"l": ["ul"], "r": ["lr", "rr"]})
+    fixed, depth = stabilized_viable(tt)
+    assert (fixed, depth) == reference_stabilized(tt)
+    assert depth == 2
+    assert fixed == {"u": [], "l": [], "r": [PathPattern(frozenset(), "r", "r")]}
+
+
 def test_dp_counts_and_stabilization():
     series = dp_series(8)
     assert [v.count for v in series] == [6, 4] + [2 ** (2**n) for n in range(2, 9)]

@@ -77,7 +77,11 @@ def test_two_connectivity():
 def check_two_connectivity(g):
     h = nx.Graph(list(g.edges))
     h.add_nodes_from(g.vertices)
-    assert g.is_connected() == (len(g.components()) <= 1)
+    comps = g.components()
+    assert len(comps) == len(set(comps))
+    assert set(comps) == {frozenset(c) for c in nx.connected_components(h)}
+    assert comps == sorted(comps, key=lambda c: min(map(vkey, c)))
+    assert g.is_connected() == (len(comps) <= 1)
     assert (
         is_two_connected(g)
         == two_connected_by_definition(g)

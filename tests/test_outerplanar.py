@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given
@@ -292,3 +293,20 @@ def test_svg_output():
     svg = layout_to_svg(disk_layout(diamond()))
     assert svg.startswith("<svg") or "<svg" in svg
     assert "512" in svg and "line" in svg
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ["a<b", "c&d", "e", "f"],
+        ['x"y', "p>q", "</text><script>", "&amp;"],
+    ],
+    ids=["lt-amp", "quote-gt-markup"],
+)
+def test_svg_labels_are_escaped(names):
+    # the SVG parses as XML and every label reads back as its vertex id
+    g = graph(list(zip(names, names[1:] + names[:1])))
+    root = ET.fromstring(layout_to_svg(disk_layout(g)))
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert sorted(labels) == sorted(names)
+    assert not list(root.iter("{http://www.w3.org/2000/svg}script"))
