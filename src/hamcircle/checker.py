@@ -241,14 +241,16 @@ def verify_candidate_circle(lg: LazyGraph, member, levels) -> bool:
     if not levels:
         raise GraphError("no levels to check")
     for r in levels:
-        region, vertices, records = quotient_window(lg, r)
+        region, comps, records = quotient_window(lg, r)
+        surrogates = [c.surrogate for c in comps]
         m = MultiGraph.build(
-            vertices, [(i, a, b) for i, (a, b, e) in enumerate(records) if member(e)]
+            region.union(surrogates),
+            [(i, a, b) for i, (a, b, e) in enumerate(records) if member(e)],
         )
-        for v in vertices:
-            k = m.degree(v)
-            if (k != 2) if v in region else (k % 2 != 0 or k < 2):
-                return False
+        if any(m.degree(v) != 2 for v in region):
+            return False
+        if any(m.degree(s) % 2 or m.degree(s) < 2 for s in surrogates):
+            return False
         if not m.is_connected_on_support():
             return False
     return True

@@ -38,7 +38,7 @@ from .graphs import (
 )
 from .jsonio import graph_from_obj
 from . import lazy
-from .lazy import LazyGraph, deep_components, quotient_window
+from .lazy import LazyGraph, quotient_window
 
 ROLES = ("u", "l", "r")  # a copy's contacts, in this order
 _VERTEX_ID = re.compile(r"F:([cv]*):([^:]+)")
@@ -257,24 +257,17 @@ class FragmentTree:
 @lru_cache(maxsize=None)
 def build_gn(n: int):
     """The level-n graph (contacts closed into one root vertex) and its
-    recursion tree, read straight off the level-n `quotient_window`: the
-    surrogate of the deep component at path P + t is named for the vertex
-    ``F:<P>:<c or v>`` that the subtree replaces.  A negative level or one
-    over the vertex budget fails in `copy_paths`."""
+    recursion tree, read straight off the level-n `quotient_window`: its
+    region, plus the surrogate of each of the window's deep components,
+    named for the vertex ``F:<P>:<c or v>`` that the subtree at path
+    P + t replaces.  Only a record's second end can be a surrogate.  A
+    negative level or one over the vertex budget fails in `copy_paths`."""
     f = load_tutte_fragment()
-    lg = section5_graph()
-    _, vertices, records = quotient_window(lg, n)
-    names = {
-        c.surrogate: f"F:{c.comp_id[:-1]}:{f.roles[c.comp_id[-1]]}"
-        for c in deep_components(lg, n)
-    }
-
-    def name(x):
-        return names.get(x, x)
-
+    region, comps, records = quotient_window(section5_graph(), n)
+    names = {c.surrogate: f"F:{c.comp_id[:-1]}:{f.roles[c.comp_id[-1]]}" for c in comps}
     g = FiniteGraph(
-        frozenset(map(name, vertices)),
-        frozenset(canon_edge(name(a), name(b)) for a, b, _ in records),
+        region | frozenset(names.values()),
+        frozenset(canon_edge(a, names.get(b, b)) for a, b, _ in records),
     )
     return g, FragmentTree(f, n, g)
 

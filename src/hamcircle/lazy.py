@@ -122,14 +122,15 @@ def deep_components(lg: LazyGraph, r: int):
 
 
 def quotient_window(lg: LazyGraph, r: int):
-    """The level-r window as (region, its vertices, edge records): the
-    region is the one the graph's exhaustion hint names, the vertices are
-    the region's plus one surrogate ``end:<id>`` per deep component, and
-    each quotient edge is one record (a, b, edge of lg).  Region edges
-    come first, in `vkey` order; then each component's cut edges, with the
-    surrogate in place of the finger.  A graph without a hint is refused
-    before its oracle is called, and a region over the vertex budget
-    before it is built."""
+    """The level-r window as (region, deep components, edge records): the
+    region is the one the graph's exhaustion hint names, the components
+    are `deep_components(lg, r)`, and each quotient edge is one record
+    (a, b, edge of lg) whose first end a is always a region vertex.
+    Region edges come first, in `vkey` order; then each component's cut
+    edges, with its surrogate ``end:<id>`` in place of the finger.  The
+    quotient's vertices are the region's plus one surrogate per
+    component.  A graph without a hint is refused before its oracle is
+    called, and a region over the vertex budget before it is built."""
     region = frozenset(_hint(lg).region(r))
     comps = deep_components(lg, r)
     records = []
@@ -141,15 +142,16 @@ def quotient_window(lg: LazyGraph, r: int):
     for comp in comps:
         for inside, finger in sorted(comp.cut_edges, key=lambda e: (vkey(e[0]), vkey(e[1]))):
             records.append((inside, comp.surrogate, canon_edge(inside, finger)))
-    vertices = region | {c.surrogate for c in comps}
-    return region, vertices, records
+    return region, comps, records
 
 
 def quotient_multigraph(lg: LazyGraph, r: int) -> MultiGraph:
-    """Region plus one surrogate vertex per deep component; parallel cut
-    edges preserved, edge ids in record order."""
-    _, vertices, records = quotient_window(lg, r)
-    return MultiGraph.build(vertices, [(i, a, b) for i, (a, b, _) in enumerate(records)])
+    """The level-r window as a multigraph: the region plus one surrogate
+    vertex per deep component, parallel cut edges preserved, edge ids in
+    record order."""
+    region, comps, records = quotient_window(lg, r)
+    return MultiGraph.build(region | {c.surrogate for c in comps},
+                            [(i, a, b) for i, (a, b, _) in enumerate(records)])
 
 
 def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth: int):

@@ -341,6 +341,41 @@ def test_verify_ladder_rejects_rung():
     assert not verify_candidate_circle(lad, member, range(1, 7))
 
 
+def _ladder_edges(*pairs):
+    """A member predicate holding the ladder edges given as pairs of
+    (column, side) ends."""
+    edges = {canon_edge(f"L:{i}:{s}", f"L:{j}:{t}") for (i, s), (j, t) in pairs}
+    return lambda e: canon_edge(*e) in edges
+
+
+def _rectangle(k):
+    """Rails between columns -k and k and the rungs at both, as pairs."""
+    rails = [((i, s), (i + 1, s)) for i in range(-k, k) for s in ("top", "bot")]
+    return rails + [((i, "top"), (i, "bot")) for i in (-k, k)]
+
+
+def _loop(i, step):
+    """Rails from column i one step outward, and the rung at column i."""
+    return [((i, s), (i + step, s)) for s in ("top", "bot")] + [((i, "top"), (i, "bot"))]
+
+
+_SNAKE = [(-2, "top"), (-1, "top"), (-1, "bot"), (0, "bot"), (0, "top"), (1, "top"),
+          (1, "bot"), (2, "bot")]
+
+
+@pytest.mark.parametrize("pairs, level", [
+    # every region vertex has degree 2, both surrogates degree 0
+    (_rectangle(1), 1),
+    # every region vertex has degree 2, both surrogates odd degree 1 (so
+    # also below 2; the odd rule alone is pinned on Section 5 below)
+    (list(zip(_SNAKE, _SNAKE[1:])), 1),
+    # every degree is right, but the member edges form three components
+    (_rectangle(1) + _loop(-2, -1) + _loop(2, 1), 2),
+], ids=["surrogate-degree-0", "surrogate-odd-degree", "disconnected"])
+def test_verify_ladder_rejects_each_rule_alone(pairs, level):
+    assert not verify_candidate_circle(double_ladder(), _ladder_edges(*pairs), [level])
+
+
 class _ZP4:
     """Z x P4 as its own oracle and hint: four rails Z:<i>:<j>, rungs
     between neighbouring rails, exhausted by whole columns."""
@@ -405,6 +440,19 @@ def test_verify_section5_rejects_perturbations():
 
     assert not verify_candidate_circle(lg, dropped, range(0, 4))
     assert not verify_candidate_circle(lg, added, range(0, 4))
+
+
+def test_verify_section5_rejects_odd_surrogate_degree_alone():
+    # the ladder's cuts have two edges, so an odd surrogate there has
+    # degree 1 < 2; Section 5's have three.  The level-0 quotient minus a
+    # perfect matching of its region: every region vertex has degree 2,
+    # both surrogates degree 3, and the member edges are connected
+    matching = {canon_edge(*e) for e in [
+        ("F::p1", "Z"), ("F::p2", "F::t"), ("F::p3", "F::p4"), ("F::p5", "F::w"),
+        ("F::p6", "F::p8"), ("F::p7", "F::p9"), ("F::s", "F::y")]}
+    lg = section5_graph()
+    assert set().union(*matching) == lg.hint.region(0)
+    assert not verify_candidate_circle(lg, lambda e: canon_edge(*e) not in matching, [0])
 
 
 def test_limit_circle_edges_are_limit_graph_edges_of_degree_two():

@@ -322,6 +322,22 @@ def test_build_gn_matches_reference_expand():
         assert {p: {m: f.contact(p, m) for m in ROLES} for p in copy_paths(f, n)} == nodes
 
 
+def test_build_gn_asks_for_its_deep_components_once(monkeypatch):
+    # the level window builds them, and the surrogates are named from it
+    calls = []
+    components = Fragment.components
+
+    def spy(self, r):
+        calls.append(r)
+        return components(self, r)
+
+    monkeypatch.setattr(Fragment, "components", spy)
+    build_gn.cache_clear()
+    for n in range(5):
+        build_gn(n)
+    assert calls == [0, 1, 2, 3, 4]
+
+
 def test_section5_regions_and_components_in_any_order():
     lg = section5_graph()
     hint = lg.hint

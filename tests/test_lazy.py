@@ -89,9 +89,9 @@ def test_hint_cuts_are_the_edges_leaving_the_region(make, radii):
         comps = deep_components(lg, r)
         for c in comps:
             assert c.fingers == {y for _, y in c.cut_edges} and not c.fingers & region
-        window, vertices, _ = quotient_window(lg, r)
-        assert window == region
-        assert vertices - region == {f"end:{c.comp_id}" for c in comps}
+        window, window_comps, _ = quotient_window(lg, r)
+        assert window == region and window_comps == comps
+        assert [c.surrogate for c in comps] == [f"end:{c.comp_id}" for c in comps]
 
 
 def test_ladder_end_degrees():
