@@ -8,6 +8,8 @@ the id so results are reproducible run to run.
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -448,9 +450,41 @@ def max_flow(n: int, arcs, s: int, t: int, stop: int):
 # saturated, the undecided edges, and one virtual edge per chosen segment)
 # is disconnected or has a bridge.  That prunes only subtrees without a
 # cycle, so the cycles and the order they are found in stay the same; a
-# search that never backtracks never pays for the check.  Hamilton paths
-# are the Hamilton cycles of the graph plus an apex joined to every
-# vertex, with the apex removed.
+# search that never backtracks never pays for the check.
+#
+# The exact check is one low-link pass (Tarjan), run only where cycle-space
+# labels cannot prove the live graph 2-edge-connected (Pritchard &
+# Thurimella, "Fast computation of small cuts via cycle space sampling",
+# ACM Trans. Algorithms 2011).  A pass that finds its live graph H
+# 2-edge-connected anchors its subtree: each back edge gets a fixed random
+# 64-bit label and each tree edge the XOR of the back edges over it, so
+# every cut of H XORs to 0.  A descendant's live graph is H minus the edges
+# D set OUT since, with chosen edges contracted, which makes and removes no
+# bridge, so it is split or bridged only if a cut of H lies in D plus one
+# live edge.  Where D has at most four edges and no nonempty subset of D
+# XORs to 0 or to another live edge's label, the pass is skipped; anywhere
+# else it runs and either prunes as before or re-anchors, so the labels
+# never prune.
+#
+# Hamilton paths are the Hamilton cycles of the graph plus an apex joined
+# to every vertex, with the apex removed.
+
+# cycle-space labels: entry e is edge e's label wherever it is a back edge
+# of the cut check's low-link pass
+_CUT_LABELS = []
+_CUT_LABEL_SEED = 2011
+_CUT_SUBSET_CAP = 4  # most OUT edges since the anchor that the labels test
+
+
+def _cut_labels(m):
+    """The label table, grown to at least `m` entries.  Entry e is the e-th
+    64-bit draw from a generator seeded with `_CUT_LABEL_SEED`, whatever
+    sizes the table grew through."""
+    labels = _CUT_LABELS
+    if len(labels) < m:
+        draws = random.Random(_CUT_LABEL_SEED)
+        labels[:] = [draws.getrandbits(64) for _ in range(max(m, 2 * len(labels)))]
+    return labels
 
 
 class _CycleSearch:
@@ -491,7 +525,13 @@ class _CycleSearch:
         self.limit = limit
         self.solutions = []
         self.nodes = 0  # calls of _search, for measurements and tests
+        self.cut_passes = 0  # low-link passes the cut check ran
+        self.cut_skips = 0  # cut checks the labels settled without a pass
         self.armed = False  # whether the cut check runs: set by the first backtrack
+        # the last passed low-link pass on the current branch, as (trail
+        # length, {tree edge: label}, {label: live edges carrying it}); None
+        # until one has run
+        self.anchor = None
 
     def run(self, forced_in=(), forced_out=()):
         ok = all(self._set_in(e) for e in forced_in) and all(
@@ -582,18 +622,69 @@ class _CycleSearch:
         by the undecided edges and by one virtual edge per chosen segment,
         between its two ends.  The rest of a Hamilton cycle is a spanning
         cycle of it that uses every virtual edge, so the graph is
-        2-edge-connected.  One iterative low-link pass (Tarjan) checks
-        that.  A segment's ends are discovered together, the second as the
-        first's child over the virtual edge, so that edge is a tree edge
-        and never a back edge."""
-        n, in_count = self.n, self.in_count
-        if not self.armed or in_count >= n - 1:
+        2-edge-connected.  The anchor's labels settle that when they can;
+        otherwise a low-link pass decides, and if it passes, its labels
+        become the anchor."""
+        if not self.armed or self.in_count >= self.n - 1:
             return False
-        chosen, pend, state, nbr = self.chosen, self.pend, self.state, self.nbr
+        if self._proven():
+            self.cut_skips += 1
+            return False
+        self.cut_passes += 1
+        anchor = self._low_link()
+        if anchor is None:
+            return True
+        self.anchor = anchor
+        return False
+
+    def _proven(self):
+        """Whether the anchor's labels prove the live graph 2-edge-connected:
+        at most `_CUT_SUBSET_CAP` edges were set OUT since the anchor, and no
+        nonempty set of them XORs to 0 or to the label of a live edge
+        outside the set.  Every cut XORs to 0, so no cut of the anchor's live
+        graph then lies in those edges plus one live edge."""
+        anchor = self.anchor
+        if anchor is None:
+            return False
+        mark, tree, count = anchor
+        trail, state, labels = self.trail, self.state, self.labels
+        outs = []  # labels of the edges set OUT since the anchor
+        xors = [0]  # the XOR of every subset of them
+        for i in range(mark, len(trail)):
+            e = trail[i]
+            if state[e] == self.OUT:
+                if len(outs) == _CUT_SUBSET_CAP:
+                    return False
+                x = tree.get(e)
+                if x is None:
+                    x = labels[e]
+                outs.append(x)
+                xors += [y ^ x for y in xors]
+        for x in xors[1:]:
+            if not x or count.get(x, 0) > outs.count(x):
+                return False
+        return True
+
+    def _low_link(self):
+        """One iterative low-link pass (Tarjan) over the live graph: None
+        if it is disconnected or has a bridge, else its cycle-space labels
+        as an anchor.
+
+        A segment's ends are discovered together, the second as the
+        first's child over the virtual edge, so that edge is a tree edge
+        and never a back edge.  A back edge's label is its table entry, and
+        a tree edge's is the XOR of the labels at the back edges' ends in
+        the subtree below it, which is the XOR of the back edges over it."""
+        n = self.n
+        chosen, pend, state, nbr, labels = (
+            self.chosen, self.pend, self.state, self.nbr, self.labels)
         disc = [0] * n  # discovery order from 1; 0 while unvisited
         low = [0] * n
+        acc = [0] * n  # XOR of the back-edge labels at the subtree's vertices
+        tree = {}  # tree edge -> label
+        found = []  # the label of every live edge, virtual ones included
         # a segment's end when one is chosen, else every vertex is live
-        root = chosen.index(1) if in_count else 0
+        root = chosen.index(1) if self.in_count else 0
         seen = 0
         stack = []  # (vertex, edge it was reached by, its incident edges left)
         v, via = root, -1
@@ -610,35 +701,47 @@ class _CycleSearch:
                 v, via = w, -1
             while stack:
                 v, via, edges = stack[-1]
-                lo = low[v]
+                lo, x, dv = low[v], acc[v], disc[v]
                 for e, w in edges:
                     if state[e] or e == via:  # decided, or the tree edge back
                         continue
                     d = disc[w]
                     if not d:
                         break
-                    if d < lo:
-                        lo = d
+                    b = labels[e]
+                    x ^= b
+                    if d < dv:  # seen from its lower end: count it once
+                        found.append(b)
+                        if d < lo:
+                            lo = d
                 else:
                     stack.pop()
                     if stack:
                         u = stack[-1][0]
                         if lo > disc[u]:
-                            return True  # the edge that reached v is a bridge
+                            return None  # the edge that reached v is a bridge
                         if lo < low[u]:
                             low[u] = lo
+                        acc[u] ^= x
+                        found.append(x)
+                        if via >= 0:
+                            tree[via] = x
                     continue
                 low[v] = lo
+                acc[v] = x
                 v, via = w, e
                 break
             else:
-                return seen != n - chosen.count(2)
+                if seen != n - chosen.count(2):
+                    return None
+                return len(self.trail), tree, Counter(found)
 
     def _arm(self):
         """Switch the cut check on, with each vertex's incident edges as
-        (edge, other end) pairs for its pass."""
+        (edge, other end) pairs for its pass and the label table."""
         ends = self.ends
         self.nbr = [[(e, sum(ends[e]) - v) for e in es] for v, es in enumerate(self.inc)]
+        self.labels = _cut_labels(len(ends))
         self.armed = True
 
     def _undo(self, mark):
@@ -679,7 +782,8 @@ class _CycleSearch:
         """Depth-first over IN/OUT branches on the picked edge, with an
         explicit stack so that depth is not bounded by Python's recursion
         limit.  A frame holds the picked edge, the trail length before the
-        branch, and whether its OUT branch has been entered."""
+        branch, whether its OUT branch has been entered, and the cut
+        check's anchor at the branching node."""
         frames = []
         enter = True  # the current state is a search node not yet expanded
         while True:
@@ -697,7 +801,7 @@ class _CycleSearch:
                 else:
                     pick = self._pick()
                     if pick is not None:
-                        frames.append([pick, len(self.trail), False])
+                        frames.append([pick, len(self.trail), False, self.anchor])
                         enter = (self._set_in(pick) and self._propagate()
                                  and not self._bridged())
                         continue
@@ -705,6 +809,7 @@ class _CycleSearch:
                 return
             frame = frames[-1]
             self._undo(frame[1])
+            self.anchor = frame[3]
             if not self.armed:
                 self._arm()
             if frame[2]:

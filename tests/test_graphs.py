@@ -459,15 +459,28 @@ def test_apex_paths_match_brute_force(drawn):
 
 
 class _Unpruned(_CycleSearch):
-    """The kernel with the cut check switched off."""
+    """The kernel with the cut check switched off: neither the labels nor
+    the low-link pass ever run, so no node fails on a cut."""
 
     def _bridged(self):
         return False
 
 
+class _Checked(_CycleSearch):
+    """The kernel with the exact low-link pass run at every armed node: at
+    each node the labels skip, the pass must find the live graph
+    2-edge-connected.  The extra passes set no anchor and count as neither
+    passes nor skips, so the search itself is the kernel's."""
+
+    def _proven(self):
+        proven = super()._proven()
+        if proven:
+            assert self._low_link() is not None, "the labels skipped a split or bridged node"
+        return proven
+
+
 def search_with(kernel, g, fin, fout, limit):
-    """enumerate_hamilton_cycles run on `kernel`, with the search nodes it
-    took."""
+    """enumerate_hamilton_cycles run on `kernel`, with the search object."""
     made = []
 
     class Spy(kernel):
@@ -478,27 +491,85 @@ def search_with(kernel, g, fin, fout, limit):
     with mock.patch.object(graphs, "_CycleSearch", Spy):
         got = enumerate_hamilton_cycles(g, forced_in=fin, forced_out=fout, limit=limit)
     (search,) = made
-    return got, search.nodes
+    return got, search
 
 
-@DIFF
-@given(st.data())
-def test_cut_check_changes_no_result(data):
-    # it only fails nodes whose subtree holds no cycle, so the same cycles
-    # are found in the same order, and the first `limit` of them are too
-    simple = data.draw(st.booleans())
-    names, edges = data.draw(edge_lists(simple=simple))
+@st.composite
+def search_inputs(draw):
+    """A drawn simple graph or multigraph, with forced edges and a limit."""
+    simple = draw(st.booleans())
+    names, edges = draw(edge_lists(simple=simple))
     if simple:
         g = FiniteGraph.build(names, [(a, b) for _, a, b in edges])
         ids = g.sorted_edges()
     else:
         g = MultiGraph.build(names, edges)
         ids = [e[0] for e in edges]
-    fin, fout, limit = forced_and_limit(data.draw, ids)
-    got, nodes = search_with(_CycleSearch, g, fin, fout, limit)
-    want, unpruned = search_with(_Unpruned, g, fin, fout, limit)
+    return (g,) + forced_and_limit(draw, ids)
+
+
+def counts(search):
+    return search.nodes, search.cut_passes, search.cut_skips
+
+
+@DIFF
+@given(search_inputs())
+def test_cut_check_changes_no_result(args):
+    # it only fails nodes whose subtree holds no cycle, so the same cycles
+    # are found in the same order, and the first `limit` of them are too
+    got, search = search_with(_CycleSearch, *args)
+    want, unpruned = search_with(_Unpruned, *args)
     assert got == want
-    assert nodes <= unpruned
+    assert search.nodes <= unpruned.nodes
+    assert unpruned.cut_passes == unpruned.cut_skips == 0
+
+
+# a multigraph whose search skips a node with a 2-edge cut {d, g} when the
+# labels test only for subsets of OUT edges that XOR to 0
+TRIPLE_LINK = multigraph([
+    (i, a, b) for i, (a, b) in enumerate([
+        ("x0", "x1"), ("x0", "x2"), ("x1", "x2"), ("x1", "x6"), ("x2", "x3"), ("x2", "x4"),
+        ("x2", "x5"), ("x4", "x5"), ("x0", "x6"), ("x2", "x6"), ("x3", "x4"), ("x3", "x5"),
+        ("x0", "x1"), ("x0", "x1"),
+    ])
+])
+
+
+@DIFF
+@given(search_inputs())
+@example((TRIPLE_LINK, [], [], None))
+def test_label_skips_are_two_edge_connected(args):
+    got, checked = search_with(_Checked, *args)
+    want, search = search_with(_CycleSearch, *args)
+    assert got == want
+    assert counts(checked) == counts(search)
+
+
+class _Contracted(_Checked):
+    """The checked kernel, which may skip the pass only at nodes with no
+    edge set OUT since the anchor: a contraction of its live graph."""
+
+    def _proven(self):
+        proven = super()._proven()
+        if proven:
+            assert all(self.state[e] == self.IN for e in self.trail[self.anchor[0]:])
+        return proven
+
+
+@DIFF
+@given(search_inputs())
+@example((TRIPLE_LINK, [], [], None))
+def test_colliding_labels_change_no_result(args):
+    # equal labels make every nonempty set of OUT edges hit, so the pass
+    # runs at every check but those after IN decisions alone
+    want, search = search_with(_CycleSearch, *args)
+    labels = [1] * 64  # more than the drawn graphs' at most 34 edges
+    with mock.patch.object(graphs, "_CUT_LABELS", labels):
+        got, collided = search_with(_Contracted, *args)
+    assert labels == [1] * 64
+    assert got == want
+    assert collided.nodes == search.nodes
+    assert collided.cut_passes + collided.cut_skips == search.cut_passes + search.cut_skips
 
 
 def test_two_triangles_without_one_of_their_two_links_have_no_cycle():
@@ -508,20 +579,39 @@ def test_two_triangles_without_one_of_their_two_links_have_no_cycle():
     assert enumerate_hamilton_cycles(tt, forced_out=[("a2", "b2")]) == []
 
 
+# two K4s on 0..3 and 4..7 (edges 0..5 and 6..11) joined by edges 12 and 13
+TWO_K4 = [(a, b) for k in (0, 4) for a, b in itertools.combinations(range(k, k + 4), 2)]
+TWO_K4 += [(0, 4), (1, 5)]
+
+
 def test_cut_check_fails_what_propagation_leaves():
-    # two K4s on 0..3 and 4..7 joined by edges 12 and 13: with 13 out, no
-    # vertex is forced but 12 is a bridge; with both out, no bridge is left
-    # but the live graph is split
-    ends = [(a, b) for k in (0, 4) for a, b in itertools.combinations(range(k, k + 4), 2)]
-    ends += [(0, 4), (1, 5)]
+    # with 13 out, no vertex is forced but 12 is a bridge; with both out,
+    # no bridge is left but the live graph is split.  With no anchor yet,
+    # each check is one low-link pass.
     for out, fails in (((), False), ((13,), True), ((12, 13), True)):
-        search = _CycleSearch(8, ends)
+        search = _CycleSearch(8, TWO_K4)
         search._arm()
         assert all(search._set_out(e) for e in out) and search._propagate()
         assert search._bridged() == fails
+        assert (search.cut_passes, search.cut_skips) == (1, 0)
 
 
-def level_search(level, limit=None):
+@pytest.mark.parametrize("out, hit", [(13, True), (0, False)])
+def test_labels_hit_a_real_two_edge_cut(out, hit):
+    # anchored at out=(), setting 13 OUT leaves 12 a bridge: {12, 13} is a
+    # 2-edge cut, its labels XOR to 0, and the pass runs and fails the node;
+    # without the K4 edge 0-1 the graph stays 2-edge-connected and the
+    # labels skip the pass
+    search = _CycleSearch(8, TWO_K4)
+    search._arm()
+    assert not search._bridged() and search.anchor is not None
+    assert search._set_out(out) and search._propagate()
+    assert search._proven() is not hit
+    assert search._bridged() is hit
+    assert (search.cut_passes, search.cut_skips) == (1 + hit, 1 - hit)
+
+
+def level_search(level, limit=None, kernel=_CycleSearch):
     """The kernel on the level graph G_level, run; returns it and its
     cycles."""
     from hamcircle.fragment import build_gn
@@ -529,25 +619,53 @@ def level_search(level, limit=None):
     g = build_gn(level)[0]
     vs = g.sorted_vertices()
     index = {v: i for i, v in enumerate(vs)}
-    search = _CycleSearch(len(vs), [(index[a], index[b]) for a, b in g.sorted_edges()], limit)
+    search = kernel(len(vs), [(index[a], index[b]) for a, b in g.sorted_edges()], limit)
     return search, search.run()
 
 
 def test_search_node_count_on_level_2():
     # degree forcing alone takes 2807 nodes for all 16 cycles of G2; the
     # cut check, armed by the first backtrack, fails every node whose live
-    # graph has a bridge and leaves 478
+    # graph has a bridge and leaves 478.  Of its 538 checks, the labels
+    # settle 338 and 200 run the low-link pass.
     search, cycles = level_search(2)
     assert len(cycles) == 16
     assert search.nodes == 478
+    assert (search.cut_passes, search.cut_skips) == (200, 338)
 
 
-@pytest.mark.parametrize("level, nodes", [(2, 333), (3, 5083)])
-def test_search_node_count_to_a_first_cycle(level, nodes):
+@pytest.mark.parametrize("level, nodes, passes, skips", [
+    pytest.param(2, 333, 135, 243, id="2-333"),
+    pytest.param(3, 5083, 1835, 4030, id="3-5083"),
+])
+def test_search_node_count_to_a_first_cycle(level, nodes, passes, skips):
     # 1937 and 51029 nodes with degree forcing alone
     search, cycles = level_search(level, limit=1)
     assert len(cycles) == 1
     assert search.nodes == nodes
+    assert (search.cut_passes, search.cut_skips) == (passes, skips)
+
+
+@pytest.mark.parametrize("level, limit", [(2, None), (3, 1)])
+def test_label_skips_are_two_edge_connected_on_level_graphs(level, limit):
+    checked, got = level_search(level, limit, _Checked)
+    search, want = level_search(level, limit)
+    assert got == want
+    assert counts(checked) == counts(search)
+
+
+@pytest.mark.parametrize("level, limit", [(2, None), (2, 1), (3, 1)])
+def test_colliding_labels_run_the_pass_at_every_check(level, limit):
+    # with every label equal every set of OUT edges hits, and on the level
+    # graphs every node has an OUT edge since its anchor: so no check is
+    # skipped, and the cycles and nodes stay the same
+    search, want = level_search(level, limit)
+    with mock.patch.object(graphs, "_CUT_LABELS", [1] * len(search.ends)):
+        collided, got = level_search(level, limit)
+    assert got == want
+    assert collided.nodes == search.nodes
+    assert collided.cut_skips == 0
+    assert collided.cut_passes == search.cut_passes + search.cut_skips
 
 
 def test_deep_search_is_not_bounded_by_recursion():
