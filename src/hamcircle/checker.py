@@ -38,7 +38,13 @@ from .graphs import (
     canon_edge,
     enumerate_hamilton_cycles,
 )
-from .lazy import LazyGraph, quotient_multigraph, quotient_window
+from .lazy import (
+    LazyGraph,
+    deep_components,
+    quotient_multigraph,
+    quotient_window,
+    window_multigraph,
+)
 
 
 @dataclass(frozen=True)
@@ -204,12 +210,31 @@ def limit_certificate(tt: TransferTable = None):
 # generic quotient engine
 
 
+def quotient_cuts(lg: LazyGraph, r: int, records):
+    """The cuts of the level-r quotient, as lists of edge ids, that the
+    deep components at each level r' < r leave.  `records` are the level-r
+    window's; each cut edge is the quotient edge of the record that names
+    it, a region edge or, where its finger lies past the region, a
+    surrogate's.  A cut edge without a record is a `GraphError`."""
+    ids = {e: i for i, (_, _, e) in enumerate(records)}
+    cuts = []
+    for s in range(r):
+        for comp in deep_components(lg, s):
+            try:
+                cuts.append([ids[canon_edge(*e)] for e in comp.cut_edges])
+            except KeyError as missing:
+                raise GraphError(f"the level-{s} cut edge {missing} is not in the "
+                                 f"level-{r} window")
+    return cuts
+
+
 def quotient_hamilton(lg: LazyGraph, r: int):
     """All Hamilton cycles of the level-r quotient (edge-id sets), with the
-    quotient multigraph itself."""
-    m = quotient_multigraph(lg, r)
-    cycles = enumerate_hamilton_cycles(m)
-    return m, cycles
+    quotient multigraph itself.  The search decides edges by the parity of
+    the `quotient_cuts`, which changes no cycle."""
+    window = quotient_window(lg, r)
+    m = window_multigraph(*window)
+    return m, enumerate_hamilton_cycles(m, cuts=quotient_cuts(lg, r, window[2]))
 
 
 def quotient_series(lg: LazyGraph, max_level: int):

@@ -466,6 +466,17 @@ def max_flow(n: int, arcs, s: int, t: int, stop: int):
 # else it runs and either prunes as before or re-anchors, so the labels
 # never prune.
 #
+# A Hamilton cycle also crosses every edge cut an even number of times
+# (Diestel, Graph Theory, section 1.9).  A caller that knows cuts of its
+# graph passes them as `cuts`; each is checked to be the set of edges
+# leaving some nonempty proper vertex set before the search starts.  Every
+# cut keeps counts of its IN and undecided edges, which the trail restores.
+# A cut with fewer than two edges left that are not OUT, or with none
+# undecided and an odd number IN, fails the node; with one undecided edge
+# left, parity decides it; with exactly two edges not OUT, both go IN.  On
+# a 3-edge cut: two IN force the third OUT, and one OUT forces the other
+# two IN.  Without cuts the search is the same as before, node for node.
+#
 # Hamilton paths are the Hamilton cycles of the graph plus an apex joined
 # to every vertex, with the apex removed.
 
@@ -493,12 +504,14 @@ class _CycleSearch:
     Vertices are ``0..n-1`` in branching order and ``ends[e]`` holds the
     endpoints of edge ``e``; parallel edges are allowed.  ``run`` returns
     the cycles through every forced-in and no forced-out edge as sorted
-    tuples of edge indices, at most ``limit`` of them.
+    tuples of edge indices, at most ``limit`` of them.  Each of ``cuts``
+    is a collection of edge indices that must be the set of edges leaving
+    some nonempty proper vertex set; anything else is a `GraphError`.
     """
 
     UNDEC, IN, OUT = 0, 1, 2
 
-    def __init__(self, n, ends, limit=None):
+    def __init__(self, n, ends, limit=None, cuts=()):
         if n < 2:
             raise GraphError("need at least 2 vertices")
         if limit is not None and limit < 1:
@@ -510,6 +523,25 @@ class _CycleSearch:
             inc[a].append(e)
             inc[b].append(e)
         self.inc = inc
+        # each cut's edges, and for each edge the cuts holding it (None
+        # without cuts, so that a search without them pays nothing)
+        self.cuts = [sorted(set(cut)) for cut in cuts]
+        self.cuts_of = None
+        if self.cuts:
+            label = self._cycle_labels()
+            self.cuts_of = [[] for _ in ends]
+            for c, cut in enumerate(self.cuts):
+                x = 0
+                for e in cut:
+                    x ^= label[e]
+                    self.cuts_of[e].append(c)
+                if not cut or x:
+                    raise GraphError(f"cut {c} is not the set of edges leaving a "
+                                     "nonempty proper vertex set")
+        self.cut_in = [0] * len(self.cuts)  # IN edges per cut
+        self.cut_undec = [len(cut) for cut in self.cuts]  # undecided edges per cut
+        self.pending = list(range(len(self.cuts)))  # cuts to re-examine
+        self.cut_forced = 0  # edges the parity rule decided
         self.state = [self.UNDEC] * len(ends)
         self.chosen = [0] * n
         self.live = [len(es) for es in inc]  # incident edges not OUT
@@ -532,6 +564,53 @@ class _CycleSearch:
         # length, {tree edge: label}, {label: live edges carrying it}); None
         # until one has run
         self.anchor = None
+
+    def _cycle_labels(self):
+        """Each edge's fundamental-cycle label, from one breadth-first
+        search that grows a spanning forest.  The k-th non-tree edge is
+        labelled with bit k, and a tree edge with the XOR of the bits of the
+        non-tree edges whose fundamental cycles pass through it: those with
+        one end below it.  The fundamental cycles span the cycle space, and
+        the edge sets leaving a vertex set are exactly those that meet every
+        cycle evenly (Diestel, Graph Theory, section 1.9); so an edge set
+        leaves some vertex set iff its labels XOR to 0.  Labels are distinct
+        bits, not random draws, so the test is exact."""
+        n, inc, ends = self.n, self.inc, self.ends
+        up = [-1] * n  # each vertex's tree edge to its parent
+        seen = [False] * n
+        order = []  # parents before children
+        i = 0
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            order.append(root)
+            while i < len(order):
+                v = order[i]
+                i += 1
+                for e in inc[v]:
+                    a, b = ends[e]
+                    w = a if b == v else b
+                    if not seen[w]:
+                        seen[w] = True
+                        up[w] = e
+                        order.append(w)
+        label = [0] * len(ends)
+        acc = [0] * n  # XOR of the non-tree bits at each vertex, then below it
+        bit = 1
+        for e, (a, b) in enumerate(ends):
+            if up[a] != e and up[b] != e:
+                label[e] = bit
+                acc[a] ^= bit
+                acc[b] ^= bit
+                bit <<= 1
+        for v in reversed(order):
+            e = up[v]
+            if e >= 0:
+                label[e] = acc[v]
+                a, b = ends[e]
+                acc[a if b == v else b] ^= acc[v]
+        return label
 
     def run(self, forced_in=(), forced_out=()):
         ok = all(self._set_in(e) for e in forced_in) and all(
@@ -560,13 +639,14 @@ class _CycleSearch:
         self.in_count += 1
         self.trail.append(e)
         self.queue += (a, b)
+        ok = self.cuts_of is None or self._count(e, 1)
         if closing:
             self.joined[e] = -1
-            return True
+            return ok
         pend[ea] = eb
         pend[eb] = ea
         self.joined[e] = ea
-        if self.in_count + 1 != self.n:
+        if ok and self.in_count + 1 != self.n:
             # the new segment's ends may not be joined directly: that would
             # close a cycle short of spanning
             inc, ends = self.inc, self.ends
@@ -575,9 +655,9 @@ class _CycleSearch:
             for f in inc[ea]:
                 if state[f] == self.UNDEC:
                     x, y = ends[f]
-                    if (y if x == ea else x) == eb:
-                        self._set_out(f)
-        return True
+                    if (y if x == ea else x) == eb and not self._set_out(f):
+                        return False
+        return ok
 
     def _set_out(self, e):
         state = self.state
@@ -589,29 +669,64 @@ class _CycleSearch:
         self.live[b] -= 1
         self.trail.append(e)
         self.queue += (a, b)
+        return self.cuts_of is None or self._count(e, 0)
+
+    def _count(self, e, k):
+        """Count edge e's decision in each of its cuts: one undecided edge
+        fewer, and `k` more IN edges.  False if one of them can no longer
+        be crossed an even number of times, at least twice; a cut that the
+        parity rule can now decide is queued for `_parity`."""
+        ok = True
+        cut_in, cut_undec, pending = self.cut_in, self.cut_undec, self.pending
+        for c in self.cuts_of[e]:
+            i = cut_in[c] = cut_in[c] + k
+            u = cut_undec[c] = cut_undec[c] - 1
+            if i + u < 2 or not u and i & 1:
+                ok = False
+            elif u == 1 or u == 2 and not i:
+                pending.append(c)
+        return ok
+
+    def _parity(self, c):
+        """The parity rule on cut c: fail if fewer than two of its edges
+        are not OUT, or none is undecided and an odd number are IN; decide
+        a last undecided edge so that the IN count is even; set IN both
+        edges of a cut with exactly two not OUT."""
+        i, u = self.cut_in[c], self.cut_undec[c]
+        if i + u < 2 or not u and i & 1:
+            return False
+        if u == 1 or u == 2 and not i:
+            state = self.state
+            for e in self.cuts[c]:
+                if state[e] == self.UNDEC:
+                    self.cut_forced += 1
+                    if not (self._set_in(e) if u == 2 or i & 1 else self._set_out(e)):
+                        return False
         return True
 
     def _propagate(self):
-        queue = self.queue
+        queue, pending = self.queue, self.pending
         state, chosen, live, inc = self.state, self.chosen, self.live, self.inc
         UNDEC = self.UNDEC
-        while queue:
-            v = queue.pop()
-            cin = chosen[v]
-            if cin == 2:
-                if live[v] > 2:
+        while True:
+            while queue:
+                v = queue.pop()
+                cin = chosen[v]
+                if cin == 2:
+                    if live[v] > 2:
+                        for e in inc[v]:
+                            if state[e] == UNDEC and not self._set_out(e):
+                                return False
+                elif live[v] < 2:
+                    return False
+                elif live[v] == 2:
                     for e in inc[v]:
-                        if state[e] == UNDEC:
-                            self._set_out(e)
-            elif live[v] < 2:
-                queue.clear()
+                        if state[e] == UNDEC and not self._set_in(e):
+                            return False
+            if not pending:
+                return True
+            if not self._parity(pending.pop()):
                 return False
-            elif live[v] == 2:
-                for e in inc[v]:
-                    if state[e] == UNDEC and not self._set_in(e):
-                        queue.clear()
-                        return False
-        return True
 
     def _bridged(self):
         """Whether the live graph is disconnected or has a bridge, once
@@ -745,8 +860,17 @@ class _CycleSearch:
         self.armed = True
 
     def _undo(self, mark):
+        """Restore the state at trail length `mark`, and drop the work that
+        a failed decision left queued."""
         trail, state, ends = self.trail, self.state, self.ends
         chosen, live, pend = self.chosen, self.live, self.pend
+        cuts_of, cut_in, cut_undec = self.cuts_of, self.cut_in, self.cut_undec
+        if cuts_of is not None:
+            for e in trail[mark:]:
+                k = state[e] == self.IN
+                for c in cuts_of[e]:
+                    cut_in[c] -= k
+                    cut_undec[c] += 1
         while len(trail) > mark:
             e = trail.pop()
             a, b = ends[e]
@@ -763,6 +887,8 @@ class _CycleSearch:
                 live[a] += 1
                 live[b] += 1
             state[e] = self.UNDEC
+        self.queue.clear()
+        self.pending.clear()
 
     def _pick(self):
         """An undecided edge at the first vertex with one chosen edge, else
@@ -820,12 +946,16 @@ class _CycleSearch:
                          and not self._bridged())
 
 
-def enumerate_hamilton_cycles(g, forced_in=(), forced_out=(), limit=None):
+def enumerate_hamilton_cycles(g, forced_in=(), forced_out=(), limit=None, cuts=()):
     """Every spanning cycle as an edge set, each exactly once.
 
     For a FiniteGraph the result is a sorted list of frozensets of
     endpoint pairs; for a MultiGraph, frozensets of edge ids.  With
     `limit`, the search stops after that many cycles and returns those.
+    Each of `cuts` is a set of edges (endpoint pairs, or edge ids) leaving
+    some nonempty proper vertex set; the search decides edges by the
+    parity of each cut, which changes no result.  A cut that leaves no
+    vertex set, or names an edge not in g, is a `GraphError`.
     """
     vs = g.sorted_vertices()
     index = {v: i for i, v in enumerate(vs)}
@@ -833,6 +963,7 @@ def enumerate_hamilton_cycles(g, forced_in=(), forced_out=(), limit=None):
         ids = pairs = g.sorted_edges()
         forced_in = [canon_edge(*e) for e in forced_in]
         forced_out = [canon_edge(*e) for e in forced_out]
+        cuts = [[canon_edge(*e) for e in cut] for cut in cuts]
     else:
         ids = [eid for eid, _, _ in g.edges]
         pairs = [(a, b) for _, a, b in g.edges]
@@ -840,14 +971,15 @@ def enumerate_hamilton_cycles(g, forced_in=(), forced_out=(), limit=None):
     try:
         fin = [pos[e] for e in forced_in]
         fout = [pos[e] for e in forced_out]
+        at = [[pos[e] for e in cut] for cut in cuts]
     except KeyError as missing:
-        raise GraphError(f"forced edge {missing} not in the graph")
+        raise GraphError(f"edge {missing} not in the graph")
     ends = [(index[a], index[b]) for a, b in pairs]
     # edge indices follow the sorted edges (or edge ids), so the search's
     # sorted index tuples are already in output order
     return [
         frozenset(ids[i] for i in s)
-        for s in _CycleSearch(len(vs), ends, limit).run(fin, fout)
+        for s in _CycleSearch(len(vs), ends, limit, at).run(fin, fout)
     ]
 
 

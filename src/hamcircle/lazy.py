@@ -145,13 +145,17 @@ def quotient_window(lg: LazyGraph, r: int):
     return region, comps, records
 
 
-def quotient_multigraph(lg: LazyGraph, r: int) -> MultiGraph:
-    """The level-r window as a multigraph: the region plus one surrogate
-    vertex per deep component, parallel cut edges preserved, edge ids in
-    record order."""
-    region, comps, records = quotient_window(lg, r)
+def window_multigraph(region, comps, records) -> MultiGraph:
+    """A level window, as `quotient_window` returns it, as a multigraph:
+    the region plus one surrogate vertex per deep component, parallel cut
+    edges preserved, edge ids in record order."""
     return MultiGraph.build(region | {c.surrogate for c in comps},
                             [(i, a, b) for i, (a, b, _) in enumerate(records)])
+
+
+def quotient_multigraph(lg: LazyGraph, r: int) -> MultiGraph:
+    """The level-r window as a multigraph (`window_multigraph`)."""
+    return window_multigraph(*quotient_window(lg, r))
 
 
 def end_degree_bound(lg: LazyGraph, comp: DeepComponent, mode: str, depth: int):

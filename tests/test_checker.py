@@ -16,6 +16,7 @@ from hamcircle.checker import (
     ladder_rails_member,
     limit_certificate,
     limit_circle_edges,
+    quotient_cuts,
     quotient_hamilton,
     quotient_multigraph,
     quotient_series,
@@ -32,8 +33,15 @@ from hamcircle.fragment import (
     load_tutte_fragment,
     section5_graph,
 )
-from hamcircle.graphs import GraphError, InvariantError, canon_edge
-from hamcircle.lazy import BudgetError, LazyGraph, double_ladder
+from hamcircle.graphs import GraphError, InvariantError, canon_edge, enumerate_hamilton_cycles
+from hamcircle.lazy import (
+    BudgetError,
+    LazyGraph,
+    _DoubleLadder,
+    double_ladder,
+    quotient_window,
+    window_multigraph,
+)
 
 
 def test_transfer_table_shape():
@@ -292,6 +300,61 @@ def test_engine_agreement_level_3():
     # the level-3 graph is this quotient, its surrogates renamed
     _, cycles = quotient_hamilton(section5_graph(), 3)
     assert len(cycles) == expect
+
+
+def test_quotient_cycles_equal_a_search_without_cuts():
+    # the parity rule changes no quotient cycle, so the DP's cross-check
+    # does not rest on it
+    for lg, levels in ((section5_graph(), range(4)), (double_ladder(), range(1, 7))):
+        for r in levels:
+            m, cycles = quotient_hamilton(lg, r)
+            assert cycles == enumerate_hamilton_cycles(m)
+
+
+def forced_by_queries(level):
+    """The region edges of the level-`level` Section-5 quotient, named as
+    edges of the limit graph, that every Hamilton cycle uses: those for
+    which a search with the quotient's cuts, the edge forced out and limit
+    1 finds no cycle."""
+    lg = section5_graph()
+    window = quotient_window(lg, level)
+    region, _, records = window
+    m = window_multigraph(*window)
+    cuts = quotient_cuts(lg, level, records)
+    return {e for i, (_, b, e) in enumerate(records)
+            if b in region and not enumerate_hamilton_cycles(m, forced_out=[i], limit=1, cuts=cuts)}
+
+
+def test_forced_set_by_queries_level_2():
+    # level 3 (156 edges) is a CI step
+    forced = forced_by_queries(2)
+    assert len(forced) == 72
+    assert forced == dp_series(2)[2].forced
+
+
+class _WrongLadder(_DoubleLadder):
+    """The double ladder, but its hint gives the right tail at radius 0
+    the cut edges `right`."""
+
+    def __init__(self, right):
+        self.right = right
+
+    def components(self, r):
+        comps = super().components(r)
+        return comps if r else [comps[0], ("right", self.right)]
+
+
+@pytest.mark.parametrize("right, match", [
+    ((("L:0:top", "L:1:top"),), "cut 1 is not the set of edges leaving"),
+    ((("L:0:top", "L:1:top"), ("L:0:bot", "L:2:bot")), "not in the level-1 window"),
+], ids=["one-of-two-edges", "a-non-edge"])
+def test_a_wrong_cut_from_the_hint_is_refused(right, match):
+    # never a silent prune: a level-0 cut that leaves no vertex set, or
+    # names an edge the level-1 window lacks, is an error
+    ladder = _WrongLadder(right)
+    lg = LazyGraph("L:0:top", ladder.neighbors, hint=ladder)
+    with pytest.raises(GraphError, match=match):
+        quotient_hamilton(lg, 1)
 
 
 def test_quotient_is_reinsertion():

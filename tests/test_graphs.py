@@ -479,7 +479,7 @@ class _Checked(_CycleSearch):
         return proven
 
 
-def search_with(kernel, g, fin, fout, limit):
+def search_with(kernel, g, fin, fout, limit, cuts=()):
     """enumerate_hamilton_cycles run on `kernel`, with the search object."""
     made = []
 
@@ -489,7 +489,8 @@ def search_with(kernel, g, fin, fout, limit):
             return super().run(*args)
 
     with mock.patch.object(graphs, "_CycleSearch", Spy):
-        got = enumerate_hamilton_cycles(g, forced_in=fin, forced_out=fout, limit=limit)
+        got = enumerate_hamilton_cycles(g, forced_in=fin, forced_out=fout, limit=limit,
+                                        cuts=cuts)
     (search,) = made
     return got, search
 
@@ -611,6 +612,148 @@ def test_labels_hit_a_real_two_edge_cut(out, hit):
     assert (search.cut_passes, search.cut_skips) == (1 + hit, 1 - hit)
 
 
+# cuts: the parity rule against the search without it, on drawn cuts
+
+def named_edges(g):
+    """g's edges as the kernel's callers name them (endpoint pairs, or edge
+    ids), each with its two ends."""
+    if isinstance(g, FiniteGraph):
+        return [(e, e) for e in g.sorted_edges()]
+    return [(eid, (a, b)) for eid, a, b in g.edges]
+
+
+def leaving(g, side):
+    """The edges of g with exactly one end in `side`."""
+    return [e for e, (a, b) in named_edges(g) if (a in side) != (b in side)]
+
+
+def cut_space(g):
+    """Every edge set that leaves a nonempty proper vertex set of g, by
+    brute force over the vertex sets."""
+    vs = g.sorted_vertices()
+    return {frozenset(leaving(g, set(side)))
+            for k in range(1, len(vs)) for side in itertools.combinations(vs, k)}
+
+
+@st.composite
+def cut_inputs(draw):
+    """`search_inputs` plus up to three cuts, each the edges leaving a drawn
+    nonempty proper vertex set; a set that no edge leaves is dropped."""
+    g, fin, fout, limit = draw(search_inputs())
+    vs = g.sorted_vertices()
+    sides = draw(st.lists(st.sets(st.sampled_from(vs), min_size=1, max_size=len(vs) - 1),
+                          max_size=3))
+    cuts = [cut for cut in (leaving(g, side) for side in sides) if cut]
+    return g, fin, fout, limit, cuts
+
+
+# the two K4s joined by the three edges 12, 13 and 14 of one cut, which no
+# degree rule decides
+LINKED_K4 = TWO_K4[:12] + [(0, 4), (1, 5), (2, 6)]
+LINKS = [12, 13, 14]
+
+
+@DIFF
+@given(cut_inputs())
+@example((multigraph([(i, *map(str, e)) for i, e in enumerate(LINKED_K4)]), [], [], None,
+          [LINKS]))
+@example((multigraph([(i, *map(str, e)) for i, e in enumerate(LINKED_K4)]), [12], [13], None,
+          [LINKS]))
+def test_cuts_change_no_cycle(args):
+    # with cuts the search decides edges by parity, so it may branch on
+    # other edges and find the first `limit` cycles in another order; the
+    # labels' skips must still hold, and without cuts nothing is decided
+    g, fin, fout, limit, cuts = args
+    full, plain = search_with(_CycleSearch, g, fin, fout, None)
+    got, parity = search_with(_Checked, g, fin, fout, limit, cuts)
+    if limit is None:
+        assert got == full
+    else:
+        assert len(got) == len(set(got)) == min(limit, len(full))
+        assert set(got) <= set(full)
+    assert plain.cut_forced == 0
+
+
+class _Accepted(Exception):
+    """Raised by `_Unrun`: the cuts were accepted."""
+
+
+class _Unrun(_CycleSearch):
+    """A kernel that stops where the search would start."""
+
+    def run(self, *args):
+        raise _Accepted
+
+
+@DIFF
+@given(st.data())
+def test_only_cuts_are_accepted(data):
+    # a set is accepted iff it is nonempty and some nonempty proper vertex
+    # set leaves exactly its edges; anything else, a non-edge among them
+    # too, is refused before the search starts
+    g, fin, fout, limit = data.draw(search_inputs())
+    names = [e for e, _ in named_edges(g)]
+    drawn = data.draw(st.sets(st.sampled_from(names), min_size=1)) if names else set()
+    cuts = cut_space(g)
+    missing = ("nowhere", g.sorted_vertices()[0]) if isinstance(g, FiniteGraph) else len(names)
+    for cut in ([], [missing], [*drawn, missing], list(drawn)):
+        accepted = bool(cut) and frozenset(cut) in cuts
+        with mock.patch.object(graphs, "_CycleSearch", _Unrun):
+            with pytest.raises(_Accepted if accepted else GraphError):
+                enumerate_hamilton_cycles(g, fin, fout, limit, cuts=[cut])
+
+
+IN, OUT, UNDEC = _CycleSearch.IN, _CycleSearch.OUT, _CycleSearch.UNDEC
+
+
+@pytest.mark.parametrize("fin, fout, decided", [
+    ((12, 13), (), {14: OUT}),
+    ((), (12,), {13: IN, 14: IN}),
+])
+def test_parity_decides_a_three_edge_cut(fin, fout, decided):
+    # two links IN force the third OUT; one link OUT forces the other two
+    # IN; no degree rule decides these, so without the cut they stay open
+    for cuts, want in (([LINKS], decided), ((), dict.fromkeys(decided, UNDEC))):
+        search = _CycleSearch(8, LINKED_K4, cuts=cuts)
+        assert all(search._set_in(e) for e in fin) and all(search._set_out(e) for e in fout)
+        assert search._propagate()
+        assert {e: search.state[e] for e in decided} == want
+        assert search.cut_forced == (len(decided) if cuts else 0)
+
+
+def test_parity_fails_a_cut_crossed_oddly_or_at_most_once():
+    search = _CycleSearch(8, LINKED_K4, cuts=[LINKS])
+    assert search._set_out(12)
+    assert not search._set_out(13)  # one edge left: crossed at most once
+    search = _CycleSearch(8, LINKED_K4, cuts=[LINKS])
+    assert search._set_in(12) and search._set_in(13)
+    assert not search._set_in(14)  # three IN: crossed oddly
+    search._undo(0)
+    assert (search.cut_in, search.cut_undec, search.trail) == ([0], [3], [])
+    assert search.state == [UNDEC] * len(LINKED_K4)
+
+
+def test_an_exclusion_that_breaks_a_cut_fails_its_decision():
+    # with link 13 OUT and 12 IN, joining the segment 2-0-4 to 6 by K4
+    # edge 7 excludes link 14, which would close a short cycle; that
+    # leaves the cut one IN edge and none undecided, so the IN decision
+    # itself fails
+    search = _CycleSearch(8, LINKED_K4, cuts=[LINKS])
+    assert search._set_out(13) and search._set_in(1) and search._set_in(12)
+    assert not search._set_in(7)
+    assert search.state[14] == OUT
+
+
+def test_a_bridge_given_as_a_cut_fails_the_root():
+    # two K4s joined by the bridge 3-4: its one-edge cut fails the root
+    # before any node, where the search alone needs some
+    g = graph([(str(a), str(b)) for a, b in TWO_K4[:12] + [(3, 4)]])
+    got, search = search_with(_CycleSearch, g, (), (), None, [[("3", "4")]])
+    assert got == [] and search.nodes == 0
+    got, search = search_with(_CycleSearch, g, (), (), None)
+    assert got == [] and search.nodes > 0
+
+
 def level_search(level, limit=None, kernel=_CycleSearch):
     """The kernel on the level graph G_level, run; returns it and its
     cycles."""
@@ -666,6 +809,34 @@ def test_colliding_labels_run_the_pass_at_every_check(level, limit):
     assert collided.nodes == search.nodes
     assert collided.cut_skips == 0
     assert collided.cut_passes == search.cut_passes + search.cut_skips
+
+
+def quotient_search(level, limit=None):
+    """The kernel on the level-`level` Section-5 quotient with the cuts of
+    its shallower levels, as `checker.quotient_hamilton` runs it; returns
+    the search and its cycles."""
+    from hamcircle.checker import quotient_cuts
+    from hamcircle.fragment import section5_graph
+    from hamcircle.lazy import quotient_window, window_multigraph
+
+    lg = section5_graph()
+    window = quotient_window(lg, level)
+    got, search = search_with(_CycleSearch, window_multigraph(*window), (), (), limit,
+                              quotient_cuts(lg, level, window[2]))
+    return search, got
+
+
+@pytest.mark.parametrize("level, limit, cycles, nodes, passes, skips, forced", [
+    pytest.param(1, None, 4, 48, 17, 28, 14, id="1-48"),
+    pytest.param(2, None, 16, 218, 83, 146, 76, id="2-218"),
+    pytest.param(3, 1, 1, 400, 188, 280, 268, id="3-400"),
+])
+def test_search_node_count_with_cuts(level, limit, cycles, nodes, passes, skips, forced):
+    # without the cuts the same searches take 69, 501 and 5,225 nodes
+    search, got = quotient_search(level, limit)
+    assert len(got) == cycles
+    assert (search.nodes, search.cut_passes, search.cut_skips) == (nodes, passes, skips)
+    assert search.cut_forced == forced
 
 
 def test_deep_search_is_not_bounded_by_recursion():
