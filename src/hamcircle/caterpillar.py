@@ -41,22 +41,21 @@ def is_caterpillar(t: FiniteGraph):
     _check_tree(t)
     if len(t.vertices) == 1:
         return list(t.vertices)
-    leaves = {v for v in t.vertices if t.degree(v) <= 1}
-    spine = t.vertices - leaves
-    if not spine:
-        return []
+    adj = t.adj
+    leaves = {v for v in t.vertices if len(adj[v]) <= 1}
     # a tree minus its leaves is a subtree, so it is a path iff no vertex
     # keeps more than two neighbours in it
-    sub = t.subgraph(spine)
-    if any(sub.degree(v) > 2 for v in spine):
+    inner = {v: adj[v] - leaves for v in t.vertices if v not in leaves}
+    if not inner:
+        return []
+    if any(len(nbrs) > 2 for nbrs in inner.values()):
         return None
     # order the path
-    ends = sorted((v for v in spine if sub.degree(v) <= 1), key=vkey)
-    start = ends[0]
+    start = min((v for v, nbrs in inner.items() if len(nbrs) <= 1), key=vkey)
     order = [start]
     prev = None
-    while len(order) < len(spine):
-        nxt = [x for x in sub.adj[order[-1]] if x != prev]
+    while len(order) < len(inner):
+        nxt = [x for x in inner[order[-1]] if x != prev]
         prev = order[-1]
         order.append(nxt[0])
     return order
@@ -107,15 +106,20 @@ def caterpillar_partition(t: FiniteGraph) -> OrderedCaterpillarPartition:
     Degenerate spines (stars, a single edge) collapse to a canonically
     chosen single "spine" vertex.
     """
-    spine = is_caterpillar(t)
+    return _partition(t, is_caterpillar(t))
+
+
+def _partition(t: FiniteGraph, spine) -> OrderedCaterpillarPartition:
+    """`caterpillar_partition` of t from its spine as `is_caterpillar`
+    returned it, so a caller that has recognised t does not do it again."""
     if spine is None:
         raise GraphError("not a caterpillar")
     if len(t.vertices) < 2:
         raise GraphError("partition needs at least 2 vertices")
-    leaves = {v for v in t.vertices if t.degree(v) <= 1}
     if not spine:
         spine = [min(t.vertices, key=vkey)]
-        leaves = t.vertices - {spine[0]}
+    # the spine holds every vertex that is not a leaf
+    leaves = t.vertices.difference(spine)
     classes = [frozenset([spine[0]])]
     jumping = [spine[0]]
     for prev, cur in zip(spine, spine[1:]):
@@ -131,24 +135,39 @@ def caterpillar_partition(t: FiniteGraph) -> OrderedCaterpillarPartition:
 
 
 def _assert_partition_properties(part: OrderedCaterpillarPartition):
+    """Certify the order lemma: the classes cover the tree's vertices,
+    the members of each class lie pairwise at distance 2, and each class's
+    jumping vertex is adjacent to every member of the next class.
+
+    Distinct vertices lie at distance 2 exactly when they are not adjacent
+    and share a neighbour, so each class of two or more members is checked
+    to be an independent set with a common neighbour: for a class after
+    the head, the previous class's jumping vertex (the last loop checks
+    it), and for the head class, a vertex in all its members' neighbour
+    sets.  Each vertex and edge is read a constant number of times."""
     t = part.tree
+    adj = t.adj
     covered = set()
     for cls in part.classes:
         covered |= cls
-    if covered != set(t.vertices):
+    if covered != t.vertices:
         raise InvariantError("classes do not partition the vertex set")
     for cls in part.classes:
-        for a in cls:
-            dist = t.distances_from(a, limit=2)
-            for b in cls:
-                if a != b and dist.get(b) != 2:
+        if len(cls) > 1:
+            for a in cls:
+                if not adj[a].isdisjoint(cls):
+                    b = next(iter(adj[a] & cls))
                     raise InvariantError(f"{a},{b} not at distance 2")
+    head = part.classes[0] if part.classes else ()
+    if len(head) > 1 and not set.intersection(*(adj[a] for a in head)):
+        raise InvariantError(f"the head class {sorted(head, key=vkey)} has no common "
+                             f"neighbour, so not all its members are at distance 2")
     for i in range(len(part.classes) - 1):
         j = part.jumping[i]
         if j is None:
             raise InvariantError(f"class {i} has no jumping vertex")
         for b in part.classes[i + 1]:
-            if b not in t.adj[j]:
+            if b not in adj[j]:
                 raise InvariantError(f"jumping vertex {j} not adjacent to {b}")
 
 
@@ -207,9 +226,16 @@ def _assert_square_path(part, path):
 def hamilton_cycle_of_square(t: FiniteGraph) -> frozenset:
     """A Hamilton cycle of the caterpillar's square, built by sweeping the
     partition classes outward over one parity and back over the other."""
+    # a graph too small for the square cycle is refused before recognition
+    return _square_cycle(t, is_caterpillar(t) if len(t.vertices) >= 3 else None)
+
+
+def _square_cycle(t: FiniteGraph, spine) -> frozenset:
+    """`hamilton_cycle_of_square` of t from its spine as `is_caterpillar`
+    returned it."""
     if len(t.vertices) < 3:
         raise GraphError("need at least 3 vertices")
-    part = caterpillar_partition(t)
+    part = _partition(t, spine)
     classes, jumping = part.classes, part.jumping
     m = len(classes) - 1
     if m % 2 == 0:

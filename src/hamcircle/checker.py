@@ -216,12 +216,22 @@ def quotient_cuts(lg: LazyGraph, r: int, records):
     window's; each cut edge is the quotient edge of the record that names
     it, a region edge or, where its finger lies past the region, a
     surrogate's.  A cut edge without a record is a `GraphError`."""
+    return _quotient_cuts(lg, r, records, [])
+
+
+def _quotient_cuts(lg: LazyGraph, r: int, records, shallower):
+    """`quotient_cuts`, where `shallower[s]` holds the canonical cut edges
+    of each deep component at level s: the levels it lacks are read in
+    order and appended, so a series reads each level once."""
     ids = {e: i for i, (_, _, e) in enumerate(records)}
     cuts = []
     for s in range(r):
-        for comp in deep_components(lg, s):
+        if s == len(shallower):
+            shallower.append([[canon_edge(*e) for e in comp.cut_edges]
+                              for comp in deep_components(lg, s)])
+        for cut in shallower[s]:
             try:
-                cuts.append([ids[canon_edge(*e)] for e in comp.cut_edges])
+                cuts.append([ids[e] for e in cut])
             except KeyError as missing:
                 raise GraphError(f"the level-{s} cut edge {missing} is not in the "
                                  f"level-{r} window")
@@ -232,9 +242,15 @@ def quotient_hamilton(lg: LazyGraph, r: int):
     """All Hamilton cycles of the level-r quotient (edge-id sets), with the
     quotient multigraph itself.  The search decides edges by the parity of
     the `quotient_cuts`, which changes no cycle."""
+    return _quotient_hamilton(lg, r, [])
+
+
+def _quotient_hamilton(lg: LazyGraph, r: int, shallower):
+    """`quotient_hamilton`, with the shallower levels' cut edges kept in
+    `shallower` as `_quotient_cuts` reads them."""
     window = quotient_window(lg, r)
     m = window_multigraph(*window)
-    return m, enumerate_hamilton_cycles(m, cuts=quotient_cuts(lg, r, window[2]))
+    return m, enumerate_hamilton_cycles(m, cuts=_quotient_cuts(lg, r, window[2], shallower))
 
 
 def quotient_series(lg: LazyGraph, max_level: int):
@@ -242,12 +258,14 @@ def quotient_series(lg: LazyGraph, max_level: int):
     level order: each level's cycle count and the edge ids common to all
     its cycles.  No levels is an error.  The levels are checked deepest
     first, so a level over the vertex budget is refused before any
-    search."""
+    search, and the deepest level's cuts read every shallower level's
+    cut edges, which the others reuse."""
     if max_level < 1:
         raise GraphError("no levels to check")
     out = []
+    shallower = []
     for r in range(max_level, 0, -1):
-        _, cycles = quotient_hamilton(lg, r)
+        _, cycles = _quotient_hamilton(lg, r, shallower)
         forced = frozenset.intersection(*cycles) if cycles else frozenset()
         out.append(QuotientVerdict(r, len(cycles), forced, None))
     return out[::-1]

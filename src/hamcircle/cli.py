@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -36,9 +37,76 @@ def _edge_list(edges):
     return [list(canon_edge(*e)) for e in sorted(edges, key=ekey)]
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder where there is one
+
+
+def _scalar_text(o):
+    """The JSON text of a str, None, bool, int or float, as `json.dumps`
+    writes it.  NaN and the infinities raise the ValueError of
+    ``allow_nan=False``, and any other object the TypeError of `json`."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o or o in (math.inf, -math.inf):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k):
+    """A dict key as `json` writes it: a str, or a scalar's JSON text, in
+    quotes."""
+    if isinstance(k, str):
+        return _encode_str(k)
+    if k is None or isinstance(k, (int, float)):
+        return _encode_str(_scalar_text(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+def _json_text(o, newline="\n"):
+    """The text ``json.dumps(o, indent=1, sort_keys=True, allow_nan=False)``
+    writes, where `newline` is a line break plus the indent of the line
+    that `o` starts on.  Python's `json` formats indented text in pure
+    Python, a generator step per token; this writer makes one call per
+    container, joins a list of strings at once and leaves each string to
+    the C encoder.  Dict items are sorted by their keys as given, then the
+    keys are written as `json` writes them, so 9 comes before 10."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + " "
+        sep = "," + inner
+        try:  # a list of strings; the encoder refuses anything else
+            body = sep.join(map(_encode_str, o))
+        except TypeError:
+            body = sep.join([_json_text(x, inner) if isinstance(x, _CONTAINERS)
+                             else _scalar_text(x) for x in o])
+        return "[" + inner + body + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + " "
+        return "{" + inner + ("," + inner).join([
+            _key_text(k) + ": "
+            + (_json_text(x, inner) if isinstance(x, _CONTAINERS) else _scalar_text(x))
+            for k, x in sorted(o.items())]) + newline + "}"
+    return _scalar_text(o)
+
+
 def _emit(args, obj):
     # strict JSON: NaN or an infinity raises instead of printing bare
-    text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
+    text = _json_text(obj)
     if getattr(args, "out", None):
         _write(args.out, text + "\n")
     else:
@@ -161,7 +229,7 @@ def cmd_caterpillar(args):
         return VIOLATED
     report["spine"] = list(spine)
     if args.square_cycle:
-        cycle = cat.hamilton_cycle_of_square(g)
+        cycle = cat._square_cycle(g, spine)
         report["square_cycle"] = _edge_list(cycle)
     _emit(args, report)
     return OK
@@ -249,13 +317,14 @@ def _checked(suite, graphs):
 def _suite_trees(args, rng):
     bad = 0
     for t in _checked("trees", corpus.trees_range(3, args.tree_max)):
-        is_cat = cat.is_caterpillar(t) is not None
+        spine = cat.is_caterpillar(t)
+        is_cat = spine is not None
         no_star = cat.find_s_k13(t) is None
         sq = len(enumerate_hamilton_cycles(kth_power(t, 2), limit=1)) > 0
         if not (is_cat == no_star == sq):
             bad += 1
         if is_cat:
-            cat.hamilton_cycle_of_square(t)
+            cat._square_cycle(t, spine)
     return bad
 
 

@@ -51,6 +51,16 @@ def graph_from_obj(obj):
     edges = obj.get("edges")
     if not isinstance(verts, list) or not isinstance(edges, list):
         raise GraphError('"vertices" and "edges" must be lists')
+    if all(type(v) is str for v in verts):
+        # str ids are alike as strings exactly when they are equal as
+        # values, and then they are the same id, so neither rule below can
+        # refuse them, and an edge of two str endpoints passes every
+        # endpoint check.  Any other document is read the long way, which
+        # words each refusal.
+        pairs = [(e[0], e[1]) for e in edges
+                 if type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str]
+        if len(pairs) == len(edges):
+            return FiniteGraph.build(verts, pairs)
     verts = [_vertex_id(v) for v in verts]
     by_str, by_value = {}, {}
     for v in verts:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from conftest import cycle_graph, graph, multigraph, path_graph
 from hamcircle import caterpillar as cat
 from hamcircle.caterpillar import (
+    _assert_partition_properties,
     _assert_square_path,
     caterpillar_partition,
     find_s_k13,
@@ -102,6 +104,107 @@ def test_partition_distance_invariants():
         for a in cls:
             d = t.distances_from(a)
             assert all(d[b] == 2 for b in cls if b != a)
+
+
+def _partition_check_by_search(part):
+    """The partition certificate by definition, the reference for the
+    linear one: the classes cover the vertices, one radius-2 search from
+    each member finds every other member of its class at distance exactly
+    2, and each jumping vertex is adjacent to all of the next class."""
+    t = part.tree
+    covered = set()
+    for cls in part.classes:
+        covered |= cls
+    if covered != set(t.vertices):
+        raise InvariantError("classes do not partition the vertex set")
+    for cls in part.classes:
+        for a in cls:
+            dist = t.distances_from(a, limit=2)
+            for b in cls:
+                if a != b and dist.get(b) != 2:
+                    raise InvariantError(f"{a},{b} not at distance 2")
+    for i in range(len(part.classes) - 1):
+        j = part.jumping[i]
+        if j is None:
+            raise InvariantError(f"class {i} has no jumping vertex")
+        for b in part.classes[i + 1]:
+            if b not in t.adj[j]:
+                raise InvariantError(f"jumping vertex {j} not adjacent to {b}")
+
+
+def _doctored(part):
+    """Partitions one slip away from `part`: a member moved to another
+    class (moved into the head, it may share no neighbour there), two
+    neighbouring classes merged, a class split in two, a jumping vertex
+    swapped for another vertex or None, a class dropped."""
+    classes, jumping = list(part.classes), list(part.jumping)
+    k = len(classes)
+    out = []
+    for i, cls in enumerate(classes):
+        for v in sorted(cls, key=vkey):
+            for n in range(k):
+                if n != i:
+                    moved = classes[:]
+                    moved[i], moved[n] = cls - {v}, classes[n] | {v}
+                    out.append((moved, jumping))
+    for i in range(k - 1):
+        merged = classes[:i] + [classes[i] | classes[i + 1]] + classes[i + 2:]
+        for j in (jumping[i], jumping[i + 1]):
+            out.append((merged, jumping[:i] + [j] + jumping[i + 2:]))
+    for i, cls in enumerate(classes):
+        members = sorted(cls, key=vkey)
+        for cut in range(1, len(members)):
+            for a, b in ((members[:cut], members[cut:]), (members[cut:], members[:cut])):
+                j = jumping[i] if jumping[i] in a else a[0]
+                out.append((classes[:i] + [frozenset(a), frozenset(b)] + classes[i + 1:],
+                            jumping[:i] + [j, jumping[i]] + jumping[i + 1:]))
+    for i in range(k):
+        for v in part.tree.sorted_vertices() + [None]:
+            if v != jumping[i]:
+                out.append((classes, jumping[:i] + [v] + jumping[i + 1:]))
+        out.append((classes[:i] + classes[i + 1:], jumping[:i] + jumping[i + 1:]))
+    return [dataclasses.replace(part, classes=tuple(c), jumping=tuple(j)) for c, j in out]
+
+
+def _refuses(check, part):
+    try:
+        check(part)
+    except InvariantError:
+        return True
+    return False
+
+
+def test_partition_certificate_agrees_with_distance_searches():
+    # the linear certificate (independent classes with a common neighbour)
+    # refuses exactly the partitions that the radius-2 searches refuse,
+    # on every caterpillar of 3..10 vertices and each slip from its
+    # partition
+    trees = checked = refused = 0
+    for t in trees_range(3, 10):
+        if is_caterpillar(t) is None:
+            continue
+        trees += 1
+        part = caterpillar_partition(t)
+        _partition_check_by_search(part)
+        for bad in _doctored(part):
+            verdict = _refuses(_partition_check_by_search, bad)
+            assert _refuses(_assert_partition_properties, bad) == verdict, bad
+            checked += 1
+            refused += verdict
+    # both verdicts occur: 2,319 of the slips still pass
+    assert (trees, checked, refused) == (150, 15333, 13014)
+
+
+@pytest.mark.parametrize("classes, jumping, message", [
+    (({"a", "b"}, {"c", "d"}), ("a", None), "^(a,b|b,a) not at distance 2$"),
+    (({"a", "d"}, {"b"}, {"c"}), ("a", "b", None), "has no common neighbour"),
+    (({"a"}, {"b", "d"}, {"c"}), ("a", "b", None), "jumping vertex a not adjacent to d"),
+], ids=["adjacent-members", "head-without-common-neighbour", "member-past-the-jump"])
+def test_partition_certificate_names_the_slip(classes, jumping, message):
+    path = graph([("a", "b"), ("b", "c"), ("c", "d")])
+    part = cat.OrderedCaterpillarPartition(path, tuple(map(frozenset, classes)), jumping)
+    with pytest.raises(InvariantError, match=message):
+        _assert_partition_properties(part)
 
 
 def test_square_string_single_class():

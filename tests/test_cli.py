@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import path_graph
 
@@ -233,6 +235,43 @@ def test_reports_are_strict_json(capsys):
     with pytest.raises(ValueError):
         cli._emit(None, {"x": float("nan")})
     assert capsys.readouterr().out == ""
+
+
+_SCALARS = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\"\\/\b\f\n\r\t", "caf\u00e9", "\u2028", "\U0001f600", "\x00\x1f"]),
+    st.integers(),
+    st.sampled_from([2 ** 64, -(2 ** 70), -1, 0, -0.0, 1e22, 1e-7, 0.1, True, False, None]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    st.dictionaries(st.integers(-12, 12), inner, max_size=4),
+    st.dictionaries(st.booleans(), inner, max_size=2),
+), max_leaves=24)
+
+
+@given(_VALUES)
+@example({9: "nine", 10: ["ten", []], 11: {}})
+@example({"a": [["x", "y"], ["\u00e9", "\n"]], "b": (), "c": {"d": -0.0, "e": 1e22}})
+def test_report_text_is_the_indented_dump(obj):
+    # the writer behind every report writes what json.dumps writes
+    assert cli._json_text(obj) == json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("obj", [
+    float("nan"), [1, float("inf")], {"x": -float("inf")}, {float("nan"): 1},
+    {"x": object()}, [object()], {(1, 2): 3}, {1: "a", "b": 2},
+], ids=["nan", "inf-in-a-list", "minus-inf-value", "nan-key", "object-value", "object-item",
+        "tuple-key", "unsortable-keys"])
+def test_report_text_refuses_as_json_does(obj):
+    with pytest.raises((ValueError, TypeError)) as want:
+        json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
+    with pytest.raises(want.type) as got:
+        cli._json_text(obj)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("argv", [["power"], ["outerplanar"], ["caterpillar"],

@@ -99,3 +99,43 @@ def test_malformed_documents_rejected_by_message(obj, message):
     with pytest.raises(GraphError) as info:
         graph_from_obj(obj)
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"multi": False, "vertices": ["a"], "edges": [], "color": 1},
+     "unknown fields in graph document: ['color']"),
+    ({"multi": True, "vertices": ["a", "b"], "edges": [["a", "b"]]},
+     "multigraphs are not supported here"),
+    ({"multi": 0, "vertices": [], "edges": []}, '"multi" must be a boolean'),
+    ({"vertices": "ab", "edges": []}, '"vertices" and "edges" must be lists'),
+    ({"vertices": ["a", "b"]}, '"vertices" and "edges" must be lists'),
+    ({"vertices": ["a"], "edges": [["a", "b"]]}, "edge ('a', 'b') has endpoint outside vertex set"),
+    ({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "c"]]},
+     "edge ('b', 'c') has endpoint outside vertex set"),
+    ({"vertices": ["a", "b"], "edges": [["a", ["b"]]]},
+     "vertex id must be a string or a number: ['b']"),
+    ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, "edge must be [a, b]: ['a', 'b', 'c']"),
+    ({"vertices": ["a", "b"], "edges": ["ab"]}, "edge must be [a, b]: 'ab'"),
+    ({"vertices": ["a", "b"], "edges": [("a", "b")]}, "edge must be [a, b]: ('a', 'b')"),
+    ({"vertices": ["a", "b"], "edges": [["a", "a"]]}, "loop at 'a'"),
+    ({"vertices": ["1", "x"], "edges": [[1, "x"]]}, "edge (1, 'x') has endpoint outside vertex set"),
+    ({"vertices": ["1.0", "x"], "edges": [[1.0, "x"]]},
+     "edge (1.0, 'x') has endpoint outside vertex set"),
+    ({"vertices": ["a", "b"], "edges": [["a", NAN]]}, "vertex id must be a finite number: nan"),
+    ({"vertices": ["a", "b"], "edges": [[True, "b"]]}, "vertex id must be a string or a number: True"),
+    ({"vertices": ["a", "b"], "edges": [["a", None]]}, "vertex id must be a string or a number: None"),
+], ids=["unknown-field", "multigraph", "multi-not-a-boolean", "vertices-not-a-list",
+        "edges-missing", "missing-vertex", "missing-vertex-in-a-later-edge", "list-endpoint",
+        "three-element-edge", "string-edge", "tuple-edge", "loop", "int-endpoint-of-a-str-id",
+        "float-endpoint-of-a-str-id", "nan-endpoint", "bool-endpoint", "null-endpoint"])
+def test_refusals_of_str_id_documents_keep_their_words(obj, message):
+    # documents whose vertex ids are all strings take a shorter path; each
+    # refusal is worded as on the long one
+    with pytest.raises(GraphError) as info:
+        graph_from_obj(obj)
+    assert str(info.value) == message
+
+
+def test_repeated_str_ids_name_one_vertex():
+    g = graph_from_obj({"vertices": ["a", "a", "b"], "edges": [["a", "b"], ["b", "a"]]})
+    assert g.vertices == {"a", "b"} and g.edges == {("a", "b")}
